@@ -22,7 +22,7 @@ import logging
 import math
 import multiprocessing
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -45,6 +45,10 @@ logger = logging.getLogger(__name__)
 
 SOLVER_COLORS = {"sapgm": "#d62728", "baseline": "#1f77b4"}
 
+# the solver parameters the protocol pins: the manifest records them and
+# `bench run` / `bench rate` take one flag each
+PROTOCOL_PARAMS = ("mu0", "L0", "eta", "sigma", "eps", "max_iter")
+
 
 @dataclass
 class BenchConfig:
@@ -52,12 +56,7 @@ class BenchConfig:
     runs: int = 200
     base_seed: int = 42
     solver: str = "both"  # sapgm | baseline | both
-    sigma: float = 1.9
-    mu0: float = 1.0
-    L0: float = 1.0
-    eta: float = 2.0
-    eps: float = 1e-3
-    max_iter: int = 1000
+    params: SolverConfig = SolverConfig()
     out_dir: str | Path = "results"
     parallel: int = 1
 
@@ -68,20 +67,9 @@ class BenchConfig:
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
         if self.parallel < 1:
             raise InvalidParameterError("parallel must be >= 1")
-        # delegate range checks on the numeric solver parameters
-        self.solver_config()
 
     def solver_config(self, **overrides) -> SolverConfig:
-        kw = dict(
-            mu0=self.mu0,
-            L0=self.L0,
-            eta=self.eta,
-            sigma=self.sigma,
-            eps=self.eps,
-            max_iter=self.max_iter,
-        )
-        kw.update(overrides)
-        return SolverConfig(**kw)
+        return replace(self.params, **overrides)
 
     def problem_names(self) -> list[str]:
         keys = list(self.problems)
@@ -111,19 +99,9 @@ def slugify(name: str) -> str:
 # run execution
 # ---------------------------------------------------------------------------
 
-_PROBLEM_CACHE: dict[str, ProblemSpec] = {}
-
-
-def _cached_problem(name: str) -> ProblemSpec:
-    if name not in _PROBLEM_CACHE:
-        _PROBLEM_CACHE[name] = get_problem(name)
-    return _PROBLEM_CACHE[name]
-
-
-def _execute(problem: str, solver: str, seed: int, cfg_kw: dict) -> dict:
-    p = _cached_problem(problem)
+def _execute(problem: str, solver: str, seed: int, cfg: SolverConfig) -> dict:
+    p = get_problem(problem)
     x0 = sample_start(p, seed)
-    cfg = SolverConfig(**cfg_kw)
     run = solve(p, x0, cfg) if solver == "sapgm" else solve_baseline(p, x0, cfg)
     return {
         "problem": problem,
@@ -158,12 +136,9 @@ def run_benchmark(cfg: BenchConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     problems = cfg.problem_names()
     solvers = cfg.solver_names()
-    cfg_kw = dict(
-        mu0=cfg.mu0, L0=cfg.L0, eta=cfg.eta, sigma=cfg.sigma, eps=cfg.eps, max_iter=cfg.max_iter
-    )
 
     tasks = [
-        (prob, solver, cfg.base_seed + i, cfg_kw)
+        (prob, solver, cfg.base_seed + i, cfg.params)
         for prob in problems
         for solver in solvers
         for i in range(cfg.runs)
@@ -175,10 +150,9 @@ def run_benchmark(cfg: BenchConfig) -> Path:
         rows = [_execute(*t) for t in tasks]
     rows.sort(key=lambda r: (r["problem"], r["solver"], r["seed"]))
 
-    n = _cached_problem(problems[0]).n
-    m = _cached_problem(problems[0]).m
-    x_cols = [f"final_x{j}" for j in range(n)]
-    f_cols = [f"final_F{j}" for j in range(m)]
+    first = get_problem(problems[0])
+    x_cols = [f"final_x{j}" for j in range(first.n)]
+    f_cols = [f"final_F{j}" for j in range(first.m)]
     with (out / "runs.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["problem", "solver", "seed", "status", "iters", "fevals", "time_s"] + x_cols + f_cols)
@@ -199,7 +173,7 @@ def run_benchmark(cfg: BenchConfig) -> Path:
             )
 
     for prob in problems:
-        p = _cached_problem(prob)
+        p = get_problem(prob)
         fronts: dict[str, list[FrontPoint]] = {}
         for solver in solvers:
             pts = [
@@ -223,7 +197,7 @@ def run_benchmark(cfg: BenchConfig) -> Path:
         "solvers": solvers,
         "runs": cfg.runs,
         "base_seed": cfg.base_seed,
-        "parameters": cfg_kw,
+        "parameters": {k: getattr(cfg.params, k) for k in PROTOCOL_PARAMS},
         "parallel": cfg.parallel,
         "files": sorted(f.name for f in out.iterdir() if f.is_file() and f.name != "manifest.json"),
     }
@@ -260,10 +234,9 @@ _REFERENCE_RUNS = 50
 
 def reference_front(p: ProblemSpec, cfg: BenchConfig, runs: int = _REFERENCE_RUNS) -> list[FrontPoint]:
     """Pooled nondominated final points from converged default runs."""
-    sc = cfg.solver_config()
     pts = []
     for i in range(runs):
-        run = solve(p, sample_start(p, cfg.base_seed + i), sc)
+        run = solve(p, sample_start(p, cfg.base_seed + i), cfg.params)
         pts.append(FrontPoint(run.final_x, run.final_F))
     return nondominated_filter(pts)
 
@@ -300,8 +273,8 @@ def run_rate_experiment(
     slopes = {}
     series_files = []
     for s in sigmas:
-        # eps ~ 0 disables the stopping rule: the run uses all `iters` iterations
-        sc = cfg.solver_config(sigma=s, eps=5e-324, max_iter=iters, record_trace=True)
+        # eps = 0 disables the stopping rule: the run uses all `iters` iterations
+        sc = cfg.solver_config(sigma=s, eps=0.0, max_iter=iters, record_trace=True)
         run = solve(p, x0, sc)
         series = merit_series_for_run(p, run.trace, ref)
         fname = f"rate_{slug}_sigma{s:g}.csv"

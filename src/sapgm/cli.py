@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bench import BenchConfig, run_benchmark, run_rate_experiment
+from .bench import PROTOCOL_PARAMS, BenchConfig, run_benchmark, run_rate_experiment
 from .errors import InvalidInputError, InvalidParameterError
 from .problems import registry, sample_start
 from .smoothing import (
@@ -27,6 +27,7 @@ from .smoothing import (
     compose_surrogate,
     verify_surrogate,
 )
+from .solver import SolverConfig
 from .subproblem import SubproblemInput, complementarity_violation, solve_subproblem
 
 EXIT_OK = 0
@@ -35,13 +36,15 @@ EXIT_IO = 3
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--sigma", type=float, default=1.9)
-    sp.add_argument("--mu0", type=float, default=1.0)
-    sp.add_argument("--L0", type=float, default=1.0)
-    sp.add_argument("--eta", type=float, default=2.0)
-    sp.add_argument("--eps", type=float, default=1e-3)
-    sp.add_argument("--max-iter", type=int, default=1000)
+    defaults = SolverConfig()
+    for name in PROTOCOL_PARAMS:
+        value = getattr(defaults, name)
+        sp.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     sp.add_argument("--out", default="results")
+
+
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(**{name: getattr(args, name) for name in PROTOCOL_PARAMS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     rate = sub.add_parser("rate", help="merit decay vs sigma")
     rate.add_argument("--problem", required=True)
     rate.add_argument("--sigmas", default="0.5,1.0,1.5", help="comma list in (0, 2)")
-    rate.add_argument("--runs", type=int, default=200)
     rate.add_argument("--seed", type=int, default=42)
     _add_solver_flags(rate)
 
@@ -76,12 +78,7 @@ def _cmd_run(args) -> int:
         runs=args.runs,
         base_seed=args.seed,
         solver=args.solver,
-        sigma=args.sigma,
-        mu0=args.mu0,
-        L0=args.L0,
-        eta=args.eta,
-        eps=args.eps,
-        max_iter=args.max_iter,
+        params=_solver_config(args),
         out_dir=args.out,
         parallel=args.parallel,
     )
@@ -92,18 +89,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_rate(args) -> int:
     sigmas = [float(s) for s in args.sigmas.split(",") if s]
-    cfg = BenchConfig(
-        problems=[args.problem],
-        runs=args.runs,
-        base_seed=args.seed,
-        sigma=args.sigma,
-        mu0=args.mu0,
-        L0=args.L0,
-        eta=args.eta,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        out_dir=args.out,
-    )
+    cfg = BenchConfig(problems=[args.problem], base_seed=args.seed, params=_solver_config(args), out_dir=args.out)
     out = run_rate_experiment(args.problem, sigmas, cfg)
     print(f"rate artifacts written to {out}")
     return EXIT_OK

@@ -179,8 +179,7 @@ def _build(name: str, exprs: list[Expr], lower, upper) -> ProblemSpec:
     return ProblemSpec(name, 2, len(exprs), parts, GKind.SCALED_L1, lower, upper)
 
 
-def registry() -> list[ProblemSpec]:
-    """The six benchmark instances, in table order (1-based index = position + 1)."""
+def _build_registry() -> tuple[ProblemSpec, ...]:
     bk1 = _build(
         "BK1",
         [
@@ -253,12 +252,33 @@ def registry() -> list[ProblemSpec]:
         (2.0, -2.0),
         (3.0, 3.0),
     )
-    return [bk1, cb3_lq, cb3_mf1, cr_mf2, jos1, sp1]
+    return bk1, cb3_lq, cb3_mf1, cr_mf2, jos1, sp1
+
+
+# (the compose_surrogate the specs were built with, the specs)
+_REGISTRY: tuple[object, tuple[ProblemSpec, ...]] | None = None
+
+
+def _registry() -> tuple[ProblemSpec, ...]:
+    """The six instances, built once per process.
+
+    The cache is keyed on the `compose_surrogate` in use, so rebinding it
+    (perfbench's tracer does) builds the instances afresh through it.
+    """
+    global _REGISTRY
+    if _REGISTRY is None or _REGISTRY[0] is not compose_surrogate:
+        _REGISTRY = (compose_surrogate, _build_registry())
+    return _REGISTRY[1]
+
+
+def registry() -> list[ProblemSpec]:
+    """The six benchmark instances, in table order (1-based index = position + 1)."""
+    return list(_registry())
 
 
 def get_problem(key: str | int) -> ProblemSpec:
     """Look up a problem by name (case-insensitive) or 1-based table index."""
-    probs = registry()
+    probs = _registry()
     if isinstance(key, int) or (isinstance(key, str) and key.isdigit()):
         idx = int(key)
         if not 1 <= idx <= len(probs):

@@ -8,7 +8,7 @@ Per iteration k (starting at 0, with y_0 = x_0 and t_0 = 1):
 2. Backtracking: solve the subproblem at (x_k, y_k); accept the candidate
    when  max_i [ f_i(x^) - f_i(y) - <grad f_i(y), x^ - y> ] <= (ell/2)||x^ - y||^2,
    otherwise inflate L_trial by eta and retry.  L_trial restarts from L_0
-   each iteration unless warm_start_L is set.
+   each iteration.
 3. Stop when ||x_k - x_{k+1}|| < eps and mu_{k+1} < eps.
 4. t_{k+1} = (1 + sqrt(1 + 4 (mu_k L_{k+1} / (mu_{k+1} L_k)) t_k^2)) / 2,
    theta_{k+1} = (t_k - 1) / t_{k+1},
@@ -24,13 +24,13 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from .problems import FevalCounter, ProblemSpec, eval_g, eval_smooth, eval_true
-from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _Core, _solve_core
+from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
 
 __all__ = [
     "SolverConfig",
@@ -49,23 +49,23 @@ logger = logging.getLogger(__name__)
 
 MAX_BACKTRACKS = 60
 _DIAG_EVERY = 16  # boundedness diagnostic cadence when not tracing
+# the boundedness diagnostic warns (only) once max_i F_i(x_k, mu_k) exceeds
+# _BOUND_FACTOR * max(|max_i F_i(x_0, mu_0)|, 1) + _BOUND_OFFSET
+_BOUND_FACTOR = 10.0
+_BOUND_OFFSET = 10.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Parameters of a solve; the one place each solver default is declared."""
+
     mu0: float = 1.0
     L0: float = 1.0
     eta: float = 2.0
     sigma: float = 1.9
     eps: float = 1e-3
     max_iter: int = 1000
-    inner_tol: float = DEFAULT_TOL
-    max_inner: int = DEFAULT_MAX_INNER
-    warm_start_L: bool = False
     record_trace: bool = False
-    backtrack_rule: str = "standard"  # or "literal" (the paper's printed test)
-    bound_factor: float = 10.0  # boundedness diagnostic, warning only
-    bound_offset: float = 10.0
 
     def __post_init__(self):
         if not 0.0 < self.mu0 <= 1.0:
@@ -80,8 +80,6 @@ class SolverConfig:
             raise InvalidParameterError("eps must be nonnegative")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be >= 1")
-        if self.backtrack_rule not in ("standard", "literal"):
-            raise InvalidParameterError(f"unknown backtrack rule {self.backtrack_rule!r}")
 
 
 @dataclass
@@ -155,32 +153,25 @@ def backtrack_step(
     returns the accepted candidate, the accepted L and the trial count.
     """
     x, y, mu = state.x, state.y, state.mu
-    vals_y, grads_y = eval_smooth(p, y, mu, counter)
-    vals_x, _ = eval_smooth(p, x, mu, counter)
-    offsets = vals_y - (vals_x + eval_g(p, x))
-
-    L_trial = max(state.L / cfg.eta, cfg.L0) if cfg.warm_start_L else cfg.L0
+    evals_y = eval_smooth(p, y, mu, counter)
+    L_trial = cfg.L0
+    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, counter), L_trial / mu)
+    vals_y, grads_y = evals_y
     m = grads_y.shape[0]
     lam0 = np.full(m, 1.0 / m)
-    y = np.asarray(y, float)
     for trial in range(1, MAX_BACKTRACKS + 2):
-        ell = L_trial / mu
-        core = _Core(y, grads_y, offsets, ell, p.g_kind)
-        z, _, _, _, _ = _solve_core(core, lam0, cfg.inner_tol, cfg.max_inner)
+        z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
         vals_z, _ = eval_smooth(p, z, mu, counter)
-        d = z - y
+        d = z - core.y
         ss = float(d @ d)
         gaps = vals_z - vals_y - grads_y @ d
-        rhs = 0.5 * ell * ss
+        rhs = 0.5 * core.ell * ss
         slack = 1e-9 * max(1.0, rhs) + 1e-12
-        if cfg.backtrack_rule == "standard":
-            ok = float(gaps.max()) <= rhs + slack
-        else:
-            ok = 2.0 * float(gaps.min()) <= rhs + slack
-        if ok:
+        if float(gaps.max()) <= rhs + slack:
             state.backtracks += trial - 1
             return z, L_trial, trial
         L_trial *= cfg.eta
+        core.ell = L_trial / mu
     raise DivergingLipschitzError(
         f"{p.name}: descent test still failing after {MAX_BACKTRACKS} inflations "
         f"(L reached {L_trial:.3g}); surrogate gradients are suspect"
@@ -202,7 +193,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
     )
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
     bound_ref = _smooth_max(p, x0, cfg.mu0)
-    bound_limit = cfg.bound_factor * max(abs(bound_ref), 1.0) + cfg.bound_offset
+    bound_limit = _BOUND_FACTOR * max(abs(bound_ref), 1.0) + _BOUND_OFFSET
     warned = False
 
     start = time.perf_counter()
@@ -265,74 +256,32 @@ def solve_baseline(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig | None = No
 
 class SAPGMSolver:
     """Estimator-style wrapper: parameters at construction, results as
-    trailing-underscore attributes after fit()."""
+    trailing-underscore attributes after fit().
 
-    def __init__(
-        self,
-        mu0: float = 1.0,
-        L0: float = 1.0,
-        eta: float = 2.0,
-        sigma: float = 1.9,
-        eps: float = 1e-3,
-        max_iter: int = 1000,
-        inner_tol: float = DEFAULT_TOL,
-        warm_start_L: bool = False,
-        record_trace: bool = False,
-        backtrack_rule: str = "standard",
-        accelerated: bool = True,
-    ):
-        self.mu0 = mu0
-        self.L0 = L0
-        self.eta = eta
-        self.sigma = sigma
-        self.eps = eps
-        self.max_iter = max_iter
-        self.inner_tol = inner_tol
-        self.warm_start_L = warm_start_L
-        self.record_trace = record_trace
-        self.backtrack_rule = backtrack_rule
+    The parameters are the fields of `SolverConfig` plus `accelerated`.
+    """
+
+    def __init__(self, accelerated: bool = True, **params):
         self.accelerated = accelerated
-
-    _PARAMS = (
-        "mu0",
-        "L0",
-        "eta",
-        "sigma",
-        "eps",
-        "max_iter",
-        "inner_tol",
-        "warm_start_L",
-        "record_trace",
-        "backtrack_rule",
-        "accelerated",
-    )
+        self.config = SolverConfig()
+        self.set_params(**params)
 
     def get_params(self, deep: bool = True) -> dict:
-        return {k: getattr(self, k) for k in self._PARAMS}
+        params = {f.name: getattr(self.config, f.name) for f in fields(SolverConfig)}
+        params["accelerated"] = self.accelerated
+        return params
 
     def set_params(self, **params) -> "SAPGMSolver":
-        for k, v in params.items():
-            if k not in self._PARAMS:
-                raise InvalidParameterError(f"unknown parameter {k!r}")
-            setattr(self, k, v)
+        unknown = sorted(params.keys() - self.get_params().keys())
+        if unknown:
+            raise InvalidParameterError(f"unknown parameter {unknown[0]!r}")
+        accelerated = params.pop("accelerated", self.accelerated)
+        self.config = replace(self.config, **params)
+        self.accelerated = accelerated
         return self
 
-    def _config(self) -> SolverConfig:
-        return SolverConfig(
-            mu0=self.mu0,
-            L0=self.L0,
-            eta=self.eta,
-            sigma=self.sigma,
-            eps=self.eps,
-            max_iter=self.max_iter,
-            inner_tol=self.inner_tol,
-            warm_start_L=self.warm_start_L,
-            record_trace=self.record_trace,
-            backtrack_rule=self.backtrack_rule,
-        )
-
     def fit(self, problem: ProblemSpec, x0: np.ndarray) -> "SAPGMSolver":
-        result = _run(problem, x0, self._config(), accelerated=self.accelerated)
+        result = _run(problem, x0, self.config, accelerated=self.accelerated)
         self.result_ = result
         self.x_ = result.final_x
         self.F_ = result.final_F

@@ -169,12 +169,21 @@ def _solve_core(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
     return z, lam, core.primal(comp, quad), gap, iters + 1
 
 
+def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
+    """Core at expansion point y from eval_smooth's results at y and at x.
+
+    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)).
+    """
+    vals_y, G = evals_y
+    vals_x, _ = evals_x
+    c = vals_y - (vals_x + eval_g(p, x))
+    return _Core(np.asarray(y, float), G, c, ell, p.g_kind)
+
+
 def _build_core(inp: SubproblemInput, counter: FevalCounter | None = None) -> _Core:
     p = inp.problem
-    vals_y, G = eval_smooth(p, inp.y, inp.mu, counter)
-    vals_x, _ = eval_smooth(p, inp.x, inp.mu, counter)
-    c = vals_y - (vals_x + eval_g(p, inp.x))
-    return _Core(np.asarray(inp.y, float), G, c, inp.ell, p.g_kind)
+    evals_y = eval_smooth(p, inp.y, inp.mu, counter)
+    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu, counter), inp.ell)
 
 
 def dual_inner(lam: np.ndarray, inp: SubproblemInput) -> tuple[np.ndarray, float]:

@@ -16,6 +16,7 @@ from sapgm.bench import (
 from sapgm.cli import main
 from sapgm.metrics import FrontPoint, nondominated_filter
 from sapgm.problems import get_problem
+from sapgm.solver import SolverConfig
 
 
 def _drop_time(path):
@@ -35,6 +36,24 @@ def test_cli_run_deterministic(tmp_path):
         rc = main(["run", "--problems", "JOS1", "--runs", "1", "--seed", "7", "--out", str(out)])
         assert rc == 0
     assert _drop_time(a / "runs.csv") == _drop_time(b / "runs.csv")
+
+
+def test_parallel_pool_gives_the_serial_runs_csv(tmp_path):
+    a, b = tmp_path / "serial", tmp_path / "pool"
+    for out, workers in ((a, "1"), (b, "2")):
+        rc = main(["run", "--runs", "2", "--seed", "3", "--parallel", workers, "--out", str(out)])
+        assert rc == 0
+    serial = _drop_time(a / "runs.csv")
+    assert len(serial) == 1 + 6 * 2 * 2  # header + problems x solvers x runs
+    assert serial == _drop_time(b / "runs.csv")
+
+
+def test_run_without_solver_flags_records_the_default_config(tmp_path):
+    out = tmp_path / "r"
+    assert main(["run", "--problems", "JOS1", "--runs", "1", "--out", str(out)]) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert params == {k: getattr(SolverConfig(), k) for k in params}
+    assert set(params) == {"mu0", "L0", "eta", "sigma", "eps", "max_iter"}
 
 
 def test_index_resolution_and_summary_consistency(tmp_path):

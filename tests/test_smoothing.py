@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapgm.errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError
 from sapgm.smoothing import (
     Abs,
     Affine,
+    Exp,
     Expr,
+    Max2,
     MaxList,
+    Plus,
+    Quartic,
     Scale,
     Square,
     Sum,
@@ -207,14 +211,10 @@ def test_compose_three_term_max_limit():
 
 
 def Quartic_x1():
-    from sapgm.smoothing import Quartic
-
     return Quartic(x1())
 
 
 def ExpDiff():
-    from sapgm.smoothing import Exp
-
     return Exp(Affine([-1.0, 1.0]))
 
 
@@ -256,3 +256,82 @@ def test_verify_max_list_kappa():
     assert s.constants.kappa == pytest.approx(math.log(3.0))
     rep = verify_surrogate(s, (-np.ones(3), np.ones(3)), 1000, rng_seed=5)
     assert rep.kappa_violation <= 1e-9
+
+
+# ------------------------------------------------------------- random trees
+
+# Convex trees over all ten atoms, depth <= 3, weights in [-1, 1], points in
+# [-2, 2]^n.  Square, Quartic and Exp take an affine argument, as in every
+# registry problem: there the tree's kappa (a plain sum) bounds the error,
+# and squaring or exponentiating a convex function of either sign would not
+# stay convex.
+TREE_BOX = 2.0
+weights = st.floats(-1.0, 1.0, allow_nan=False)
+tree_mus = st.floats(1e-2, 1.0, allow_nan=False)
+
+
+@st.composite
+def affines(draw, n):
+    return Affine([draw(weights) for _ in range(n)], draw(weights))
+
+
+@st.composite
+def convex_trees(draw, n, depth=3):
+    leaves = ("affine", "square", "quartic", "exp", "abs")
+    kind = draw(st.sampled_from(leaves + (("scale", "sum", "plus", "max2", "maxlist") if depth else ())))
+    if kind in leaves:
+        a = draw(affines(n))
+        return {"affine": a, "square": Square(a), "quartic": Quartic(a), "exp": Exp(a), "abs": Abs(a)}[kind]
+    sub = convex_trees(n, depth - 1)
+    if kind == "scale":
+        return Scale(draw(st.floats(0.0, 2.0)), draw(sub))
+    if kind == "plus":
+        return Plus(draw(sub))
+    if kind == "max2":
+        return Max2(draw(sub), draw(sub))
+    kids = draw(st.lists(sub, min_size=1, max_size=3))
+    return Sum(kids) if kind == "sum" else MaxList(kids)
+
+
+@st.composite
+def tree_cases(draw, n_points):
+    """(surrogate, points in the box, mu)."""
+    n = draw(st.integers(1, 3))
+    box = (-TREE_BOX * np.ones(n), TREE_BOX * np.ones(n))
+    s = compose_surrogate(draw(convex_trees(n, draw(st.integers(0, 3)))), box)
+    coord = st.floats(-TREE_BOX, TREE_BOX, allow_nan=False)
+    pts = [np.array([draw(coord) for _ in range(n)]) for _ in range(n_points)]
+    return s, pts, draw(tree_mus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tree_cases(1))
+def test_tree_kappa_bound(case):
+    s, (x,), mu = case
+    exact = s.true_eval(x)
+    v, _ = s.eval(x, mu)
+    assert abs(v - exact) <= s.constants.kappa * mu + 1e-9 * max(1.0, abs(exact))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tree_cases(2), alpha=st.floats(0.0, 1.0))
+def test_tree_convex_on_segments(case, alpha):
+    s, (x, y), mu = case
+    vx, _ = s.eval(x, mu)
+    vy, _ = s.eval(y, mu)
+    mid, _ = s.eval(alpha * x + (1.0 - alpha) * y, mu)
+    assert mid <= alpha * vx + (1.0 - alpha) * vy + 1e-9 * max(1.0, abs(vx), abs(vy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=tree_cases(1))
+def test_tree_gradient_matches_finite_differences(case):
+    s, (x,), mu = case
+    _, g = s.eval(x, mu)
+    fd = np.empty_like(x)
+    for j in range(x.size):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        e = np.zeros_like(x)
+        e[j] = h
+        fd[j] = (s.eval(x + e, mu)[0] - s.eval(x - e, mu)[0]) / (2.0 * h)
+    assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, float(np.linalg.norm(g)))

@@ -153,7 +153,6 @@ def test_config_validation():
         dict(eta=1.0),
         dict(L0=0.5),
         dict(max_iter=0),
-        dict(backtrack_rule="bogus"),
     ):
         with pytest.raises(InvalidParameterError):
             SolverConfig(**bad)
@@ -248,3 +247,28 @@ def test_estimator_fit():
     assert est.status_ == "Converged"
     assert est.n_iter_ == est.result_.iterations
     np.testing.assert_array_equal(est.x_, est.result_.final_x)
+
+
+@pytest.mark.parametrize("accelerated, run", [(True, solve), (False, solve_baseline)])
+def test_estimator_fit_matches_solve_under_the_same_config(accelerated, run):
+    p = get_problem("CR&MF2")
+    x0 = sample_start(p, 5)
+    params = dict(sigma=1.5, eps=1e-4, max_iter=300, L0=2.0, eta=3.0, record_trace=True)
+    est = SAPGMSolver(accelerated=accelerated, **params).fit(p, x0)
+    assert est.config == SolverConfig(**params)
+    ref = run(p, x0, SolverConfig(**params))
+    assert (est.n_iter_, est.status_, est.result_.fevals) == (ref.iterations, ref.status, ref.fevals)
+    np.testing.assert_array_equal(est.x_, ref.final_x)
+    np.testing.assert_array_equal(est.F_, ref.final_F)
+    assert [r.L for r in est.result_.trace] == [r.L for r in ref.trace]
+
+
+def test_estimator_rejects_invalid_values():
+    with pytest.raises(InvalidParameterError):
+        SAPGMSolver(sigma=2.5)
+    with pytest.raises(InvalidParameterError):
+        SAPGMSolver(not_a_param=1)
+    est = SAPGMSolver()
+    with pytest.raises(InvalidParameterError):
+        est.set_params(eta=1.0)
+    assert est.get_params() == SAPGMSolver().get_params()
