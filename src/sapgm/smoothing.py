@@ -458,13 +458,22 @@ def compose_surrogate(
 
     ``box`` is the region over which the conservative gradient-Lipschitz
     factor is certified; it defaults to [-10, 10]^n.  Raises
-    UnsupportedAtomError for foreign node types.
+    UnsupportedAtomError for foreign node types and for Square, Quartic or
+    Exp over a smoothed child (kappa > 0), whose error the child's kappa does
+    not bound.
     """
     if not isinstance(expr, Expr):
         raise UnsupportedAtomError(f"not an expression node: {type(expr).__name__}")
     for node in _walk(expr):
         if not isinstance(node, _SUPPORTED):
             raise UnsupportedAtomError(f"unsupported atom: {type(node).__name__}")
+        # these atoms copy their child's kappa, which bounds their own error
+        # only when the child is exact
+        if isinstance(node, (Square, Quartic, Exp)) and node.child.kappa > 0.0:
+            raise UnsupportedAtomError(
+                f"{type(node).__name__} of a smoothed argument (kappa {node.child.kappa:g}) "
+                "has no certified kappa"
+            )
     n = expr.dim()
     if box is None:
         box = (-10.0 * np.ones(n), 10.0 * np.ones(n))

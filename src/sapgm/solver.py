@@ -187,6 +187,8 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (p.n,):
         raise InvalidInputError(f"start point must have dimension {p.n}")
+    if not np.isfinite(x0).all():
+        raise InvalidInputError(f"start point must be finite, got {x0}")
     counter = FevalCounter()
     state = IterateState(
         k=0, x_prev=x0.copy(), x=x0.copy(), y=x0.copy(), t=1.0, theta=0.0, mu=cfg.mu0, L=cfg.L0

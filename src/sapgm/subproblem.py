@@ -9,10 +9,14 @@ the max over the unit simplex gives, for weights lam,
 
     q(lam) = min_z  <G^T lam, z - y> + g(z) + (ell / 2) ||z - y||^2 + lam . c
 
-whose inner minimum is a single prox step.  q is concave; it is maximized by
-projected gradient ascent with a backtracking step, which is cheap because m
-is tiny.  Strong convexity makes the primal minimizer unique, so the duality
-gap and the KKT residual certify the solution.
+whose inner minimum is a single prox step.  q is concave.  For m = 2 it is
+maximized exactly: with lam = (t, 1 - t) its derivative in t is
+comp_1 - comp_2, which does not increase and is piecewise linear with a kink
+wherever a soft-threshold coordinate of the prox switches, so one pass over
+the kinks brackets its root on a linear piece.  Other m use projected
+gradient ascent with a backtracking step.  Strong convexity makes the primal
+minimizer unique, so the duality gap and the KKT residual certify the
+solution.
 
 All g_i are required to be the identical shared term; distinct g_i would
 break the closed-form inner step and are rejected at ProblemSpec
@@ -129,6 +133,59 @@ class _Core:
 
 
 def _solve_core(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
+    """Maximize the dual from lam0; returns (z, lam, theta, gap, steps)."""
+    if core.G.shape[0] == 2:
+        return _solve_pair(core, lam0)
+    return _ascend(core, lam0, tol, max_inner)
+
+
+def _solve_pair(core: _Core, lam0: np.ndarray):
+    """Exact dual maximizer for m = 2 over lam = (t, 1 - t).
+
+    z(t) = prox(a - t d / ell) with d = g_1 - g_2 and a = y - g_2 / ell, and
+    h(t) = <d, z(t) - y> + c_1 - c_2 is the dual derivative.  The prox is
+    monotone, so h does not increase; it is linear between the kinks
+    t = (a_j -+ thr) ell / d_j where a soft-threshold coordinate switches.
+    h is evaluated at once at 0, 1, the start weight and every kink clipped
+    into [0, 1], and its root is interpolated between the last point where
+    h > 0 and the first where h <= 0.  A start weight where h vanishes (a
+    flat dual) is kept, as the ascent keeps it; a non-finite h gives t = nan
+    and so a non-finite gap.
+    """
+    d = core.G[0] - core.G[1]
+    a = core.y - core.G[1] / core.ell
+    # projection onto the simplex; a weight already on it stays as it is
+    t0 = min(max(lam0[0] + 0.5 * (1.0 - lam0[0] - lam0[1]), 0.0), 1.0)
+    ts = np.array([0.0, 1.0, t0])
+    if core.g_kind is GKind.SCALED_L1:
+        thr = 1.0 / (core.ell * core.n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = np.concatenate((a - thr, a + thr)) * core.ell / np.concatenate((d, d))
+        # a kink outside [0, 1], or of a coordinate constant in t, lands on 0 or 1
+        ts = np.concatenate((ts, np.fmin(np.fmax(kinks, 0.0), 1.0)))
+    Z = prox_g(a - ts[:, None] * (d / core.ell), 1.0 / core.ell, core.g_kind, core.n)
+    h = (Z - core.y) @ d + (core.c[0] - core.c[1])
+    if not np.isfinite(h).all():
+        t = np.nan
+    elif h[2] == 0.0:
+        t = t0
+    elif h[0] <= 0.0:
+        t = 0.0
+    elif h[1] >= 0.0:
+        t = 1.0
+    else:
+        pos = h > 0.0
+        i = np.where(pos, ts, -1.0).argmax()
+        j = np.where(pos, 2.0, ts).argmin()
+        t = ts[i] + (ts[j] - ts[i]) * h[i] / (h[i] - h[j])
+    lam = np.array([t, 1.0 - t])
+    z, comp, dual, quad = core.inner(lam)
+    theta = core.primal(comp, quad)
+    return z, lam, theta, theta - dual, 1
+
+
+def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
+    """Projected gradient ascent on the dual; the path for m != 2."""
     lam = project_simplex(lam0)
     z, comp, dual, quad = core.inner(lam)
     if lam.size == 1:

@@ -120,9 +120,9 @@ def test_svg_legend_and_marker_bounds(tmp_path):
     }
     path = tmp_path / "two.svg"
     emit_svg_scatter(fronts, path, title="BK1")
-    text = path.read_text()
-    assert text.count("legend-entry") == 2 or ("sapgm" in text and "baseline" in text)
     marks, root = _markers(path)
+    labels = [t.text for t in root.findall(".//s:text", {"s": "http://www.w3.org/2000/svg"})]
+    assert labels.count("sapgm") == 1 and labels.count("baseline") == 1
     assert len(marks) == 12
     w = float(root.get("width"))
     h = float(root.get("height"))
@@ -157,7 +157,7 @@ def test_rate_experiment_outputs(tmp_path):
 def test_rate_empty_sigma_list_is_noop(tmp_path, caplog):
     out = tmp_path / "rate"
     run_rate_experiment("JOS1", [], BenchConfig(out_dir=out), iters=10)
-    assert not (out / "rate_JOS1_slopes.json").exists() or True  # no crash is the contract
+    assert out.is_dir() and not any(out.iterdir())
 
 
 # ------------------------------------------------------------------ exit codes

@@ -235,6 +235,32 @@ def test_compose_rejects_unknown_atom():
         compose_surrogate(Mystery())
 
 
+@pytest.mark.parametrize(
+    "expr, x",
+    [
+        (Square(MaxList([Affine([1.0]), Affine([1.0])])), 5.0),
+        (Exp(Abs(Affine([1.0]))), 3.0),
+        (Quartic(Scale(2.0, Plus(Affine([1.0])))), 1.0),
+    ],
+)
+def test_compose_rejects_power_or_exp_of_a_smoothed_argument(expr, x):
+    # the child's kappa does not bound the error: at mu = 1 it is exceeded
+    x = np.array([x])
+    err = abs(expr.value_grad(x, 1.0)[0] - expr.true_value(x))
+    assert err > expr.kappa * 1.0 + 1.0
+    with pytest.raises(UnsupportedAtomError, match="smoothed argument"):
+        compose_surrogate(expr)
+
+
+def test_compose_accepts_power_or_exp_of_an_exact_argument():
+    for expr in (
+        Square(Sum([Affine([1.0, 0.0]), Affine([0.0, 2.0], 1.0)])),
+        Quartic(Scale(0.5, Affine([1.0, -1.0]))),
+        Sum([Exp(Affine([0.1, 0.0])), Abs(Square(Affine([0.0, 1.0])))]),
+    ):
+        assert compose_surrogate(expr).constants.kappa == expr.kappa
+
+
 # ------------------------------------------------------------- verification
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_problem
-from sapgm.errors import DivergingLipschitzError, InvalidParameterError
+from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from sapgm.problems import GKind, eval_smooth, get_problem, sample_start
 from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
 from sapgm.solver import (
@@ -156,6 +156,19 @@ def test_config_validation():
     ):
         with pytest.raises(InvalidParameterError):
             SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("x0", [[math.nan, 1.0], [math.inf, 1.0], [0.0, -math.inf]])
+def test_nonfinite_start_rejected_before_any_evaluation(x0, monkeypatch):
+    import sapgm.solver
+
+    def no_eval(*args, **kwargs):
+        raise AssertionError("evaluated a non-finite start")
+
+    monkeypatch.setattr(sapgm.solver, "eval_smooth", no_eval)
+    for run in (solve, solve_baseline):
+        with pytest.raises(InvalidInputError, match="finite"):
+            run(get_problem("JOS1"), np.array(x0))
 
 
 def test_fixed_point_start_converges_at_mu_gate():

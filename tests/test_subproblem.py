@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_problem, grid_argmin_2d, subproblem_objective
 from sapgm.errors import InvalidInputError
 from sapgm.problems import GKind, eval_smooth, get_problem
 from sapgm.smoothing import Abs, Affine, Scale, Square, Sum
 from sapgm.subproblem import (
+    DEFAULT_MAX_INNER,
+    DEFAULT_TOL,
     SubproblemInput,
+    _ascend,
+    _build_core,
+    _Core,
+    _solve_core,
     complementarity_violation,
     dual_inner,
     kkt_residual,
@@ -21,6 +29,15 @@ def quad_pair(g_kind=GKind.ZERO):
     f1 = Sum([Square(Affine([1.0, 0.0])), Square(Affine([0.0, 1.0], -1.0))])
     f2 = Sum([Square(Affine([1.0, 0.0], 1.0)), Square(Affine([0.0, 1.0]))])
     return build_problem("quadpair", [f1, f2], g_kind, [-3.0, -3.0], [3.0, 3.0])
+
+
+def triple(g_kind=GKind.ZERO):
+    # three quadratics centred on a triangle: m = 3 takes the ascent path
+    centres = [(1.0, 0.0), (-0.5, 1.0), (-0.5, -1.0)]
+    exprs = [
+        Sum([Square(Affine([1.0, 0.0], -a)), Square(Affine([0.0, 1.0], -b))]) for a, b in centres
+    ]
+    return build_problem("triple", exprs, g_kind, [-3.0, -3.0], [3.0, 3.0])
 
 
 def twin_pair(g_kind=GKind.ZERO):
@@ -239,12 +256,149 @@ def test_kkt_residual_scales_with_perturbation():
     assert res == pytest.approx(inp.ell * 0.1, rel=0.05)
 
 
+def triple_instance(g_kind, y):
+    y = np.asarray(y, float)
+    return SubproblemInput(x=y + 0.3, y=y, mu=0.5, ell=1.5, problem=triple(g_kind))
+
+
 def test_inner_budget_exhaustion_flagged():
-    # at least one of these instances needs more than one dual step
+    # the dual ascent (m = 3) needs more than one step on these instances;
+    # m = 2 is solved exactly and has no budget
     flagged = False
-    for seed in range(8):
-        sol = solve_subproblem(random_instance(seed), tol=1e-16, max_inner=1)
-        if not sol.converged:
-            flagged = True
-            assert sol.gap > 1e-16
+    for g_kind in GKind:
+        for y in ([0.2, 0.1], [1.5, -0.7], [-0.4, 2.0]):
+            sol = solve_subproblem(triple_instance(g_kind, y), tol=1e-16, max_inner=1)
+            if not sol.converged:
+                flagged = True
+                assert sol.gap > 1e-16
     assert flagged
+
+
+# ------------------------------------------------------- m = 3: the ascent path
+
+
+@pytest.mark.parametrize("g_kind", list(GKind))
+def test_three_objectives_match_grid_oracle(g_kind):
+    for y in ([0.2, 0.1], [1.5, -0.7], [-0.4, 2.0]):
+        inp = triple_instance(g_kind, y)
+        sol = solve_subproblem(inp)
+        assert sol.lam.size == 3 and sol.converged and sol.gap <= DEFAULT_TOL
+        assert sol.kkt_residual <= 1e-6
+        assert complementarity_violation(sol, inp) <= 1e-6
+        phi = subproblem_objective(inp)
+        _, grads = eval_smooth(inp.problem, inp.y, inp.mu)
+        radius = (np.linalg.norm(grads, axis=1).max() + 1.0) / inp.ell + 0.1
+        # kink valleys run orthogonal to each pairwise gradient difference
+        diffs = [grads[i] - grads[j] for i, j in ((0, 1), (0, 2), (1, 2))]
+        valleys = [np.array([-dg[1], dg[0]]) for dg in diffs]
+        z_star = grid_argmin_2d(phi, inp.y, radius, npts=400, extra_dirs=valleys)
+        assert np.max(np.abs(sol.z - z_star)) <= 1e-3
+        assert sol.theta == pytest.approx(float(phi(sol.z)[0]), abs=1e-9)
+
+
+# -------------------------------------------------- m = 2: the exact kink search
+
+LAM_HALF = np.array([0.5, 0.5])
+
+
+def kinks_inside(core):
+    """Weights t in (0, 1) where a soft-threshold coordinate of z(t) switches."""
+    thr = 1.0 / (core.ell * core.n)
+    ts = []
+    for t in np.linspace(0.0, 1.0, 2001):
+        v = core.y - (t * core.G[0] + (1.0 - t) * core.G[1]) / core.ell
+        ts.append(np.abs(v) > thr)
+    return int(np.sum(np.any(np.diff(np.array(ts), axis=0), axis=1)))
+
+
+def check_exact_against_ascent(core, lam0=LAM_HALF):
+    """The exact path's answer and the ascent's; returns the exact weights."""
+    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    z_asc, _, theta_asc, gap_asc, _ = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    assert steps == 1
+    assert -1e-12 <= gap <= DEFAULT_TOL and gap_asc <= DEFAULT_TOL
+    np.testing.assert_allclose(z, z_asc, rtol=0.0, atol=1e-8)
+    assert theta == pytest.approx(theta_asc, abs=1e-8)
+    assert lam.sum() == 1.0 and lam.min() >= 0.0
+    return lam
+
+
+def test_exact_path_matches_ascent_on_random_instances():
+    for seed in range(12):
+        check_exact_against_ascent(_build_core(random_instance(seed)))
+
+
+def test_exact_path_crosses_soft_threshold_kinks():
+    # y near the origin and gradients of opposite signs: along t the prox
+    # input sweeps across the threshold band of both coordinates
+    rng = np.random.default_rng(11)
+    crossed = interior = 0
+    for _ in range(40):
+        G = rng.uniform(-2.0, 2.0, (2, 2))
+        G[1] = -G[0] + rng.normal(scale=0.3, size=2)
+        core = _Core(rng.uniform(-0.2, 0.2, 2), G, rng.normal(scale=0.3, size=2), 2.0, GKind.SCALED_L1)
+        lam = check_exact_against_ascent(core)
+        crossed += kinks_inside(core) >= 2
+        interior += 0.0 < lam[0] < 1.0
+    assert crossed >= 20 and interior >= 20
+
+
+@pytest.mark.parametrize("g_kind", list(GKind))
+def test_exact_path_endpoints(g_kind):
+    G = np.array([[1.0, -0.5], [-0.3, 0.8]])
+    y = np.array([0.2, -0.1])
+    # objective 2's offset dominates for every t: h(0) < 0 gives t = 0
+    lam = check_exact_against_ascent(_Core(y, G, np.array([-10.0, 10.0]), 1.0, g_kind))
+    np.testing.assert_array_equal(lam, [0.0, 1.0])
+    lam = check_exact_against_ascent(_Core(y, G, np.array([10.0, -10.0]), 1.0, g_kind))
+    np.testing.assert_array_equal(lam, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("g_kind", list(GKind))
+def test_exact_path_keeps_the_start_weight_on_a_flat_dual(g_kind):
+    y = np.array([0.5, -1.0])
+    inp = SubproblemInput(x=y + 0.4, y=y, mu=0.3, ell=3.0, problem=twin_pair(g_kind))
+    core = _build_core(inp)
+    for lam0 in (LAM_HALF, np.array([0.3, 0.7]), np.array([1.0, 0.0])):
+        lam = check_exact_against_ascent(core, lam0)
+        np.testing.assert_array_equal(lam, lam0)
+
+
+@pytest.mark.parametrize(
+    "G, c",
+    [
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), np.zeros(2)),
+        (np.array([[np.inf, 1.0], [0.0, 1.0]]), np.zeros(2)),
+        (np.eye(2), np.array([np.inf, 0.0])),
+        (np.eye(2), np.array([0.0, np.nan])),
+    ],
+)
+@pytest.mark.parametrize("g_kind", list(GKind))
+def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c, g_kind):
+    core = _Core(np.zeros(2), G, c, 1.0, g_kind)
+    _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    assert not np.isfinite(gap)
+    assert np.isnan(lam).all()  # no weight is picked from a non-finite derivative
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    g_kind=st.sampled_from(list(GKind)),
+    data=st.lists(st.floats(-5.0, 5.0), min_size=14, max_size=14),
+    ell=st.floats(0.1, 100.0),
+    t0=st.floats(0.0, 1.0),
+)
+def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
+    G = np.array(data[: 2 * n]).reshape(2, n)
+    y = np.array(data[8 : 8 + n])
+    c = np.array(data[12:14])
+    core = _Core(y, G, c, ell, g_kind)
+    lam0 = np.array([t0, 1.0 - t0])
+    if np.linalg.norm(G[0] - G[1]) > 1e-3:
+        check_exact_against_ascent(core, lam0)
+    else:
+        # the ascent's step, 1 / curvature, overflows its simplex projection
+        # when the gradients (nearly) coincide; the exact path still certifies
+        _, lam, _, gap, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        assert -1e-12 <= gap <= DEFAULT_TOL and lam.sum() == 1.0 and lam.min() >= 0.0
