@@ -11,6 +11,7 @@ kept in a per-run `FevalCounter` owned by the caller, never on the spec.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,11 +106,27 @@ def eval_g(p: ProblemSpec, x: Sequence[float]) -> float:
     return 0.0
 
 
+def _not_finite(p: ProblemSpec, x: np.ndarray, i: int, what: str) -> InvalidInputError:
+    return InvalidInputError(f"{p.name}: component {i + 1} at x = {x.tolist()} {what}")
+
+
 def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
-    """Exact nonsmooth objective vector (F_1(x), ..., F_m(x))."""
+    """Exact nonsmooth objective vector (F_1(x), ..., F_m(x)).
+
+    Raises InvalidInputError when a component overflows or is not finite.
+    """
     x = _check_dim(p, np.asarray(x, float))
     g = eval_g(p, x)
-    return np.array([s.true_eval(x) + g for s in p.smooth_parts])
+    values = np.empty(p.m)
+    for i, s in enumerate(p.smooth_parts):
+        try:
+            v = s.true_eval(x) + g
+        except OverflowError as e:
+            raise _not_finite(p, x, i, "overflows") from e
+        if not math.isfinite(v):
+            raise _not_finite(p, x, i, f"is {v}")
+        values[i] = v
+    return values
 
 
 def eval_smooth(
@@ -117,7 +134,8 @@ def eval_smooth(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed components and their Jacobian at (x, mu); g is excluded.
 
-    Counts as one function evaluation on `counter`.
+    Counts as one function evaluation on `counter`.  Raises InvalidInputError
+    when a component value overflows or is not finite.
     """
     x = _check_dim(p, np.asarray(x, float))
     if not mu > 0.0:
@@ -125,7 +143,13 @@ def eval_smooth(
     values = np.empty(p.m)
     jac = np.empty((p.m, p.n))
     for i, s in enumerate(p.smooth_parts):
-        values[i], jac[i] = s.eval(x, mu)
+        try:
+            v, jac[i] = s.eval(x, mu)
+        except OverflowError as e:
+            raise _not_finite(p, x, i, "overflows") from e
+        if not math.isfinite(v):
+            raise _not_finite(p, x, i, f"is {v}")
+        values[i] = v
     if counter is not None:
         counter.count += 1
     return values, jac

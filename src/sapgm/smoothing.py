@@ -15,6 +15,9 @@ Concrete forms (Chen-style smoothings):
 * ``max(a, b)``  -> ``(a + b + sqrt((a-b)^2 + 4 mu^2)) / 2``(kappa = 1)
 * ``max(v_j)``   -> ``mu * log(sum_j exp(v_j / mu))``       (kappa = log k)
 
+``mu = 0`` is the exact case: each atom returns the nonsmooth value itself
+and a subgradient, so ``value_grad(x, 0.0)`` of a tree is its exact value.
+
 Surrogates are built by composing immutable expression nodes; the constants
 of a composite are conservative sums over the tree.  Nodes are stateless and
 safe to evaluate concurrently.
@@ -53,9 +56,10 @@ __all__ = [
 ]
 
 
-def _check_mu(mu: float) -> None:
-    if not mu > 0.0:
-        raise InvalidParameterError(f"smoothing parameter mu must be positive, got {mu}")
+def _check_exact(mu: float) -> None:
+    """Atoms take mu = 0 as the exact case; negative and nan mu are rejected."""
+    if mu != 0.0:
+        raise InvalidParameterError(f"smoothing parameter mu must be nonnegative, got {mu}")
 
 
 # ---------------------------------------------------------------------------
@@ -64,44 +68,62 @@ def _check_mu(mu: float) -> None:
 
 
 def smooth_abs(x: float, mu: float) -> tuple[float, float]:
-    """Smoothed |x|: value and derivative of sqrt(x^2 + mu^2)."""
-    _check_mu(mu)
-    r = math.hypot(x, mu)
-    return r, x / r
+    """Smoothed |x|: value and derivative of sqrt(x^2 + mu^2); at mu = 0, |x| and sign(x)."""
+    if mu > 0.0:
+        r = math.hypot(x, mu)
+        return r, x / r
+    _check_exact(mu)
+    return abs(x), math.copysign(1.0, x) if x else 0.0
 
 
 def smooth_plus(x: float, mu: float) -> tuple[float, float]:
-    """Smoothed max(x, 0): value and derivative of (x + sqrt(x^2 + 4 mu^2)) / 2."""
-    _check_mu(mu)
-    r = math.hypot(x, 2.0 * mu)
-    return 0.5 * (x + r), 0.5 * (1.0 + x / r)
+    """Smoothed max(x, 0): value and derivative of (x + sqrt(x^2 + 4 mu^2)) / 2.
+
+    At mu = 0: max(x, 0) and the subgradient 1, 0 or 1/2 at x = 0.
+    """
+    if mu > 0.0:
+        r = math.hypot(x, 2.0 * mu)
+        return 0.5 * (x + r), 0.5 * (1.0 + x / r)
+    _check_exact(mu)
+    return max(x, 0.0), 1.0 if x > 0.0 else 0.0 if x < 0.0 else 0.5
 
 
 def smooth_max2(a: float, b: float, mu: float) -> tuple[float, float, float]:
     """Smoothed max(a, b): value plus the two partial derivatives.
 
-    The partials are nonnegative and sum to one.
+    The partials are nonnegative and sum to one.  At mu = 0: max(a, b) with
+    the partials (1, 0), (0, 1) or (1/2, 1/2) at a tie.
     """
-    _check_mu(mu)
-    r = math.hypot(a - b, 2.0 * mu)
-    s = 0.5 * (a - b) / r
-    return 0.5 * (a + b + r), 0.5 + s, 0.5 - s
+    if mu > 0.0:
+        r = math.hypot(a - b, 2.0 * mu)
+        s = 0.5 * (a - b) / r
+        return 0.5 * (a + b + r), 0.5 + s, 0.5 - s
+    _check_exact(mu)
+    if a > b:
+        return a, 1.0, 0.0
+    if b > a:
+        return b, 0.0, 1.0
+    return 0.5 * (a + b), 0.5, 0.5  # a tie, or a nan that must not be dropped
 
 
 def smooth_max_list(values: Sequence[float], mu: float) -> tuple[float, np.ndarray]:
     """Log-sum-exp smoothing of max(values) with softmax weights.
 
     The max is subtracted before exponentiating so large inputs cannot
-    overflow.  kappa = log(len(values)).
+    overflow.  kappa = log(len(values)).  At mu = 0: max(values) with equal
+    weights on the values that attain it.
     """
-    _check_mu(mu)
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise InvalidInputError("smooth_max_list needs a nonempty list")
     top = float(v.max())
-    e = np.exp((v - top) / mu)
-    s = float(e.sum())
-    return top + mu * math.log(s), e / s
+    if mu > 0.0:
+        e = np.exp((v - top) / mu)
+        s = float(e.sum())
+        return top + mu * math.log(s), e / s
+    _check_exact(mu)
+    e = (v == top).astype(float)
+    return top, e / e.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +145,11 @@ class _BoxStats:
 
 
 class Expr:
-    """Scalar-valued expression node over R^n."""
+    """Scalar-valued expression node over R^n; ``value_grad`` is exact at mu = 0."""
 
     kappa: float = 0.0
 
-    def dim(self) -> int:
-        raise NotImplementedError
-
     def value_grad(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
-    def true_value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
     def box_stats(self, lo: np.ndarray, hi: np.ndarray) -> _BoxStats:
@@ -147,14 +163,8 @@ class Affine(Expr):
         self.w = np.asarray(w, dtype=float)
         self.c = float(c)
 
-    def dim(self) -> int:
-        return self.w.size
-
     def value_grad(self, x, mu):
         return float(self.w @ x) + self.c, self.w
-
-    def true_value(self, x):
-        return float(self.w @ x) + self.c
 
     def box_stats(self, lo, hi):
         vmin = self.c + float(np.minimum(self.w * lo, self.w * hi).sum())
@@ -163,12 +173,11 @@ class Affine(Expr):
 
 
 class _Unary(Expr):
+    own_kappa = 0.0  # the node's own smoothing error per unit of mu
+
     def __init__(self, child: Expr):
         self.child = child
-        self.kappa = child.kappa
-
-    def dim(self) -> int:
-        return self.child.dim()
+        self.kappa = self.own_kappa + child.kappa
 
 
 class Square(_Unary):
@@ -177,10 +186,6 @@ class Square(_Unary):
     def value_grad(self, x, mu):
         u, gu = self.child.value_grad(x, mu)
         return u * u, (2.0 * u) * gu
-
-    def true_value(self, x):
-        u = self.child.true_value(x)
-        return u * u
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -197,9 +202,6 @@ class Quartic(_Unary):
     def value_grad(self, x, mu):
         u, gu = self.child.value_grad(x, mu)
         return u**4, (4.0 * u**3) * gu
-
-    def true_value(self, x):
-        return self.child.true_value(x) ** 4
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -221,9 +223,6 @@ class Exp(_Unary):
         e = math.exp(u)
         return e, e * gu
 
-    def true_value(self, x):
-        return math.exp(self.child.true_value(x))
-
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
         top = math.exp(c.vmax + self.child.kappa)
@@ -238,15 +237,9 @@ class Scale(Expr):
         self.child = child
         self.kappa = abs(self.c) * child.kappa
 
-    def dim(self) -> int:
-        return self.child.dim()
-
     def value_grad(self, x, mu):
         u, gu = self.child.value_grad(x, mu)
         return self.c * u, self.c * gu
-
-    def true_value(self, x):
-        return self.c * self.child.true_value(x)
 
     def box_stats(self, lo, hi):
         s = self.child.box_stats(lo, hi)
@@ -263,9 +256,6 @@ class Sum(Expr):
         self.children = tuple(children)
         self.kappa = sum(c.kappa for c in self.children)
 
-    def dim(self) -> int:
-        return self.children[0].dim()
-
     def value_grad(self, x, mu):
         v = 0.0
         g = np.zeros(x.size)
@@ -274,9 +264,6 @@ class Sum(Expr):
             v += u
             g += gu
         return v, g
-
-    def true_value(self, x):
-        return sum(c.true_value(x) for c in self.children)
 
     def box_stats(self, lo, hi):
         stats = [c.box_stats(lo, hi) for c in self.children]
@@ -291,17 +278,12 @@ class Sum(Expr):
 class Abs(_Unary):
     """|child|, smoothed as sqrt(child^2 + mu^2)."""
 
-    def __init__(self, child: Expr):
-        super().__init__(child)
-        self.kappa = 1.0 + child.kappa
+    own_kappa = 1.0
 
     def value_grad(self, x, mu):
         u, gu = self.child.value_grad(x, mu)
         v, d = smooth_abs(u, mu)
         return v, d * gu
-
-    def true_value(self, x):
-        return abs(self.child.true_value(x))
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -314,17 +296,12 @@ class Abs(_Unary):
 class Plus(_Unary):
     """max(child, 0), smoothed as (child + sqrt(child^2 + 4 mu^2)) / 2."""
 
-    def __init__(self, child: Expr):
-        super().__init__(child)
-        self.kappa = 1.0 + child.kappa
+    own_kappa = 1.0
 
     def value_grad(self, x, mu):
         u, gu = self.child.value_grad(x, mu)
         v, d = smooth_plus(u, mu)
         return v, d * gu
-
-    def true_value(self, x):
-        return max(self.child.true_value(x), 0.0)
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -341,17 +318,11 @@ class Max2(Expr):
         self.b = b
         self.kappa = 1.0 + a.kappa + b.kappa
 
-    def dim(self) -> int:
-        return self.a.dim()
-
     def value_grad(self, x, mu):
         ua, ga = self.a.value_grad(x, mu)
         ub, gb = self.b.value_grad(x, mu)
         v, da, db = smooth_max2(ua, ub, mu)
         return v, da * ga + db * gb
-
-    def true_value(self, x):
-        return max(self.a.true_value(x), self.b.true_value(x))
 
     def box_stats(self, lo, hi):
         sa = self.a.box_stats(lo, hi)
@@ -373,24 +344,13 @@ class MaxList(Expr):
         self.children = tuple(children)
         self.kappa = math.log(len(self.children)) + sum(c.kappa for c in self.children)
 
-    def dim(self) -> int:
-        return self.children[0].dim()
-
     def value_grad(self, x, mu):
-        vals = []
-        grads = []
-        for c in self.children:
-            u, gu = c.value_grad(x, mu)
-            vals.append(u)
-            grads.append(gu)
+        vals, grads = zip(*[c.value_grad(x, mu) for c in self.children])
         v, w = smooth_max_list(vals, mu)
         g = w[0] * grads[0]
         for wj, gj in zip(w[1:], grads[1:]):
             g = g + wj * gj
         return v, g
-
-    def true_value(self, x):
-        return max(c.true_value(x) for c in self.children)
 
     def box_stats(self, lo, hi):
         stats = [c.box_stats(lo, hi) for c in self.children]
@@ -434,21 +394,22 @@ class SmoothingConstants:
 
 
 class SmoothSurrogate:
-    """A scalar objective component with smooth and exact evaluation paths."""
+    """A scalar objective component over R^n; ``true_eval`` is its recursion at mu = 0."""
 
     def __init__(self, expr: Expr, box: tuple[np.ndarray, np.ndarray]):
         self.expr = expr
         lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
         stats = expr.box_stats(lo, hi)
         self.constants = SmoothingConstants(expr.kappa, max(stats.curv, 1e-12))
-        self.n = expr.dim()
+        self.n = lo.size
 
     def eval(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        _check_mu(mu)
+        if not mu > 0.0:
+            raise InvalidParameterError(f"smoothing parameter mu must be positive, got {mu}")
         return self.expr.value_grad(np.asarray(x, float), mu)
 
     def true_eval(self, x: np.ndarray) -> float:
-        return self.expr.true_value(np.asarray(x, float))
+        return self.expr.value_grad(np.asarray(x, float), 0.0)[0]
 
 
 def compose_surrogate(
@@ -456,16 +417,20 @@ def compose_surrogate(
 ) -> SmoothSurrogate:
     """Build a surrogate from an expression tree.
 
-    ``box`` is the region over which the conservative gradient-Lipschitz
-    factor is certified; it defaults to [-10, 10]^n.  Raises
-    UnsupportedAtomError for foreign node types and for Square, Quartic or
-    Exp over a smoothed child (kappa > 0), whose error the child's kappa does
-    not bound.
+    n is the size of the Affine leaves.  ``box`` is the region over which the
+    conservative gradient-Lipschitz factor is certified; it defaults to
+    [-10, 10]^n.  Raises UnsupportedAtomError for foreign node types and for
+    Square, Quartic or Exp over a smoothed child (kappa > 0), whose error the
+    child's kappa does not bound, and InvalidInputError when the leaves or
+    the box differ in size.
     """
     if not isinstance(expr, Expr):
         raise UnsupportedAtomError(f"not an expression node: {type(expr).__name__}")
+    sizes = set()
     for node in _walk(expr):
-        if not isinstance(node, _SUPPORTED):
+        if isinstance(node, Affine):
+            sizes.add(node.w.size)
+        elif not isinstance(node, _SUPPORTED):
             raise UnsupportedAtomError(f"unsupported atom: {type(node).__name__}")
         # these atoms copy their child's kappa, which bounds their own error
         # only when the child is exact
@@ -474,10 +439,15 @@ def compose_surrogate(
                 f"{type(node).__name__} of a smoothed argument (kappa {node.child.kappa:g}) "
                 "has no certified kappa"
             )
-    n = expr.dim()
+    if len(sizes) != 1:
+        raise InvalidInputError(f"Affine leaves of one tree differ in size: {sorted(sizes)}")
+    (n,) = sizes
     if box is None:
         box = (-10.0 * np.ones(n), 10.0 * np.ones(n))
-    return SmoothSurrogate(expr, (np.asarray(box[0], float), np.asarray(box[1], float)))
+    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+    if lo.shape != (n,) or hi.shape != (n,):
+        raise InvalidInputError(f"box shapes {lo.shape}, {hi.shape} do not match leaves of size {n}")
+    return SmoothSurrogate(expr, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

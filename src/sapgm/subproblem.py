@@ -188,12 +188,17 @@ def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
     """Projected gradient ascent on the dual; the path for m != 2."""
     lam = project_simplex(lam0)
     z, comp, dual, quad = core.inner(lam)
-    if lam.size == 1:
-        return z, lam, core.primal(comp, quad), core.primal(comp, quad) - dual, 1
     # dual curvature along simplex directions is at most smax(G_centered)^2 / ell;
     # its reciprocal is the natural ascent step
     Gc = core.G - core.G.mean(axis=0)
     curv = float(np.linalg.norm(Gc, 2)) ** 2 / core.ell
+    if 2.0 * curv <= tol:
+        # (nearly) linear dual, m = 1 included: lam moves z by at most
+        # smax sqrt(2) / ell, so the vertex of the largest bracket has gap <= 2 curv
+        lam = np.zeros(lam.size)
+        lam[comp.argmax()] = 1.0
+        z, comp, dual, quad = core.inner(lam)
+        return z, lam, core.primal(comp, quad), core.primal(comp, quad) - dual, 1
     step0 = 1.0 / max(curv, 1e-300)
     step = step0
     iters = 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sapgm.problems import (
     registry,
     sample_start,
 )
-from sapgm.smoothing import Affine, Square, Sum
+from sapgm.smoothing import Affine, Scale, Square, Sum
 
 EXPECTED_ORDER = ["BK1", "CB3&LQ", "CB3&MF1", "CR&MF2", "JOS1", "SP1"]
 
@@ -125,6 +127,30 @@ def test_dimension_mismatch_rejected():
         eval_smooth(p, [1.0], 0.5)
     with pytest.raises(InvalidInputError):
         eval_g(p, [1.0])
+
+
+@pytest.mark.parametrize(
+    "name, x, what",
+    [
+        ("CB3&LQ", [-400.0, 400.0], "overflows"),  # Exp of x2 - x1
+        ("CB3&LQ", [1e80, 1.0], "overflows"),  # Quartic of x1
+        ("BK1", [1e200, 0.0], "is inf"),  # Square of x1
+    ],
+)
+def test_bad_evaluations_raise_one_typed_error(name, x, what):
+    p = get_problem(name)
+    for call in (lambda: eval_true(p, x), lambda: eval_smooth(p, x, 0.5)):
+        with pytest.raises(InvalidInputError, match=re.escape(f"{name}: component 1 at x = {x} {what}")):
+            call()
+
+
+def test_nan_component_raises_the_typed_error():
+    # x1^2 - x1^2 is inf - inf at x1 = 1e200
+    zero = Sum([Square(Affine([1.0, 0.0])), Scale(-1.0, Square(Affine([1.0, 0.0])))])
+    p = build_problem("cancel", [Square(Affine([0.0, 1.0])), zero], GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+    for call in (lambda: eval_true(p, [1e200, 0.0]), lambda: eval_smooth(p, [1e200, 0.0], 0.5)):
+        with pytest.raises(InvalidInputError, match=re.escape("cancel: component 2 at x = [1e+200, 0.0] is nan")):
+            call()
 
 
 def test_sample_start_deterministic_and_in_box():

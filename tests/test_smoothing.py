@@ -18,6 +18,8 @@ from sapgm.smoothing import (
     Scale,
     Square,
     Sum,
+    _SUPPORTED,
+    _walk,
     compose_surrogate,
     smooth_abs,
     smooth_max2,
@@ -77,7 +79,56 @@ def test_smooth_max_list_values():
     assert 2.0 <= v <= 2.0 + 0.5 * math.log(2.0)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0])
+def test_atoms_at_mu_zero_are_exact():
+    # the nonsmooth value itself and a subgradient; the midpoint at a kink or tie
+    assert smooth_abs(-2.5, 0.0) == (2.5, -1.0)
+    assert smooth_abs(3.0, 0.0) == (3.0, 1.0)
+    assert smooth_abs(0.0, 0.0) == (0.0, 0.0)
+    assert smooth_plus(-2.0, 0.0) == (0.0, 0.0)
+    assert smooth_plus(3.0, 0.0) == (3.0, 1.0)
+    assert smooth_plus(0.0, 0.0) == (0.0, 0.5)
+    assert smooth_max2(1.0, 4.0, 0.0) == (4.0, 0.0, 1.0)
+    assert smooth_max2(4.0, 1.0, 0.0) == (4.0, 1.0, 0.0)
+    assert smooth_max2(2.0, 2.0, 0.0) == (2.0, 0.5, 0.5)
+    for vals, top, w in (
+        ([1.0, 5.0, 3.0], 5.0, [0.0, 1.0, 0.0]),
+        ([2.0, 7.0, 7.0], 7.0, [0.0, 0.5, 0.5]),
+        ([-3.0], -3.0, [1.0]),
+    ):
+        v, g = smooth_max_list(vals, 0.0)
+        assert v == top
+        np.testing.assert_array_equal(g, w)
+
+
+def subgradient_holds(f, u, d, w):
+    """f(w) >= f(u) + d (w - u): d is a subgradient of the convex f at u."""
+    return f(w) >= f(u) + d * (w - u) - 1e-12 * max(1.0, abs(f(w)), abs(f(u)))
+
+
+@given(x=finite, w=finite)
+def test_abs_and_plus_at_mu_zero_bit_exact_with_subgradient(x, w):
+    for fn, exact in ((smooth_abs, abs), (smooth_plus, lambda u: max(u, 0.0))):
+        v, d = fn(x, 0.0)
+        assert v == exact(x)
+        assert subgradient_holds(exact, x, d, w)
+
+
+@given(a=finite, b=finite, w=st.tuples(finite, finite))
+def test_max2_at_mu_zero_bit_exact_with_subgradient(a, b, w):
+    v, ga, gb = smooth_max2(a, b, 0.0)
+    assert v == max(a, b)
+    assert ga >= 0.0 and gb >= 0.0 and ga + gb == 1.0
+    assert max(w) >= v + ga * (w[0] - a) + gb * (w[1] - b) - 1e-12 * max(1.0, abs(v))
+
+
+@given(vals=st.lists(st.sampled_from([-1.0, 0.0, 2.5]) | finite, min_size=1, max_size=6))
+def test_max_list_at_mu_zero_bit_exact_on_the_argmax(vals):
+    v, g = smooth_max_list(vals, 0.0)
+    assert v == max(vals)
+    assert abs(g.sum() - 1.0) <= 1e-15 and np.all(g[np.array(vals) < v] == 0.0)
+
+
+@pytest.mark.parametrize("mu", [-1.0, math.nan])
 def test_atoms_reject_nonpositive_mu(mu):
     for call in (
         lambda: smooth_abs(1.0, mu),
@@ -222,14 +273,8 @@ def test_compose_rejects_unknown_atom():
     class Mystery(Expr):
         kappa = 0.0
 
-        def dim(self):
-            return 1
-
         def value_grad(self, x, mu):  # pragma: no cover - never reached
             return 0.0, np.zeros(1)
-
-        def true_value(self, x):  # pragma: no cover
-            return 0.0
 
     with pytest.raises(UnsupportedAtomError, match="Mystery"):
         compose_surrogate(Mystery())
@@ -246,10 +291,28 @@ def test_compose_rejects_unknown_atom():
 def test_compose_rejects_power_or_exp_of_a_smoothed_argument(expr, x):
     # the child's kappa does not bound the error: at mu = 1 it is exceeded
     x = np.array([x])
-    err = abs(expr.value_grad(x, 1.0)[0] - expr.true_value(x))
+    err = abs(expr.value_grad(x, 1.0)[0] - expr.value_grad(x, 0.0)[0])
     assert err > expr.kappa * 1.0 + 1.0
     with pytest.raises(UnsupportedAtomError, match="smoothed argument"):
         compose_surrogate(expr)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Sum([Affine([1.0, 0.0]), Affine([1.0])]),
+        Max2(Affine([1.0]), Affine([1.0, 2.0])),
+        MaxList([Affine([1.0]), Affine([1.0, 2.0, 3.0])]),
+    ],
+)
+def test_compose_rejects_leaves_of_different_sizes(expr):
+    with pytest.raises(InvalidInputError, match="differ in size"):
+        compose_surrogate(expr)
+
+
+def test_compose_rejects_a_box_of_another_size():
+    with pytest.raises(InvalidInputError, match="box"):
+        compose_surrogate(Abs(Affine([1.0])), box=(-np.ones(2), np.ones(2)))
 
 
 def test_compose_accepts_power_or_exp_of_an_exact_argument():
@@ -259,6 +322,42 @@ def test_compose_accepts_power_or_exp_of_an_exact_argument():
         Sum([Exp(Affine([0.1, 0.0])), Abs(Square(Affine([0.0, 1.0])))]),
     ):
         assert compose_surrogate(expr).constants.kappa == expr.kappa
+
+
+def all_ten_atoms():
+    """A tree with every atom; at (1, -2) its exact value is 24.5, its subgradient (0, -36)."""
+    return Sum(
+        [
+            Affine([1.0, 1.0], 0.5),  # -0.5
+            Scale(-3.0, Affine([0.0, 1.0])),  # 6
+            Abs(Affine([1.0, 1.0])),  # |-1| = 1
+            Plus(Affine([1.0, 0.0], -3.0)),  # max(-2, 0) = 0
+            Max2(Square(Affine([1.0, 0.0])), Affine([0.0, -1.0])),  # max(1, 2) = 2
+            # max(16, e^0, |3|) = 16
+            MaxList([Quartic(Affine([0.0, 1.0])), Exp(Affine([1.0, 1.0], 1.0)), Abs(Affine([1.0, -1.0]))]),
+        ]
+    )
+
+
+def test_tree_of_all_ten_atoms_at_mu_zero_is_exact():
+    tree = all_ten_atoms()
+    assert {type(node) for node in _walk(tree)} == set(_SUPPORTED)
+    x = np.array([1.0, -2.0])
+    v, g = tree.value_grad(x, 0.0)
+    assert v == 24.5
+    np.testing.assert_array_equal(g, [0.0, -36.0])
+    s = compose_surrogate(tree)
+    assert s.true_eval(x) == 24.5
+    for mu in (1.0, 0.1, 1e-3):
+        assert abs(s.eval(x, mu)[0] - 24.5) <= s.constants.kappa * mu
+
+
+def test_surrogate_eval_rejects_nonpositive_mu():
+    # mu = 0 is the exact path, reached through true_eval only
+    s = compose_surrogate(Abs(Affine([1.0])))
+    for mu in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError):
+            s.eval(np.array([1.0]), mu)
 
 
 # ------------------------------------------------------------- verification

@@ -171,6 +171,13 @@ def test_nonfinite_start_rejected_before_any_evaluation(x0, monkeypatch):
             run(get_problem("JOS1"), np.array(x0))
 
 
+def test_overflowing_start_raises_the_typed_error():
+    # Square(1e200) is inf: the first evaluation fails, not the backtracking
+    for run in (solve, solve_baseline):
+        with pytest.raises(InvalidInputError, match="BK1: component 1"):
+            run(get_problem("BK1"), np.array([1e200, 0.0]))
+
+
 def test_fixed_point_start_converges_at_mu_gate():
     p = duplicated_quadratic(GKind.ZERO)
     x_star = np.array([1.0, -0.5])  # minimizer of both copies

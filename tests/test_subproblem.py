@@ -14,6 +14,7 @@ from sapgm.subproblem import (
     _ascend,
     _build_core,
     _Core,
+    _g_value,
     _solve_core,
     complementarity_violation,
     dual_inner,
@@ -296,6 +297,26 @@ def test_three_objectives_match_grid_oracle(g_kind):
         assert sol.theta == pytest.approx(float(phi(sol.z)[0]), abs=1e-9)
 
 
+@pytest.mark.parametrize("spread", [0.0, 1e-160])
+@pytest.mark.parametrize("c", [[1.0, 0.0, 0.0], [0.0, -1.0, 0.5]])
+@pytest.mark.parametrize("g_kind", list(GKind))
+def test_ascent_on_coinciding_gradients_takes_the_best_vertex(spread, c, g_kind):
+    # ||g_i - g_j|| = spread: the dual is linear in lam, and 1 / curvature
+    # (>= 1e300) is no step the simplex projection survives
+    G = np.ones((3, 2))
+    G[:, 0] = 0.0
+    G[1, 0] = spread
+    c = np.array(c)
+    core = _Core(np.zeros(2), G, c, 1.0, g_kind)
+    for lam0 in (np.full(3, 1.0 / 3.0), np.array([0.0, 0.0, 1.0])):
+        z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        np.testing.assert_array_equal(lam, np.eye(3)[c.argmax()])
+        assert 0.0 <= gap <= DEFAULT_TOL and steps == 1
+        # z is the prox of y - g / ell, whatever the weights
+        np.testing.assert_array_equal(z, prox_g(-G[0], 1.0, g_kind, 2))
+        assert theta == pytest.approx(G[0] @ z + c.max() + _g_value(z, g_kind, 2) + 0.5 * z @ z, abs=1e-15)
+
+
 # -------------------------------------------------- m = 2: the exact kink search
 
 LAM_HALF = np.array([0.5, 0.5])
@@ -398,7 +419,9 @@ def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
     if np.linalg.norm(G[0] - G[1]) > 1e-3:
         check_exact_against_ascent(core, lam0)
     else:
-        # the ascent's step, 1 / curvature, overflows its simplex projection
-        # when the gradients (nearly) coincide; the exact path still certifies
+        # with (nearly) coinciding gradients the dual is (nearly) flat and z
+        # is not pinned to 1e-8 by a gap of 1e-10; both paths still certify
         _, lam, _, gap, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
         assert -1e-12 <= gap <= DEFAULT_TOL and lam.sum() == 1.0 and lam.min() >= 0.0
+        _, lam, _, gap, _ = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        assert gap <= DEFAULT_TOL and lam.sum() == pytest.approx(1.0) and lam.min() >= 0.0
