@@ -8,7 +8,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedAtomError,
 )
-from .metrics import FrontPoint, RateFit, fit_rate, merit_u0_approx, nondominated_filter, w_k_diagnostic
+from .metrics import FrontPoint, RateFit, fit_rate, merit_against_values, nondominated_filter
 from .problems import (
     FevalCounter,
     GKind,
@@ -31,9 +31,7 @@ from .smoothing import (
     verify_surrogate,
 )
 from .solver import (
-    IterateState,
     RunResult,
-    SAPGMSolver,
     SolverConfig,
     backtrack_step,
     momentum_update,
@@ -44,7 +42,6 @@ from .solver import (
 from .subproblem import (
     SubproblemInput,
     SubproblemSolution,
-    kkt_residual,
     project_simplex,
     prox_g,
     solve_subproblem,
@@ -61,9 +58,8 @@ __all__ = [
     "FrontPoint",
     "RateFit",
     "fit_rate",
-    "merit_u0_approx",
+    "merit_against_values",
     "nondominated_filter",
-    "w_k_diagnostic",
     "FevalCounter",
     "GKind",
     "ProblemSpec",
@@ -81,9 +77,7 @@ __all__ = [
     "smooth_max_list",
     "smooth_plus",
     "verify_surrogate",
-    "IterateState",
     "RunResult",
-    "SAPGMSolver",
     "SolverConfig",
     "backtrack_step",
     "momentum_update",
@@ -92,7 +86,6 @@ __all__ = [
     "solve_baseline",
     "SubproblemInput",
     "SubproblemSolution",
-    "kkt_residual",
     "project_simplex",
     "prox_g",
     "solve_subproblem",

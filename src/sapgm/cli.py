@@ -28,7 +28,7 @@ from .smoothing import (
     verify_surrogate,
 )
 from .solver import SolverConfig
-from .subproblem import SubproblemInput, complementarity_violation, solve_subproblem
+from .subproblem import SubproblemInput, solve_subproblem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,11 +132,10 @@ def _cmd_verify(args) -> int:
         for _ in range(5):
             y = sample_start(p, int(rng.integers(1 << 31)))
             x = sample_start(p, int(rng.integers(1 << 31)))
-            inp = SubproblemInput(x, y, mu=0.1, ell=rng.uniform(2.0, 50.0), problem=p)
-            sol = solve_subproblem(inp)
+            sol = solve_subproblem(SubproblemInput(x, y, mu=0.1, ell=rng.uniform(2.0, 50.0), problem=p))
             worst_gap = max(worst_gap, sol.gap)
             worst_kkt = max(worst_kkt, sol.kkt_residual)
-            worst_comp = max(worst_comp, complementarity_violation(sol, inp))
+            worst_comp = max(worst_comp, sol.complementarity)
     report("subproblem duality gap", worst_gap, 1e-8)
     report("subproblem KKT residual", worst_kkt, 1e-6)
     report("subproblem complementarity", worst_comp, 1e-6)

@@ -1,10 +1,10 @@
-"""Solution-quality metrics: finite-set merit approximation, the per-iteration
-gap diagnostic, nondominated filtering and empirical decay-rate fits.
+"""Solution-quality metrics: the finite-reference Pareto merit, nondominated
+filtering and empirical decay-rate fits.
 
 The true Pareto merit takes a supremum over all of R^n, which is not
-computable; `merit_u0_approx` replaces it with a max over a finite reference
-set and therefore under-reports (it is monotone nondecreasing as the
-reference set grows).
+computable; `merit_against_values` replaces it with a max over a finite
+reference set of objective vectors and therefore under-reports (it is
+monotone nondecreasing as the reference set grows).
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, InvalidParameterError
-from .problems import ProblemSpec, eval_g, eval_smooth, eval_true
+from .errors import InsufficientDataError, InvalidParameterError
 
 __all__ = [
     "FrontPoint",
     "RateFit",
-    "merit_u0_approx",
     "merit_against_values",
-    "w_k_diagnostic",
     "nondominated_filter",
     "nondominated_mask",
     "fit_rate",
@@ -36,11 +33,6 @@ class FrontPoint:
     x: np.ndarray
     F: np.ndarray  # exact nonsmooth objective values at x
 
-    @classmethod
-    def from_x(cls, p: ProblemSpec, x: Sequence[float]) -> "FrontPoint":
-        x = np.asarray(x, float)
-        return cls(x, eval_true(p, x))
-
 
 @dataclass(frozen=True)
 class RateFit:
@@ -51,28 +43,9 @@ class RateFit:
 
 
 def merit_against_values(Fx: np.ndarray, ref_F: np.ndarray) -> float:
-    """max over reference rows of min_i (Fx_i - ref_i)."""
+    """Finite-reference lower bound of the Pareto merit at a point with exact
+    objective values Fx: max over reference rows of min_i (Fx_i - ref_i)."""
     return float(np.min(Fx[None, :] - ref_F, axis=1).max())
-
-
-def merit_u0_approx(x: Sequence[float], Z: Sequence[FrontPoint], p: ProblemSpec) -> float:
-    """Finite-reference-set lower bound of the Pareto merit at x."""
-    if len(Z) == 0:
-        raise InvalidInputError("reference set must be nonempty")
-    Fx = eval_true(p, x)
-    ref = np.array([z.F for z in Z])
-    return merit_against_values(Fx, ref)
-
-
-def w_k_diagnostic(
-    x_k: Sequence[float], mu_k: float, z: Sequence[float], p: ProblemSpec, kappa: float
-) -> float:
-    """min_i [ smoothed F_i(x_k, mu_k) - F_i(z) ] + kappa * mu_k."""
-    if not mu_k > 0.0:
-        raise InvalidParameterError("mu_k must be positive")
-    vals, _ = eval_smooth(p, x_k, mu_k)
-    F_smooth = vals + eval_g(p, x_k)
-    return float((F_smooth - eval_true(p, z)).min()) + kappa * mu_k
 
 
 def nondominated_mask(F: np.ndarray, slack: float = DOMINANCE_SLACK) -> np.ndarray:

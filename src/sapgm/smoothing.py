@@ -399,7 +399,13 @@ class SmoothSurrogate:
     def __init__(self, expr: Expr, box: tuple[np.ndarray, np.ndarray]):
         self.expr = expr
         lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-        stats = expr.box_stats(lo, hi)
+        where = f"certification over the box [{lo.tolist()}, {hi.tolist()}]"
+        try:
+            stats = expr.box_stats(lo, hi)
+        except OverflowError as e:
+            raise InvalidInputError(f"{where} overflows") from e
+        if not math.isfinite(stats.curv):
+            raise InvalidInputError(f"{where} gives the Lipschitz factor {stats.curv}")
         self.constants = SmoothingConstants(expr.kappa, max(stats.curv, 1e-12))
         self.n = lo.size
 
@@ -422,7 +428,7 @@ def compose_surrogate(
     [-10, 10]^n.  Raises UnsupportedAtomError for foreign node types and for
     Square, Quartic or Exp over a smoothed child (kappa > 0), whose error the
     child's kappa does not bound, and InvalidInputError when the leaves or
-    the box differ in size.
+    the box differ in size or when the certification over the box overflows.
     """
     if not isinstance(expr, Expr):
         raise UnsupportedAtomError(f"not an expression node: {type(expr).__name__}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve
 
 __all__ = [
     "SolverConfig",
-    "IterateState",
     "TraceRecord",
     "RunResult",
     "mu_schedule",
@@ -42,7 +41,6 @@ __all__ = [
     "backtrack_step",
     "solve",
     "solve_baseline",
-    "SAPGMSolver",
 ]
 
 logger = logging.getLogger(__name__)
@@ -255,38 +253,3 @@ def solve_baseline(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig | None = No
     """Run the same loop without extrapolation (theta = 0 throughout)."""
     return _run(p, x0, cfg or SolverConfig(), accelerated=False)
 
-
-class SAPGMSolver:
-    """Estimator-style wrapper: parameters at construction, results as
-    trailing-underscore attributes after fit().
-
-    The parameters are the fields of `SolverConfig` plus `accelerated`.
-    """
-
-    def __init__(self, accelerated: bool = True, **params):
-        self.accelerated = accelerated
-        self.config = SolverConfig()
-        self.set_params(**params)
-
-    def get_params(self, deep: bool = True) -> dict:
-        params = {f.name: getattr(self.config, f.name) for f in fields(SolverConfig)}
-        params["accelerated"] = self.accelerated
-        return params
-
-    def set_params(self, **params) -> "SAPGMSolver":
-        unknown = sorted(params.keys() - self.get_params().keys())
-        if unknown:
-            raise InvalidParameterError(f"unknown parameter {unknown[0]!r}")
-        accelerated = params.pop("accelerated", self.accelerated)
-        self.config = replace(self.config, **params)
-        self.accelerated = accelerated
-        return self
-
-    def fit(self, problem: ProblemSpec, x0: np.ndarray) -> "SAPGMSolver":
-        result = _run(problem, x0, self.config, accelerated=self.accelerated)
-        self.result_ = result
-        self.x_ = result.final_x
-        self.F_ = result.final_F
-        self.n_iter_ = result.iterations
-        self.status_ = result.status
-        return self

@@ -15,8 +15,9 @@ comp_1 - comp_2, which does not increase and is piecewise linear with a kink
 wherever a soft-threshold coordinate of the prox switches, so one pass over
 the kinks brackets its root on a linear piece.  Other m use projected
 gradient ascent with a backtracking step.  Strong convexity makes the primal
-minimizer unique, so the duality gap and the KKT residual certify the
-solution.
+minimizer unique, so the duality gap, the KKT residual and the
+complementarity violation certify the solution; solve_subproblem returns all
+three with it.
 
 All g_i are required to be the identical shared term; distinct g_i would
 break the closed-form inner step and are rejected at ProblemSpec
@@ -30,21 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .problems import FevalCounter, GKind, ProblemSpec, eval_g, eval_smooth
+from .problems import GKind, ProblemSpec, eval_g, eval_smooth
 
 __all__ = [
     "SubproblemInput",
     "SubproblemSolution",
     "prox_g",
     "project_simplex",
-    "dual_inner",
     "solve_subproblem",
-    "kkt_residual",
-    "complementarity_violation",
 ]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_INNER = 500
+_ACTIVE_SLACK = 1e-8  # brackets within this of the largest count as active
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,12 @@ class SubproblemSolution:
     theta: float  # primal optimal value
     gap: float
     kkt_residual: float
+    complementarity: float  # largest weight on an inactive component
     inner_iterations: int
     converged: bool
 
 
-def prox_g(v: np.ndarray, tau: float, g_kind: GKind, n: int | None = None) -> np.ndarray:
+def prox_g(v: np.ndarray, tau: float, g_kind: GKind, n: int) -> np.ndarray:
     """argmin_z tau * g(z) + 0.5 ||z - v||^2.
 
     Soft-thresholding at tau / n for the scaled l1 term, identity for g = 0.
@@ -83,7 +83,7 @@ def prox_g(v: np.ndarray, tau: float, g_kind: GKind, n: int | None = None) -> np
     v = np.asarray(v, dtype=float)
     if g_kind is GKind.ZERO:
         return v.copy()
-    thr = tau / (n if n is not None else v.size)
+    thr = tau / n
     return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
 
 
@@ -234,35 +234,29 @@ def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
 def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
     """Core at expansion point y from eval_smooth's results at y and at x.
 
-    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)).
+    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or
+    offsets c that are not finite raise InvalidInputError.
     """
     vals_y, G = evals_y
     vals_x, _ = evals_x
     c = vals_y - (vals_x + eval_g(p, x))
+    if not (np.isfinite(G).all() and np.isfinite(c).all()):
+        raise InvalidInputError(
+            f"{p.name}: Jacobian or offsets at y = {np.asarray(y, float).tolist()} are not finite"
+        )
     return _Core(np.asarray(y, float), G, c, ell, p.g_kind)
 
 
-def _build_core(inp: SubproblemInput, counter: FevalCounter | None = None) -> _Core:
+def _build_core(inp: SubproblemInput) -> _Core:
     p = inp.problem
-    evals_y = eval_smooth(p, inp.y, inp.mu, counter)
-    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu, counter), inp.ell)
-
-
-def dual_inner(lam: np.ndarray, inp: SubproblemInput) -> tuple[np.ndarray, float]:
-    """Inner minimizer z(lam) and the dual value q(lam)."""
-    lam = np.asarray(lam, dtype=float)
-    if abs(lam.sum() - 1.0) > 1e-8 or lam.min() < -1e-8:
-        raise InvalidInputError("weights must lie on the unit simplex")
-    core = _build_core(inp)
-    z, _, dual, _ = core.inner(lam)
-    return z, dual
+    evals_y = eval_smooth(p, inp.y, inp.mu)
+    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu), inp.ell)
 
 
 def solve_subproblem(
     inp: SubproblemInput,
     tol: float = DEFAULT_TOL,
     max_inner: int = DEFAULT_MAX_INNER,
-    counter: FevalCounter | None = None,
     lam0: np.ndarray | None = None,
 ) -> SubproblemSolution:
     """Solve the min-max model to duality gap <= tol.
@@ -272,42 +266,33 @@ def solve_subproblem(
     """
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
-    core = _build_core(inp, counter)
+    core = _build_core(inp)
     m = core.G.shape[0]
     if lam0 is None:
         lam0 = np.full(m, 1.0 / m)
     z, lam, theta, gap, iters = _solve_core(core, np.asarray(lam0, float), tol, max_inner)
-    sol = SubproblemSolution(z, lam, theta, gap, 0.0, iters, gap <= tol)
-    sol.kkt_residual = _kkt_from_core(core, sol)
-    return sol
+    _, comp, _, _ = core.inner(lam)
+    inactive = comp < comp.max() - _ACTIVE_SLACK
+    complementarity = float(lam[inactive].max()) if inactive.any() else 0.0
+    return SubproblemSolution(
+        z, lam, theta, gap, _kkt_from_core(core, z, lam), complementarity, iters, gap <= tol
+    )
 
 
-def _kkt_from_core(core: _Core, sol: SubproblemSolution) -> float:
-    d = core.G.T @ sol.lam + core.ell * (sol.z - core.y)
-    # xi must equal -d for stationarity; clamp it into the subdifferential of g
-    xi = -d
-    if core.g_kind is GKind.SCALED_L1:
-        w = 1.0 / core.n
-        hi = np.where(sol.z > 0, w, np.where(sol.z < 0, -w, w))
-        lo = np.where(sol.z > 0, w, np.where(sol.z < 0, -w, -w))
-        xi = np.clip(xi, lo, hi)
-    elif core.g_kind is GKind.ZERO:
-        xi = np.zeros_like(d)
-    return float(np.linalg.norm(d + xi))
-
-
-def kkt_residual(sol: SubproblemSolution, inp: SubproblemInput) -> float:
+def _kkt_from_core(core: _Core, z: np.ndarray, lam: np.ndarray) -> float:
     """Stationarity residual || sum_i lam_i grad_i + xi + ell (z - y) ||.
 
     xi is the element of the subdifferential of g at z closest to exact
     stationarity.
     """
-    return _kkt_from_core(_build_core(inp), sol)
-
-
-def complementarity_violation(sol: SubproblemSolution, inp: SubproblemInput, tol: float = 1e-8) -> float:
-    """Largest weight attached to a component outside the active set."""
-    core = _build_core(inp)
-    _, comp, _, _ = core.inner(sol.lam)
-    inactive = comp < comp.max() - tol
-    return float(sol.lam[inactive].max()) if inactive.any() else 0.0
+    d = core.G.T @ lam + core.ell * (z - core.y)
+    # xi must equal -d for stationarity; clamp it into the subdifferential of g
+    xi = -d
+    if core.g_kind is GKind.SCALED_L1:
+        w = 1.0 / core.n
+        hi = np.where(z > 0, w, np.where(z < 0, -w, w))
+        lo = np.where(z > 0, w, np.where(z < 0, -w, -w))
+        xi = np.clip(xi, lo, hi)
+    elif core.g_kind is GKind.ZERO:
+        xi = np.zeros_like(d)
+    return float(np.linalg.norm(d + xi))

@@ -16,7 +16,7 @@ from sapgm.bench import RATE_ITERS, BenchConfig, run_benchmark
 from sapgm.cli import main as cli_main
 from sapgm.errors import InsufficientDataError
 from sapgm.metrics import FrontPoint, fit_rate, nondominated_filter
-from sapgm.problems import eval_smooth, get_problem, registry, sample_start
+from sapgm.problems import eval_smooth, eval_true, get_problem, registry, sample_start
 from sapgm.smoothing import Abs, Affine, Max2, MaxList, Plus, compose_surrogate, verify_surrogate
 from sapgm.solver import SolverConfig, momentum_update, mu_schedule, solve
 
@@ -229,13 +229,8 @@ def test_criterion_6_front_sanity(benchmark_run):
         sub = [r for r in rows if r["problem"] == p.name]
         fronts = {}
         for solver in ("sapgm", "baseline"):
-            pts = [
-                FrontPoint.from_x(
-                    p, np.array([float(r["final_x0"]), float(r["final_x1"])])
-                )
-                for r in sub
-                if r["solver"] == solver
-            ]
+            xs = [np.array([float(r["final_x0"]), float(r["final_x1"])]) for r in sub if r["solver"] == solver]
+            pts = [FrontPoint(x, eval_true(p, x)) for x in xs]
             fronts[solver] = nondominated_filter(pts)
         pooled = nondominated_filter(fronts["sapgm"] + fronts["baseline"])
         distinct = {tuple(np.round(pt.F, 9)) for pt in pooled}

@@ -15,7 +15,7 @@ from sapgm.bench import (
 )
 from sapgm.cli import main
 from sapgm.metrics import FrontPoint, nondominated_filter
-from sapgm.problems import get_problem
+from sapgm.problems import eval_true, get_problem
 from sapgm.solver import SolverConfig
 
 
@@ -27,7 +27,8 @@ def _drop_time(path):
 
 
 def _fp(p, x):
-    return FrontPoint.from_x(p, np.asarray(x, float))
+    x = np.asarray(x, float)
+    return FrontPoint(x, eval_true(p, x))
 
 
 def test_cli_run_deterministic(tmp_path):

@@ -2,21 +2,24 @@ import numpy as np
 import pytest
 
 from conftest import exact_merit
-from sapgm.errors import InsufficientDataError, InvalidInputError, InvalidParameterError
+from sapgm.errors import InsufficientDataError, InvalidParameterError
 from sapgm.metrics import (
     FrontPoint,
     fit_rate,
-    merit_u0_approx,
+    merit_against_values,
     nondominated_filter,
     nondominated_mask,
-    w_k_diagnostic,
 )
-from sapgm.problems import eval_g, eval_smooth, eval_true, get_problem, registry, sample_start
+from sapgm.problems import eval_true, get_problem, registry, sample_start
 from sapgm.solver import solve
 
 
-def fp(p, x):
-    return FrontPoint.from_x(p, np.asarray(x, float))
+def values(p, points):
+    return np.array([eval_true(p, np.asarray(z, float)) for z in points])
+
+
+def merit(p, x, points):
+    return merit_against_values(eval_true(p, np.asarray(x, float)), values(p, points))
 
 
 # ------------------------------------------------------------------ merit
@@ -25,11 +28,10 @@ def fp(p, x):
 def test_merit_nonnegative_when_self_in_reference():
     p = get_problem("JOS1")
     x = np.array([1.3, -0.7])
-    Z = [fp(p, [0.0, 0.0]), fp(p, x), fp(p, [2.0, 2.0])]
-    val = merit_u0_approx(x, Z, p)
+    val = merit(p, x, [[0.0, 0.0], x, [2.0, 2.0]])
     assert val >= 0.0
     # the z = x term contributes exactly zero
-    assert merit_u0_approx(x, [fp(p, x)], p) == 0.0
+    assert merit(p, x, [x]) == 0.0
 
 
 def test_merit_dominated_margin():
@@ -39,29 +41,23 @@ def test_merit_dominated_margin():
     Fx, Fz = eval_true(p, x), eval_true(p, z)
     delta = float(np.min(Fx - Fz))
     assert delta > 0.0
-    assert merit_u0_approx(x, [fp(p, z)], p) >= delta
+    assert merit(p, x, [z]) >= delta
 
 
 def test_merit_jos1_hand_value():
     # F(5,5) = (30, 14); F(0,0) = (0, 4); F(2,2) = (6, 2)
     # max{ min(30, 10), min(24, 12) } = 12
     p = get_problem("JOS1")
-    Z = [fp(p, [0.0, 0.0]), fp(p, [2.0, 2.0])]
-    assert merit_u0_approx([5.0, 5.0], Z, p) == pytest.approx(12.0)
+    assert merit(p, [5.0, 5.0], [[0.0, 0.0], [2.0, 2.0]]) == pytest.approx(12.0)
 
 
 def test_merit_monotone_in_reference_set():
     p = get_problem("BK1")
     rng = np.random.default_rng(4)
-    Z = [fp(p, rng.uniform(p.lower, p.upper)) for _ in range(8)]
+    Z = [rng.uniform(p.lower, p.upper) for _ in range(8)]
     x = rng.uniform(p.lower, p.upper)
-    vals = [merit_u0_approx(x, Z[: i + 1], p) for i in range(len(Z))]
+    vals = [merit(p, x, Z[: i + 1]) for i in range(len(Z))]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_merit_empty_reference_rejected():
-    with pytest.raises(InvalidInputError):
-        merit_u0_approx([0.0, 0.0], [], get_problem("BK1"))
 
 
 def test_exact_merit_oracle_hand_values():
@@ -76,45 +72,19 @@ def test_exact_merit_oracle_hand_values():
 
 
 def test_exact_merit_oracle_bounds_reference_merit():
-    # merit_u0_approx is a lower bound of u0 for any reference set; the
-    # oracle must reach it whether x is near the front or far from it
+    # the merit against a finite reference set is a lower bound of u0 for
+    # any reference set; the oracle must reach it whether x is near the
+    # front or far from it
     rng = np.random.default_rng(11)
     for p in registry():
         runs = [solve(p, sample_start(p, s)) for s in range(6)]
-        finals = [FrontPoint(r.final_x, r.final_F) for r in runs]
-        box = [fp(p, rng.uniform(p.lower, p.upper)) for _ in range(20)]
-        for x in [finals[0].x, rng.uniform(p.lower, p.upper), rng.uniform(p.lower, p.upper)]:
+        finals = np.array([r.final_F for r in runs])
+        box = values(p, [rng.uniform(p.lower, p.upper) for _ in range(20)])
+        for x in [runs[0].final_x, rng.uniform(p.lower, p.upper), rng.uniform(p.lower, p.upper)]:
             u = exact_merit(p, x)
-            for Z in (box, finals[1:], box + finals):
-                a = merit_u0_approx(x, Z, p)
+            for ref in (box, finals[1:], np.vstack([box, finals])):
+                a = merit_against_values(eval_true(p, x), ref)
                 assert u >= a - 1e-9 * max(1.0, abs(a)), (p.name, x, u, a)
-
-
-# ------------------------------------------------------------------ W_k
-
-
-def test_wk_limit_at_self():
-    p = get_problem("CB3&LQ")
-    x = np.array([2.0, 2.5])
-    for mu in (1e-6, 1e-9):
-        assert abs(w_k_diagnostic(x, mu, x, p, kappa=0.0)) <= 1e-5
-
-
-def test_wk_kappa_additivity():
-    p = get_problem("BK1")
-    x, z, mu = np.array([1.0, 2.0]), np.array([3.0, 0.5]), 0.25
-    a = w_k_diagnostic(x, mu, z, p, kappa=2.0)
-    b = w_k_diagnostic(x, mu, z, p, kappa=3.0)
-    assert b - a == pytest.approx(mu)
-
-
-def test_wk_against_direct_formula():
-    # min_i [ f_i(x_k, mu) + g(x_k) - F_i(z) ] + kappa * mu, recomputed here
-    p = get_problem("JOS1")
-    x, z, mu, kappa = np.array([1.0, 1.0]), np.array([0.0, 0.0]), 0.5, p.kappa_max
-    vals, _ = eval_smooth(p, x, mu)
-    expected = float(np.min(vals + eval_g(p, x) - eval_true(p, z))) + kappa * mu
-    assert w_k_diagnostic(x, mu, z, p, kappa) == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------------------ filter
@@ -156,12 +126,6 @@ def test_filter_idempotent_and_order_preserving():
     assert [tuple(p.F) for p in once] == [tuple(p.F) for p in twice]
     idx = [next(i for i, q in enumerate(pts) if q is p) for p in once]
     assert idx == sorted(idx)
-
-
-def test_frontpoint_from_x_consistency():
-    p = get_problem("SP1")
-    pt = fp(p, [1.0, 3.0])
-    np.testing.assert_allclose(pt.F, eval_true(p, pt.x), atol=1e-12)
 
 
 # ------------------------------------------------------------------ rate fits

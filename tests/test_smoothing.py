@@ -315,6 +315,20 @@ def test_compose_rejects_a_box_of_another_size():
         compose_surrogate(Abs(Affine([1.0])), box=(-np.ones(2), np.ones(2)))
 
 
+@pytest.mark.parametrize(
+    "expr, what",
+    [
+        (Exp(Affine([50.0, 0.0])), "overflows"),  # exp(1000)
+        (Quartic(Affine([1e80, 0.0])), "overflows"),  # (2e81)^4
+        (Square(Affine([1e200, 0.0])), "gives the Lipschitz factor inf"),  # (2e201)^2 without a raise
+    ],
+)
+def test_compose_rejects_a_certification_that_overflows(expr, what):
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidInputError, match=rf"box \[\[-20\.0, -20\.0\], \[20\.0, 20\.0\]\] {what}"):
+            compose_surrogate(expr, box=([-20.0, -20.0], [20.0, 20.0]))
+
+
 def test_compose_accepts_power_or_exp_of_an_exact_argument():
     for expr in (
         Square(Sum([Affine([1.0, 0.0]), Affine([0.0, 2.0], 1.0)])),

@@ -9,7 +9,6 @@ from sapgm.problems import GKind, eval_smooth, get_problem, sample_start
 from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
 from sapgm.solver import (
     IterateState,
-    SAPGMSolver,
     SolverConfig,
     backtrack_step,
     momentum_update,
@@ -178,6 +177,19 @@ def test_overflowing_start_raises_the_typed_error():
             run(get_problem("BK1"), np.array([1e200, 0.0]))
 
 
+def test_nonfinite_jacobian_raises_the_typed_error_at_its_point():
+    # exp(50 x1) is finite at x1 = 14.19, but its derivative 50 exp(50 x1) is inf
+    steep = [Exp(Affine([50.0, 0.0])), Square(Affine([0.0, 1.0]))]
+    p = build_problem("steep_exp", steep, GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+    x0 = np.array([14.19, 0.0])
+    with np.errstate(over="ignore"):
+        vals, jac = eval_smooth(p, x0, 1.0)
+        assert np.isfinite(vals).all() and not np.isfinite(jac).all()
+        for run in (solve, solve_baseline):
+            with pytest.raises(InvalidInputError, match=r"steep_exp: Jacobian .* y = \[14\.19, 0\.0\]"):
+                run(p, x0)
+
+
 def test_fixed_point_start_converges_at_mu_gate():
     p = duplicated_quadratic(GKind.ZERO)
     x_star = np.array([1.0, -0.5])  # minimizer of both copies
@@ -246,49 +258,3 @@ def test_trace_off_by_default():
     assert res.trace is None
     assert res.status in ("Converged", "MaxIter")
     assert res.fevals > 0 and res.wall_time >= 0.0
-
-
-# ---------------------------------------------------------- estimator wrapper
-
-
-def test_estimator_params_roundtrip():
-    est = SAPGMSolver(sigma=1.5, eps=1e-4)
-    params = est.get_params()
-    assert params["sigma"] == 1.5 and params["eps"] == 1e-4
-    est.set_params(sigma=0.9)
-    assert est.get_params()["sigma"] == 0.9
-    with pytest.raises(InvalidParameterError):
-        est.set_params(not_a_param=1)
-
-
-def test_estimator_fit():
-    p = get_problem("JOS1")
-    est = SAPGMSolver().fit(p, sample_start(p, 1))
-    assert est.status_ == "Converged"
-    assert est.n_iter_ == est.result_.iterations
-    np.testing.assert_array_equal(est.x_, est.result_.final_x)
-
-
-@pytest.mark.parametrize("accelerated, run", [(True, solve), (False, solve_baseline)])
-def test_estimator_fit_matches_solve_under_the_same_config(accelerated, run):
-    p = get_problem("CR&MF2")
-    x0 = sample_start(p, 5)
-    params = dict(sigma=1.5, eps=1e-4, max_iter=300, L0=2.0, eta=3.0, record_trace=True)
-    est = SAPGMSolver(accelerated=accelerated, **params).fit(p, x0)
-    assert est.config == SolverConfig(**params)
-    ref = run(p, x0, SolverConfig(**params))
-    assert (est.n_iter_, est.status_, est.result_.fevals) == (ref.iterations, ref.status, ref.fevals)
-    np.testing.assert_array_equal(est.x_, ref.final_x)
-    np.testing.assert_array_equal(est.F_, ref.final_F)
-    assert [r.L for r in est.result_.trace] == [r.L for r in ref.trace]
-
-
-def test_estimator_rejects_invalid_values():
-    with pytest.raises(InvalidParameterError):
-        SAPGMSolver(sigma=2.5)
-    with pytest.raises(InvalidParameterError):
-        SAPGMSolver(not_a_param=1)
-    est = SAPGMSolver()
-    with pytest.raises(InvalidParameterError):
-        est.set_params(eta=1.0)
-    assert est.get_params() == SAPGMSolver().get_params()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import build_problem, grid_argmin_2d, subproblem_objective
 from sapgm.errors import InvalidInputError
 from sapgm.problems import GKind, eval_smooth, get_problem
-from sapgm.smoothing import Abs, Affine, Scale, Square, Sum
+from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum
 from sapgm.subproblem import (
     DEFAULT_MAX_INNER,
     DEFAULT_TOL,
@@ -14,11 +14,10 @@ from sapgm.subproblem import (
     _ascend,
     _build_core,
     _Core,
+    _core_from_evals,
     _g_value,
+    _kkt_from_core,
     _solve_core,
-    complementarity_violation,
-    dual_inner,
-    kkt_residual,
     project_simplex,
     prox_g,
     solve_subproblem,
@@ -58,7 +57,7 @@ def test_prox_soft_threshold():
     out = prox_g(np.array([0.3, -0.3]), 1.0, GKind.SCALED_L1, n=2)
     np.testing.assert_allclose(out, [0.0, 0.0])
     v = np.array([2.0, -1.5, 0.1])
-    np.testing.assert_array_equal(prox_g(v, 0.7, GKind.ZERO), v)
+    np.testing.assert_array_equal(prox_g(v, 0.7, GKind.ZERO, 3), v)
 
 
 def test_prox_is_argmin():
@@ -94,10 +93,10 @@ def test_project_simplex_minimal_distance():
         assert np.sum((p - w) ** 2) <= d_grid + 1e-12
 
 
-# ------------------------------------------------------------------ dual inner
+# ------------------------------------------------------------------ core inner step
 
 
-def test_dual_inner_degenerate_weight_is_gradient_step():
+def test_core_inner_degenerate_weight_is_gradient_step():
     # lambda concentrated on one objective with g = 0 reduces to a plain
     # gradient step on that objective
     p = quad_pair(GKind.ZERO)
@@ -105,11 +104,11 @@ def test_dual_inner_degenerate_weight_is_gradient_step():
     mu, ell = 0.5, 2.0
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
     _, grads = eval_smooth(p, y, mu)
-    z, _ = dual_inner(np.array([1.0, 0.0]), inp)
+    z, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))
     np.testing.assert_allclose(z, y - grads[0] / ell, atol=1e-12)
 
 
-def test_dual_inner_zero_gradients_fixed_point():
+def test_core_inner_zero_gradients_fixed_point():
     flat = build_problem(
         "flat",
         [Affine([0.0, 0.0], 1.0), Affine([0.0, 0.0], 2.0)],
@@ -119,17 +118,17 @@ def test_dual_inner_zero_gradients_fixed_point():
     )
     y = np.array([0.3, -0.8])
     inp = SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=1.0, problem=flat)
-    z, _ = dual_inner(np.array([0.5, 0.5]), inp)
+    z, _, _, _ = _build_core(inp).inner(np.array([0.5, 0.5]))
     np.testing.assert_array_equal(z, y)
 
 
-def test_dual_inner_matches_grid_oracle_on_jos1():
+def test_core_inner_matches_grid_oracle_on_jos1():
     p = get_problem("JOS1")
     y = np.array([1.0, 1.0])
     mu, ell = 1.0, 2.0
     lam = np.array([0.5, 0.5])
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
-    z, _ = dual_inner(lam, inp)
+    z, _, _, _ = _build_core(inp).inner(lam)
 
     _, grads = eval_smooth(p, y, mu)
     glam = grads.T @ lam
@@ -143,15 +142,21 @@ def test_dual_inner_matches_grid_oracle_on_jos1():
     assert np.max(np.abs(z - z_star)) <= 1e-3
 
 
-def test_dual_inner_rejects_off_simplex():
-    p = quad_pair()
-    y = np.zeros(2)
-    inp = SubproblemInput(x=y, y=y, mu=1.0, ell=1.0, problem=p)
-    with pytest.raises(InvalidInputError):
-        dual_inner(np.array([0.7, 0.7]), inp)
-
-
 # ------------------------------------------------------------------ full solver
+
+
+def test_nonfinite_jacobian_or_offsets_rejected_when_the_core_is_built():
+    steep = [Exp(Affine([50.0, 0.0])), Square(Affine([0.0, 1.0]))]
+    p = build_problem("steep_exp", steep, GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+    y = np.array([14.19, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match=r"14\.19"):
+        solve_subproblem(SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=1.0, problem=p))
+    # finite values whose difference overflows give an infinite offset
+    x, G = np.array([0.5, 0.0]), np.ones((2, 2))
+    evals_y, evals_x = (np.array([1e308, 0.0]), G), (np.array([-1e308, 0.0]), G)
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match=r"steep_exp: .* y = \[14\.19, 0\.0\]"):
+        _core_from_evals(p, x, y, evals_y, evals_x, 1.0)
+
 
 
 def test_identical_objectives_symmetric_lambda():
@@ -161,7 +166,7 @@ def test_identical_objectives_symmetric_lambda():
     sol = solve_subproblem(inp)
     assert sol.converged and sol.gap <= 1e-12
     np.testing.assert_allclose(sol.lam, [0.5, 0.5], atol=1e-6)
-    z_single, _ = dual_inner(np.array([1.0, 0.0]), inp)
+    z_single, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))
     np.testing.assert_allclose(sol.z, z_single, atol=1e-8)
 
 
@@ -232,7 +237,7 @@ def test_kkt_residual_small_at_solution():
         inp = random_instance(seed)
         sol = solve_subproblem(inp, tol=1e-10)
         assert sol.kkt_residual <= 1e-6
-        assert complementarity_violation(sol, inp) <= 1e-6
+        assert sol.complementarity <= 1e-6
 
 
 def test_kkt_residual_zero_gradient_instance():
@@ -244,16 +249,13 @@ def test_kkt_residual_zero_gradient_instance():
 
 
 def test_kkt_residual_scales_with_perturbation():
-    import dataclasses
-
     p = quad_pair(GKind.ZERO)
     y = np.array([0.4, 0.1])
     inp = SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=2.5, problem=p)
     sol = solve_subproblem(inp)
     z_pert = sol.z.copy()
     z_pert[0] += 0.1
-    pert = dataclasses.replace(sol, z=z_pert)
-    res = kkt_residual(pert, inp)
+    res = _kkt_from_core(_build_core(inp), z_pert, sol.lam)
     assert res == pytest.approx(inp.ell * 0.1, rel=0.05)
 
 
@@ -275,6 +277,16 @@ def test_inner_budget_exhaustion_flagged():
     assert flagged
 
 
+def test_complementarity_is_the_largest_weight_on_an_inactive_component():
+    # one ascent step leaves weight on the two brackets below the first
+    inp = triple_instance(GKind.SCALED_L1, [0.2, 0.1])
+    early = solve_subproblem(inp, tol=1e-16, max_inner=1)
+    _, comp, _, _ = _build_core(inp).inner(early.lam)
+    assert comp.argmax() == 0 and comp[0] - comp[1:].max() > 0.5
+    assert early.complementarity == early.lam[1:].max() > 0.3
+    assert solve_subproblem(inp).complementarity <= 1e-6
+
+
 # ------------------------------------------------------- m = 3: the ascent path
 
 
@@ -285,7 +297,7 @@ def test_three_objectives_match_grid_oracle(g_kind):
         sol = solve_subproblem(inp)
         assert sol.lam.size == 3 and sol.converged and sol.gap <= DEFAULT_TOL
         assert sol.kkt_residual <= 1e-6
-        assert complementarity_violation(sol, inp) <= 1e-6
+        assert sol.complementarity <= 1e-6
         phi = subproblem_objective(inp)
         _, grads = eval_smooth(inp.problem, inp.y, inp.mu)
         radius = (np.linalg.norm(grads, axis=1).max() + 1.0) / inp.ell + 0.1
