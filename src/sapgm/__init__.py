@@ -10,7 +10,6 @@ from .errors import (
 )
 from .metrics import FrontPoint, RateFit, fit_rate, merit_against_values, nondominated_filter
 from .problems import (
-    FevalCounter,
     GKind,
     ProblemSpec,
     eval_g,
@@ -60,7 +59,6 @@ __all__ = [
     "fit_rate",
     "merit_against_values",
     "nondominated_filter",
-    "FevalCounter",
     "GKind",
     "ProblemSpec",
     "eval_g",

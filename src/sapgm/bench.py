@@ -17,6 +17,7 @@ varies between executions.
 from __future__ import annotations
 
 import csv
+import html
 import json
 import logging
 import math
@@ -75,7 +76,13 @@ class BenchConfig:
         keys = list(self.problems)
         if len(keys) == 1 and str(keys[0]).lower() == "all":
             return [p.name for p in registry()]
-        return [get_problem(k).name for k in keys]
+        names = [get_problem(k).name for k in keys]
+        if not names:
+            raise InvalidParameterError("the problem list is empty")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise InvalidParameterError(f"problems listed more than once: {', '.join(repeated)}")
+        return names
 
     def solver_names(self) -> list[str]:
         return ["sapgm", "baseline"] if self.solver == "both" else [self.solver]
@@ -340,7 +347,7 @@ def emit_svg_scatter(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_SVG_W / 2}" y="24" text-anchor="middle" font-size="16">{html.escape(title)}</text>',
     ]
     if not pts:
         parts.append(
@@ -400,7 +407,7 @@ def emit_svg_scatter(
             )
         ly = 44 + 18 * idx
         parts.append(f'<rect x="{_SVG_W - 170}" y="{ly - 9}" width="12" height="12" fill="{color}"/>')
-        parts.append(f'<text x="{_SVG_W - 152}" y="{ly + 2}" font-size="12">{solver}</text>')
+        parts.append(f'<text x="{_SVG_W - 152}" y="{ly + 2}" font-size="12">{html.escape(solver)}</text>')
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
     return path

@@ -6,7 +6,8 @@ Subcommands:
 * ``bench rate``   merit-decay experiment for a list of sigma values
 * ``bench verify`` smoothing / subproblem property suites, printed report
 
-Exit codes: 0 success, 2 invalid configuration, 3 I/O failure.
+Exit codes: 0 success, 1 a ``bench verify`` check failed, 2 invalid
+configuration, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .solver import SolverConfig
 from .subproblem import SubproblemInput, solve_subproblem
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
@@ -141,7 +143,7 @@ def _cmd_verify(args) -> int:
     report("subproblem complementarity", worst_comp, 1e-6)
 
     print(f"{failures} failing checks" if failures else "all checks passed")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

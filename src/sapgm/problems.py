@@ -4,8 +4,8 @@ Six two-objective instances (BK1, CB3&LQ, CB3&MF1, CR&MF2, JOS1, SP1), each
 with two smooth(ed) components plus a shared nonsmooth term
 g(x) = (1/n) * ||x||_1.  Each objective is F_i(x) = f_i(x) + g(x).
 
-Problem specs are immutable and shareable; the function-evaluation tally is
-kept in a per-run `FevalCounter` owned by the caller, never on the spec.
+Problem specs are immutable and shareable; the solver counts function
+evaluations itself, so nothing is tallied on the spec.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .smoothing import (
 
 __all__ = [
     "GKind",
-    "FevalCounter",
     "ProblemSpec",
     "registry",
     "get_problem",
@@ -50,15 +49,6 @@ __all__ = [
 class GKind(enum.Enum):
     SCALED_L1 = "scaled_l1"  # g(x) = (1/n) ||x||_1
     ZERO = "zero"
-
-
-class FevalCounter:
-    """Per-run tally of smooth-part evaluations."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
 
 
 @dataclass(frozen=True)
@@ -129,13 +119,10 @@ def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
     return values
 
 
-def eval_smooth(
-    p: ProblemSpec, x: Sequence[float], mu: float, counter: FevalCounter | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def eval_smooth(p: ProblemSpec, x: Sequence[float], mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed components and their Jacobian at (x, mu); g is excluded.
 
-    Counts as one function evaluation on `counter`.  Raises InvalidInputError
-    when a component value overflows or is not finite.
+    Raises InvalidInputError when a component value overflows or is not finite.
     """
     x = _check_dim(p, np.asarray(x, float))
     if not mu > 0.0:
@@ -150,8 +137,6 @@ def eval_smooth(
         if not math.isfinite(v):
             raise _not_finite(p, x, i, f"is {v}")
         values[i] = v
-    if counter is not None:
-        counter.count += 1
     return values, jac
 
 

@@ -15,8 +15,10 @@ Per iteration k (starting at 0, with y_0 = x_0 and t_0 = 1):
    y_{k+1} = x_{k+1} + theta_{k+1} (x_{k+1} - x_k).
 
 The non-accelerated baseline runs the identical loop with theta forced to 0.
-A solve call owns all of its state; concurrent solves on a shared problem
-spec are safe.
+The run's state (x, y, t, mu, L and the feval tally, 2 + trials per
+iteration) lives in locals of one solve call, so concurrent solves on a
+shared problem spec are safe.  The boundedness diagnostic reads the accepted
+trial's f(x_{k+1}, mu_{k+1}), which backtrack_step already computed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
-from .problems import FevalCounter, ProblemSpec, eval_g, eval_smooth, eval_true
+from .problems import ProblemSpec, eval_g, eval_smooth, eval_true
 from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MAX_BACKTRACKS = 60
-_DIAG_EVERY = 16  # boundedness diagnostic cadence when not tracing
 # the boundedness diagnostic warns (only) once max_i F_i(x_k, mu_k) exceeds
 # _BOUND_FACTOR * max(|max_i F_i(x_0, mu_0)|, 1) + _BOUND_OFFSET
 _BOUND_FACTOR = 10.0
@@ -66,38 +67,19 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if not 0.0 < self.mu0 <= 1.0:
             raise InvalidParameterError("mu0 must lie in (0, 1]")
-        if self.L0 < 1.0:
-            raise InvalidParameterError("L0 must be >= 1")
-        if self.eta <= 1.0:
-            raise InvalidParameterError("eta must exceed 1")
+        if not 1.0 <= self.L0 < math.inf:
+            raise InvalidParameterError("L0 must be finite and >= 1")
+        if not 1.0 < self.eta < math.inf:
+            raise InvalidParameterError("eta must be finite and exceed 1")
         if not 0.0 < self.sigma < 2.0:
             raise InvalidParameterError("sigma must lie in (0, 2)")
-        if self.eps < 0.0:
+        if not self.eps >= 0.0:
             raise InvalidParameterError("eps must be nonnegative")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be >= 1")
-
-
-@dataclass
-class IterateState:
-    """Mutable working state of one run.
-
-    `mu` and `L` hold the values of the iteration being computed; `mu` is
-    already the decayed value mu_{k+1} when backtrack_step runs.
-    """
-
-    k: int
-    x_prev: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    t: float
-    theta: float
-    mu: float
-    L: float
-    fevals: int = 0
-    backtracks: int = 0
 
 
 @dataclass
@@ -140,34 +122,30 @@ def momentum_update(
 
 
 def backtrack_step(
-    state: IterateState,
-    p: ProblemSpec,
-    cfg: SolverConfig,
-    counter: FevalCounter | None = None,
-) -> tuple[np.ndarray, float, int]:
-    """Accept/inflate loop on the Lipschitz estimate at the extrapolation point.
+    p: ProblemSpec, x: np.ndarray, y: np.ndarray, mu: float, cfg: SolverConfig
+) -> tuple[np.ndarray, float, int, np.ndarray]:
+    """Accept/inflate loop on the Lipschitz estimate at the extrapolation point y.
 
-    Uses state.x, state.y and state.mu (already decayed for this iteration);
-    returns the accepted candidate, the accepted L and the trial count.
+    `mu` is already decayed for this iteration.  Returns the accepted
+    candidate z, the accepted L, the trial count and f(z, mu); the step
+    spends 2 + trials smooth evaluations.
     """
-    x, y, mu = state.x, state.y, state.mu
-    evals_y = eval_smooth(p, y, mu, counter)
+    evals_y = eval_smooth(p, y, mu)
     L_trial = cfg.L0
-    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, counter), L_trial / mu)
+    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu), L_trial / mu)
     vals_y, grads_y = evals_y
     m = grads_y.shape[0]
     lam0 = np.full(m, 1.0 / m)
     for trial in range(1, MAX_BACKTRACKS + 2):
         z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
-        vals_z, _ = eval_smooth(p, z, mu, counter)
+        vals_z, _ = eval_smooth(p, z, mu)
         d = z - core.y
         ss = float(d @ d)
         gaps = vals_z - vals_y - grads_y @ d
         rhs = 0.5 * core.ell * ss
         slack = 1e-9 * max(1.0, rhs) + 1e-12
         if float(gaps.max()) <= rhs + slack:
-            state.backtracks += trial - 1
-            return z, L_trial, trial
+            return z, L_trial, trial, vals_z
         L_trial *= cfg.eta
         core.ell = L_trial / mu
     raise DivergingLipschitzError(
@@ -176,72 +154,55 @@ def backtrack_step(
     )
 
 
-def _smooth_max(p: ProblemSpec, x: np.ndarray, mu: float) -> float:
-    vals, _ = eval_smooth(p, x, mu)
-    return float(vals.max()) + eval_g(p, x)
-
-
 def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -> RunResult:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (p.n,):
         raise InvalidInputError(f"start point must have dimension {p.n}")
     if not np.isfinite(x0).all():
         raise InvalidInputError(f"start point must be finite, got {x0}")
-    counter = FevalCounter()
-    state = IterateState(
-        k=0, x_prev=x0.copy(), x=x0.copy(), y=x0.copy(), t=1.0, theta=0.0, mu=cfg.mu0, L=cfg.L0
-    )
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
-    bound_ref = _smooth_max(p, x0, cfg.mu0)
+    vals0, _ = eval_smooth(p, x0, cfg.mu0)  # sets the bound; not counted as a feval
+    bound_ref = float(vals0.max()) + eval_g(p, x0)
     bound_limit = _BOUND_FACTOR * max(abs(bound_ref), 1.0) + _BOUND_OFFSET
     warned = False
 
+    x, y, t, mu, L = x0, x0, 1.0, cfg.mu0, cfg.L0
+    fevals = 0
     start = time.perf_counter()
     status = "MaxIter"
     iterations = cfg.max_iter
     for k in range(cfg.max_iter):
-        state.k = k
-        mu_prev, L_prev = state.mu, state.L
-        state.mu = mu_schedule(k, cfg.mu0, cfg.sigma)
-        x_next, L_next, _trials = backtrack_step(state, p, cfg, counter)
-        state.L = L_next
-        step = float(np.linalg.norm(state.x - x_next))
+        mu_next = mu_schedule(k, cfg.mu0, cfg.sigma)
+        x_next, L_next, trials, vals_next = backtrack_step(p, x, y, mu_next, cfg)
+        fevals += 2 + trials
+        step = float(np.linalg.norm(x - x_next))
 
-        t_next, theta_next = momentum_update(state.t, mu_prev, state.mu, L_prev, L_next)
+        t_next, theta_next = momentum_update(t, mu, mu_next, L, L_next)
         if not accelerated:
             theta_next = 0.0
 
-        if cfg.record_trace or (not warned and k % _DIAG_EVERY == 0):
-            smooth_max = _smooth_max(p, x_next, state.mu)
-            if smooth_max > bound_limit and not warned:
-                logger.warning(
-                    "%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d",
-                    p.name,
-                    smooth_max,
-                    bound_limit,
-                    k,
-                )
-                warned = True
-        else:
-            smooth_max = math.nan
-
-        if cfg.record_trace:
-            trace.append(
-                TraceRecord(k, x_next.copy(), state.mu, L_next, t_next, theta_next, step, smooth_max)
+        smooth_max = float(vals_next.max()) + eval_g(p, x_next)
+        if smooth_max > bound_limit and not warned:
+            logger.warning(
+                "%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d",
+                p.name,
+                smooth_max,
+                bound_limit,
+                k,
             )
+            warned = True
+        if trace is not None:
+            trace.append(TraceRecord(k, x_next.copy(), mu_next, L_next, t_next, theta_next, step, smooth_max))
 
-        done = step < cfg.eps and state.mu < cfg.eps
-        state.y = x_next + theta_next * (x_next - state.x)
-        state.x_prev, state.x = state.x, x_next
-        state.t, state.theta = t_next, theta_next
-        if done:
+        y = x_next + theta_next * (x_next - x)
+        x, t, mu, L = x_next, t_next, mu_next, L_next
+        if step < cfg.eps and mu < cfg.eps:
             status = "Converged"
             iterations = k + 1
             break
 
     wall = time.perf_counter() - start
-    state.fevals = counter.count
-    return RunResult(state.x, eval_true(p, state.x), iterations, counter.count, wall, status, trace)
+    return RunResult(x, eval_true(p, x), iterations, fevals, wall, status, trace)
 
 
 def solve(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig | None = None) -> RunResult:

@@ -132,6 +132,22 @@ def test_svg_legend_and_marker_bounds(tmp_path):
         assert 0.0 <= float(m.get("cy")) <= h
 
 
+def test_svg_escapes_the_title_and_the_solver_labels(tmp_path):
+    # problem names such as CB3&LQ carry XML markup characters
+    p = get_problem("CB3&LQ")
+    rng = np.random.default_rng(0)
+    fronts = {name: [_fp(p, rng.uniform(p.lower, p.upper))] for name in ("sapgm", "<a&b>")}
+    path = tmp_path / "amp.svg"
+    emit_svg_scatter(fronts, path, title="CB3&LQ")
+    marks, root = _markers(path)
+    labels = [t.text for t in root.findall(".//s:text", {"s": "http://www.w3.org/2000/svg"})]
+    assert labels[0] == "CB3&LQ" and "<a&b>" in labels
+    assert len(marks) == 2
+    empty = tmp_path / "amp_empty.svg"
+    emit_svg_scatter({"sapgm": []}, empty, title="CB3&LQ")
+    assert ET.parse(empty).getroot().find("{http://www.w3.org/2000/svg}text").text == "CB3&LQ"
+
+
 def test_svg_empty_front(tmp_path):
     path = tmp_path / "empty.svg"
     emit_svg_scatter({"sapgm": []}, path, title="none")
@@ -168,6 +184,14 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--problems", "NOPE", "--runs", "1", "--out", str(tmp_path / "x")]) == 2
     assert main(["run", "--problems", "JOS1", "--runs", "0", "--out", str(tmp_path / "y")]) == 2
     assert main(["rate", "--problem", "JOS1", "--sigmas", "2.5", "--out", str(tmp_path / "z")]) == 2
+    # an empty problem list, and a problem named twice by any spelling
+    for problems in ("", ",", "JOS1,jos1", "5,JOS1"):
+        out = tmp_path / f"p{len(problems)}"
+        assert main(["run", "--problems", problems, "--runs", "1", "--out", str(out)]) == 2
+        assert not (out / "runs.csv").exists()
+    # NaN solver parameters are invalid configurations
+    for flag in ("--eps", "--L0", "--eta"):
+        assert main(["run", "--problems", "JOS1", "--runs", "1", flag, "nan", "--out", str(tmp_path / "n")]) == 2
     assert (
         main(["run", "--problems", "JOS1", "--runs", "1", "--out", "/proc/definitely/not/writable"])
         == 3

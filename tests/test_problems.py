@@ -6,7 +6,6 @@ import pytest
 from conftest import build_problem
 from sapgm.errors import InvalidInputError
 from sapgm.problems import (
-    FevalCounter,
     GKind,
     eval_g,
     eval_smooth,
@@ -109,14 +108,6 @@ def test_eval_g_values():
         [1.0, 1.0],
     )
     assert eval_g(zp, [3.0, -1.0]) == 0.0
-
-
-def test_feval_counter_increments_once_per_call():
-    p = get_problem("BK1")
-    c = FevalCounter()
-    for i in range(5):
-        eval_smooth(p, [1.0, 1.0], 0.5, counter=c)
-        assert c.count == i + 1
 
 
 def test_dimension_mismatch_rejected():

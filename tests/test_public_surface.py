@@ -16,7 +16,7 @@ SURFACE = {
     # metrics
     "FrontPoint", "RateFit", "fit_rate", "merit_against_values", "nondominated_filter",
     # problems
-    "FevalCounter", "GKind", "ProblemSpec", "eval_g", "eval_smooth", "eval_true", "get_problem", "registry",
+    "GKind", "ProblemSpec", "eval_g", "eval_smooth", "eval_true", "get_problem", "registry",
     "sample_start",
     # smoothing
     "SmoothingConstants", "SmoothSurrogate", "compose_surrogate", "smooth_abs", "smooth_max2", "smooth_max_list",
@@ -41,7 +41,6 @@ MODULE_ONLY = {
 UNEXPORTED = {
     "sapgm.bench": {"merit_series_for_run", "reference_front", "slugify", "summarize"},
     "sapgm.smoothing": {"Expr"},
-    "sapgm.solver": {"IterateState"},  # backtrack_step takes it
 }
 
 

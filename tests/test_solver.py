@@ -5,10 +5,9 @@ import pytest
 
 from conftest import build_problem
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
-from sapgm.problems import GKind, eval_smooth, get_problem, sample_start
+from sapgm.problems import GKind, eval_smooth, get_problem, registry, sample_start
 from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
 from sapgm.solver import (
-    IterateState,
     SolverConfig,
     backtrack_step,
     momentum_update,
@@ -90,18 +89,10 @@ def test_momentum_chain_properties(sigma):
 # --------------------------------------------------------------- backtracking
 
 
-def _fresh_state(p, x0, mu, L):
-    x0 = np.asarray(x0, float)
-    return IterateState(
-        k=0, x_prev=x0.copy(), x=x0.copy(), y=x0.copy(), t=1.0, theta=0.0, mu=mu, L=L,
-        fevals=0, backtracks=0,
-    )
-
-
 def test_backtrack_accepts_first_trial_when_ell_covers_hessian():
     p = duplicated_quadratic(hessian_scale=0.5)  # Hessian norm 1
-    st = _fresh_state(p, [1.5, -0.5], mu=1.0, L=1.0)
-    _, L_acc, trials = backtrack_step(st, p, SolverConfig())
+    x0 = np.array([1.5, -0.5])
+    _, L_acc, trials, _ = backtrack_step(p, x0, x0, 1.0, SolverConfig())
     assert trials == 1 and L_acc == 1.0
 
 
@@ -109,8 +100,8 @@ def test_backtrack_inflation_count_on_stiff_quadratic():
     # Hessian norm 8 with ell starting at 1 and eta = 2: 1 -> 2 -> 4 -> 8,
     # accepted on the fourth trial
     p = duplicated_quadratic(hessian_scale=4.0)
-    st = _fresh_state(p, [1.5, -0.5], mu=1.0, L=1.0)
-    _, L_acc, trials = backtrack_step(st, p, SolverConfig())
+    x0 = np.array([1.5, -0.5])
+    _, L_acc, trials, _ = backtrack_step(p, x0, x0, 1.0, SolverConfig())
     assert trials == 4 and L_acc == 8.0
 
 
@@ -120,13 +111,14 @@ def test_backtrack_postcondition_replay():
     for seed in range(5):
         x0 = sample_start(p, seed)
         mu = mu_schedule(0, cfg.mu0, cfg.sigma)
-        st = _fresh_state(p, x0, mu=mu, L=cfg.L0)
-        x_next, L_acc, _ = backtrack_step(st, p, cfg)
+        x_next, L_acc, _, vals_next = backtrack_step(p, x0, x0, mu, cfg)
         ell = L_acc / mu
-        vals_y, grads_y = eval_smooth(p, st.y, mu)
+        vals_y, grads_y = eval_smooth(p, x0, mu)
         vals_x, _ = eval_smooth(p, x_next, mu)
-        lhs = np.max(vals_x - vals_y - grads_y @ (x_next - st.y))
-        rhs = 0.5 * ell * float(np.sum((x_next - st.y) ** 2))
+        # the returned values are f(x_next, mu), bit for bit
+        np.testing.assert_array_equal(vals_next, vals_x)
+        lhs = np.max(vals_x - vals_y - grads_y @ (x_next - x0))
+        rhs = 0.5 * ell * float(np.sum((x_next - x0) ** 2))
         assert lhs <= rhs + 1e-9 * max(1.0, rhs) + 1e-12
 
 
@@ -135,9 +127,9 @@ def test_backtrack_diverging_lipschitz_guard():
     # 60 doublings of L0
     steep = Exp(Affine([50.0, 0.0]))
     p = build_problem("steep", [steep, steep], GKind.ZERO, [-2.0, -2.0], [2.0, 2.0], cert_pad=0.0)
-    st = _fresh_state(p, [1.0, 0.0], mu=1.0, L=1.0)
+    x0 = np.array([1.0, 0.0])
     with pytest.raises(DivergingLipschitzError):
-        backtrack_step(st, p, SolverConfig())
+        backtrack_step(p, x0, x0, 1.0, SolverConfig())
 
 
 # --------------------------------------------------------------------- solve
@@ -152,6 +144,14 @@ def test_config_validation():
         dict(eta=1.0),
         dict(L0=0.5),
         dict(max_iter=0),
+        # NaN and inf fail the checks instead of slipping past them
+        dict(mu0=math.nan),
+        dict(sigma=math.nan),
+        dict(eps=math.nan),
+        dict(L0=math.nan),
+        dict(L0=math.inf),
+        dict(eta=math.nan),
+        dict(eta=math.inf),
     ):
         with pytest.raises(InvalidParameterError):
             SolverConfig(**bad)
@@ -188,6 +188,44 @@ def test_nonfinite_jacobian_raises_the_typed_error_at_its_point():
         for run in (solve, solve_baseline):
             with pytest.raises(InvalidInputError, match=r"steep_exp: Jacobian .* y = \[14\.19, 0\.0\]"):
                 run(p, x0)
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_fevals_count_every_smooth_evaluation_but_the_bound(record_trace, monkeypatch):
+    # one uncounted evaluation at x0 sets the boundedness bound; every other
+    # eval_smooth call of a run is one feval
+    import sapgm.solver
+
+    calls = 0
+    inner = sapgm.solver.eval_smooth
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
+    cfg = SolverConfig(record_trace=record_trace)
+    for p in registry():
+        for run in (solve, solve_baseline):
+            for seed in range(3):
+                calls = 0
+                res = run(p, sample_start(p, seed), cfg)
+                assert calls == res.fevals + 1, (p.name, run.__name__, seed)
+
+
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_boundedness_warning_fires_once_from_the_accepted_values(record_trace, monkeypatch, caplog):
+    import sapgm.solver
+
+    monkeypatch.setattr(sapgm.solver, "_BOUND_OFFSET", -1e300)  # every iterate breaches the bound
+    p = get_problem("CB3&LQ")
+    with caplog.at_level("WARNING", logger="sapgm.solver"):
+        res = solve(p, sample_start(p, 0), SolverConfig(record_trace=record_trace))
+    (rec,) = caplog.records
+    assert rec.getMessage().endswith("exceeded boundedness diagnostic -1e+300 at k=0")
+    if record_trace:
+        assert rec.getMessage().startswith(f"CB3&LQ: smoothed objective {res.trace[0].smooth_max:.3g} ")
 
 
 def test_fixed_point_start_converges_at_mu_gate():
