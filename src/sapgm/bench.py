@@ -21,7 +21,6 @@ import html
 import json
 import logging
 import math
-import multiprocessing
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,7 +46,7 @@ logger = logging.getLogger(__name__)
 SOLVER_COLORS = {"sapgm": "#d62728", "baseline": "#1f77b4"}
 
 # the solver parameters the protocol pins: the manifest records them and
-# `bench run` / `bench rate` take one flag each
+# `bench run` takes one flag each
 PROTOCOL_PARAMS = ("mu0", "L0", "eta", "sigma", "eps", "max_iter")
 
 
@@ -151,6 +150,8 @@ def run_benchmark(cfg: BenchConfig) -> Path:
         for i in range(cfg.runs)
     ]
     if cfg.parallel > 1:
+        import multiprocessing  # only the pool needs it; it adds to every `import sapgm`
+
         with multiprocessing.Pool(cfg.parallel) as pool:
             rows = list(pool.imap_unordered(_execute_star, tasks, chunksize=8))
     else:

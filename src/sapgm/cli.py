@@ -36,17 +36,21 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# the solver flags of `bench rate`: run_rate_experiment sets sigma, eps and
+# max_iter of each series itself
+RATE_PARAMS = ("mu0", "L0", "eta")
 
-def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
+
+def _add_solver_flags(sp: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     defaults = SolverConfig()
-    for name in PROTOCOL_PARAMS:
+    for name in names:
         value = getattr(defaults, name)
         sp.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     sp.add_argument("--out", default="results")
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(**{name: getattr(args, name) for name in PROTOCOL_PARAMS})
+def _solver_config(args, names: tuple[str, ...]) -> SolverConfig:
+    return SolverConfig(**{name: getattr(args, name) for name in names})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,13 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--solver", choices=["sapgm", "baseline", "both"], default="both")
     run.add_argument("--parallel", type=int, default=1)
-    _add_solver_flags(run)
+    _add_solver_flags(run, PROTOCOL_PARAMS)
 
     rate = sub.add_parser("rate", help="merit decay vs sigma")
     rate.add_argument("--problem", required=True)
     rate.add_argument("--sigmas", default="0.5,1.0,1.5", help="comma list in (0, 2)")
     rate.add_argument("--seed", type=int, default=42)
-    _add_solver_flags(rate)
+    _add_solver_flags(rate, RATE_PARAMS)
 
     ver = sub.add_parser("verify", help="smoothing and subproblem property report")
     ver.add_argument("--samples", type=int, default=1000)
@@ -74,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    problems = [s for s in args.problems.split(",") if s]
+    problems = [s.strip() for s in args.problems.split(",") if s.strip()]
     cfg = BenchConfig(
         problems=problems,
         runs=args.runs,
         base_seed=args.seed,
         solver=args.solver,
-        params=_solver_config(args),
+        params=_solver_config(args, PROTOCOL_PARAMS),
         out_dir=args.out,
         parallel=args.parallel,
     )
@@ -91,7 +95,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_rate(args) -> int:
     sigmas = [float(s) for s in args.sigmas.split(",") if s]
-    cfg = BenchConfig(problems=[args.problem], base_seed=args.seed, params=_solver_config(args), out_dir=args.out)
+    cfg = BenchConfig(problems=[args.problem], base_seed=args.seed, params=_solver_config(args, RATE_PARAMS), out_dir=args.out)
     out = run_rate_experiment(args.problem, sigmas, cfg)
     print(f"rate artifacts written to {out}")
     return EXIT_OK

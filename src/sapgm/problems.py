@@ -119,25 +119,29 @@ def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
     return values
 
 
-def eval_smooth(p: ProblemSpec, x: Sequence[float], mu: float) -> tuple[np.ndarray, np.ndarray]:
+def eval_smooth(
+    p: ProblemSpec, x: Sequence[float], mu: float, jac: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Smoothed components and their Jacobian at (x, mu); g is excluded.
 
-    Raises InvalidInputError when a component value overflows or is not finite.
+    With ``jac`` false the Jacobian is not formed and None is returned in its
+    place; the values are the same.  Raises InvalidInputError when a
+    component value overflows or is not finite.
     """
-    x = _check_dim(p, np.asarray(x, float))
+    x = _check_dim(p, x)
     if not mu > 0.0:
         raise InvalidParameterError(f"mu must be positive, got {mu}")
-    values = np.empty(p.m)
-    jac = np.empty((p.m, p.n))
+    values, rows = [], []
     for i, s in enumerate(p.smooth_parts):
         try:
-            v, jac[i] = s.eval(x, mu)
+            v, g = s.eval(x, mu, jac)
         except OverflowError as e:
             raise _not_finite(p, x, i, "overflows") from e
         if not math.isfinite(v):
             raise _not_finite(p, x, i, f"is {v}")
-        values[i] = v
-    return values, jac
+        values.append(v)
+        rows.append(g)
+    return np.array(values), np.array(rows) if jac else None
 
 
 def sample_start(p: ProblemSpec, seed: int) -> np.ndarray:

@@ -16,11 +16,16 @@ Concrete forms (Chen-style smoothings):
 * ``max(v_j)``   -> ``mu * log(sum_j exp(v_j / mu))``       (kappa = log k)
 
 ``mu = 0`` is the exact case: each atom returns the nonsmooth value itself
-and a subgradient, so ``value_grad(x, 0.0)`` of a tree is its exact value.
+and a subgradient, so a tree evaluated at ``mu = 0`` gives its exact value.
 
 Surrogates are built by composing immutable expression nodes; the constants
-of a composite are conservative sums over the tree.  Nodes are stateless and
-safe to evaluate concurrently.
+of a composite are conservative sums over the tree.  ``compose_surrogate``
+compiles each tree once into a straight-line kernel over floats: the Affine
+leaves become one matrix W and offset vector c, every other node one line of
+generated code that calls its atom's scalar rule.  A forward pass gives the
+value and a reverse pass the leaf adjoints s, so the gradient is s @ W and is
+formed only when asked for.  ``mu = 0`` runs the same kernel.  Nodes and
+kernels are stateless and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -106,24 +111,26 @@ def smooth_max2(a: float, b: float, mu: float) -> tuple[float, float, float]:
     return 0.5 * (a + b), 0.5, 0.5  # a tie, or a nan that must not be dropped
 
 
-def smooth_max_list(values: Sequence[float], mu: float) -> tuple[float, np.ndarray]:
+def smooth_max_list(values: Sequence[float], mu: float) -> tuple[float, list[float]]:
     """Log-sum-exp smoothing of max(values) with softmax weights.
 
     The max is subtracted before exponentiating so large inputs cannot
     overflow.  kappa = log(len(values)).  At mu = 0: max(values) with equal
-    weights on the values that attain it.
+    weights on the values that attain it; a nan value makes the result nan.
     """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
+    if len(values) == 0:
         raise InvalidInputError("smooth_max_list needs a nonempty list")
-    top = float(v.max())
+    top = max(values)
     if mu > 0.0:
-        e = np.exp((v - top) / mu)
-        s = float(e.sum())
-        return top + mu * math.log(s), e / s
+        e = [math.exp((v - top) / mu) for v in values]
+        s = sum(e)
+        return top + mu * math.log(s), [ei / s for ei in e]
     _check_exact(mu)
-    e = (v == top).astype(float)
-    return top, e / e.sum()
+    if any(v != v for v in values):  # max() may have skipped a nan
+        return math.nan, [math.nan] * len(values)
+    hits = [1.0 if v == top else 0.0 for v in values]
+    k = sum(hits)
+    return top, [h / k for h in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +152,18 @@ class _BoxStats:
 
 
 class Expr:
-    """Scalar-valued expression node over R^n; ``value_grad`` is exact at mu = 0."""
+    """Scalar-valued expression node over R^n.
+
+    ``code(v, a, args, bind)`` is the node's scalar rule as generated code:
+    the statement that sets slot ``v`` from the child slots ``args`` (and
+    ``mu``), and for each child the expression of its adjoint given this
+    node's adjoint ``a``.  ``bind(value)`` names a constant.  Atoms are exact
+    at mu = 0.
+    """
 
     kappa: float = 0.0
 
-    def value_grad(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+    def code(self, v: str, a: str, args: list[str], bind) -> tuple[str, list[str]]:
         raise NotImplementedError
 
     def box_stats(self, lo: np.ndarray, hi: np.ndarray) -> _BoxStats:
@@ -162,9 +176,6 @@ class Affine(Expr):
     def __init__(self, w: Sequence[float], c: float = 0.0):
         self.w = np.asarray(w, dtype=float)
         self.c = float(c)
-
-    def value_grad(self, x, mu):
-        return float(self.w @ x) + self.c, self.w
 
     def box_stats(self, lo, hi):
         vmin = self.c + float(np.minimum(self.w * lo, self.w * hi).sum())
@@ -183,9 +194,9 @@ class _Unary(Expr):
 class Square(_Unary):
     """child^2"""
 
-    def value_grad(self, x, mu):
-        u, gu = self.child.value_grad(x, mu)
-        return u * u, (2.0 * u) * gu
+    def code(self, v, a, args, bind):
+        (u,) = args
+        return f"{v} = {u} * {u}", [f"(2.0 * {u}) * {a}"]
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -199,9 +210,9 @@ class Square(_Unary):
 class Quartic(_Unary):
     """child^4"""
 
-    def value_grad(self, x, mu):
-        u, gu = self.child.value_grad(x, mu)
-        return u**4, (4.0 * u**3) * gu
+    def code(self, v, a, args, bind):
+        (u,) = args
+        return f"{v} = {u} ** 4", [f"(4.0 * {u} ** 3) * {a}"]
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -218,10 +229,9 @@ class Quartic(_Unary):
 class Exp(_Unary):
     """exp(child)"""
 
-    def value_grad(self, x, mu):
-        u, gu = self.child.value_grad(x, mu)
-        e = math.exp(u)
-        return e, e * gu
+    def code(self, v, a, args, bind):
+        (u,) = args
+        return f"{v} = exp({u})", [f"{v} * {a}"]
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -237,9 +247,10 @@ class Scale(Expr):
         self.child = child
         self.kappa = abs(self.c) * child.kappa
 
-    def value_grad(self, x, mu):
-        u, gu = self.child.value_grad(x, mu)
-        return self.c * u, self.c * gu
+    def code(self, v, a, args, bind):
+        (u,) = args
+        c = bind(self.c)
+        return f"{v} = {c} * {u}", [f"{c} * {a}"]
 
     def box_stats(self, lo, hi):
         s = self.child.box_stats(lo, hi)
@@ -256,14 +267,8 @@ class Sum(Expr):
         self.children = tuple(children)
         self.kappa = sum(c.kappa for c in self.children)
 
-    def value_grad(self, x, mu):
-        v = 0.0
-        g = np.zeros(x.size)
-        for c in self.children:
-            u, gu = c.value_grad(x, mu)
-            v += u
-            g += gu
-        return v, g
+    def code(self, v, a, args, bind):
+        return f"{v} = {' + '.join(args)}", [a] * len(args)
 
     def box_stats(self, lo, hi):
         stats = [c.box_stats(lo, hi) for c in self.children]
@@ -280,10 +285,9 @@ class Abs(_Unary):
 
     own_kappa = 1.0
 
-    def value_grad(self, x, mu):
-        u, gu = self.child.value_grad(x, mu)
-        v, d = smooth_abs(u, mu)
-        return v, d * gu
+    def code(self, v, a, args, bind):
+        (u,) = args
+        return f"{v}, {v}d = smooth_abs({u}, mu)", [f"{v}d * {a}"]
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -298,10 +302,9 @@ class Plus(_Unary):
 
     own_kappa = 1.0
 
-    def value_grad(self, x, mu):
-        u, gu = self.child.value_grad(x, mu)
-        v, d = smooth_plus(u, mu)
-        return v, d * gu
+    def code(self, v, a, args, bind):
+        (u,) = args
+        return f"{v}, {v}d = smooth_plus({u}, mu)", [f"{v}d * {a}"]
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -318,11 +321,9 @@ class Max2(Expr):
         self.b = b
         self.kappa = 1.0 + a.kappa + b.kappa
 
-    def value_grad(self, x, mu):
-        ua, ga = self.a.value_grad(x, mu)
-        ub, gb = self.b.value_grad(x, mu)
-        v, da, db = smooth_max2(ua, ub, mu)
-        return v, da * ga + db * gb
+    def code(self, v, a, args, bind):
+        ua, ub = args
+        return f"{v}, {v}a, {v}b = smooth_max2({ua}, {ub}, mu)", [f"{v}a * {a}", f"{v}b * {a}"]
 
     def box_stats(self, lo, hi):
         sa = self.a.box_stats(lo, hi)
@@ -344,13 +345,10 @@ class MaxList(Expr):
         self.children = tuple(children)
         self.kappa = math.log(len(self.children)) + sum(c.kappa for c in self.children)
 
-    def value_grad(self, x, mu):
-        vals, grads = zip(*[c.value_grad(x, mu) for c in self.children])
-        v, w = smooth_max_list(vals, mu)
-        g = w[0] * grads[0]
-        for wj, gj in zip(w[1:], grads[1:]):
-            g = g + wj * gj
-        return v, g
+    def code(self, v, a, args, bind):
+        return f"{v}, {v}w = smooth_max_list([{', '.join(args)}], mu)", [
+            f"{v}w[{j}] * {a}" for j in range(len(args))
+        ]
 
     def box_stats(self, lo, hi):
         stats = [c.box_stats(lo, hi) for c in self.children]
@@ -366,14 +364,81 @@ class MaxList(Expr):
 _SUPPORTED = (Affine, Square, Quartic, Exp, Scale, Sum, Abs, Plus, Max2, MaxList)
 
 
+def _children(expr: Expr) -> list[Expr]:
+    kids = [getattr(expr, attr, None) for attr in ("child", "a", "b")]
+    return [k for k in kids if isinstance(k, Expr)] + list(getattr(expr, "children", ()))
+
+
 def _walk(expr: Expr):
     yield expr
-    for attr in ("child", "a", "b"):
-        node = getattr(expr, attr, None)
-        if isinstance(node, Expr):
-            yield from _walk(node)
-    for node in getattr(expr, "children", ()):
+    for node in _children(expr):
         yield from _walk(node)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernel
+# ---------------------------------------------------------------------------
+
+# the functions generated code calls; the rest of its names are slots, mu and
+# the constants _compile binds
+_KERNEL_GLOBALS = {
+    "exp": math.exp,
+    "smooth_abs": smooth_abs,
+    "smooth_plus": smooth_plus,
+    "smooth_max2": smooth_max2,
+    "smooth_max_list": smooth_max_list,
+}
+
+
+def _compile(expr: Expr):
+    """Compile a tree into (W, c, value, value_adjoints).
+
+    The Affine leaves, in walk order, give the rows of W and the entries of
+    c, so ``u = W @ x + c`` holds the leaf values.  ``value(u, mu)`` runs the
+    forward pass; ``value_adjoints(u, mu)`` also runs the reverse pass and
+    returns the adjoint s_j of every leaf, so the gradient is s @ W.  Each
+    position in the tree gets its own slots, so each node has one parent and
+    the reverse pass only assigns.
+    """
+    rows: list[np.ndarray] = []
+    offsets: list[float] = []
+    consts: dict[str, float] = {}
+    forward: list[str] = []
+    blocks: list[list[str]] = []  # per node, in forward order: its children's adjoints
+
+    def bind(value: float) -> str:
+        name = f"k{len(consts)}"
+        consts[name] = value
+        return name
+
+    def visit(node: Expr) -> tuple[str, str]:
+        """Emit the node after its children; return its value and adjoint slots."""
+        if isinstance(node, Affine):
+            j = len(rows)
+            rows.append(node.w)
+            offsets.append(node.c)
+            return f"u{j}", f"s{j}"
+        kids = [visit(child) for child in _children(node)]
+        v, a = f"v{len(forward)}", f"a{len(forward)}"
+        line, adjoints = node.code(v, a, [kv for kv, _ in kids], bind)
+        forward.append(line)
+        blocks.append([f"{ka} = {e}" for (_, ka), e in zip(kids, adjoints)])
+        return v, a
+
+    root_v, root_a = visit(expr)
+    head = "".join(f"u{j}, " for j in range(len(rows))) + "= u"
+    body = [head] + forward
+    reverse = [f"{root_a} = 1.0"] + [line for block in reversed(blocks) for line in block]
+    leaf_adjoints = ", ".join(f"s{j}" for j in range(len(rows)))
+    src = "\n".join(
+        ["def value(u, mu):"]
+        + [f"    {line}" for line in body + [f"return {root_v}"]]
+        + ["def value_adjoints(u, mu):"]
+        + [f"    {line}" for line in body + reverse + [f"return {root_v}, [{leaf_adjoints}]"]]
+    )
+    ns = {**_KERNEL_GLOBALS, **consts}
+    exec(compile(src, "<sapgm kernel>", "exec"), ns)
+    return np.array(rows), np.array(offsets), ns["value"], ns["value_adjoints"]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +459,10 @@ class SmoothingConstants:
 
 
 class SmoothSurrogate:
-    """A scalar objective component over R^n; ``true_eval`` is its recursion at mu = 0."""
+    """A scalar objective component over R^n, run through the tree's compiled kernel.
+
+    ``true_eval`` is the kernel at mu = 0.
+    """
 
     def __init__(self, expr: Expr, box: tuple[np.ndarray, np.ndarray]):
         self.expr = expr
@@ -408,14 +476,24 @@ class SmoothSurrogate:
             raise InvalidInputError(f"{where} gives the Lipschitz factor {stats.curv}")
         self.constants = SmoothingConstants(expr.kappa, max(stats.curv, 1e-12))
         self.n = lo.size
+        self._W, self._c, self._value, self._value_adjoints = _compile(expr)
 
-    def eval(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+    def eval(self, x: np.ndarray, mu: float, jac: bool = True) -> tuple[float, np.ndarray | None]:
+        """Value and gradient at (x, mu); the gradient is None when ``jac`` is false."""
         if not mu > 0.0:
             raise InvalidParameterError(f"smoothing parameter mu must be positive, got {mu}")
-        return self.expr.value_grad(np.asarray(x, float), mu)
+        u = self._leaves(x)
+        if not jac:
+            return self._value(u, mu), None
+        v, s = self._value_adjoints(u, mu)
+        return v, np.array(s).dot(self._W)  # s @ W; .dot costs less than @ at this size
 
     def true_eval(self, x: np.ndarray) -> float:
-        return self.expr.value_grad(np.asarray(x, float), 0.0)[0]
+        return self._value(self._leaves(x), 0.0)
+
+    def _leaves(self, x) -> list[float]:
+        """The Affine leaf values W x + c."""
+        return (self._W.dot(x) + self._c).tolist()
 
 
 def compose_surrogate(

@@ -128,17 +128,18 @@ def backtrack_step(
 
     `mu` is already decayed for this iteration.  Returns the accepted
     candidate z, the accepted L, the trial count and f(z, mu); the step
-    spends 2 + trials smooth evaluations.
+    spends 2 + trials smooth evaluations, and only the one at y forms a
+    Jacobian.
     """
     evals_y = eval_smooth(p, y, mu)
     L_trial = cfg.L0
-    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu), L_trial / mu)
+    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L_trial / mu)
     vals_y, grads_y = evals_y
     m = grads_y.shape[0]
     lam0 = np.full(m, 1.0 / m)
     for trial in range(1, MAX_BACKTRACKS + 2):
         z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
-        vals_z, _ = eval_smooth(p, z, mu)
+        vals_z, _ = eval_smooth(p, z, mu, jac=False)
         d = z - core.y
         ss = float(d @ d)
         gaps = vals_z - vals_y - grads_y @ d
@@ -161,7 +162,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
     if not np.isfinite(x0).all():
         raise InvalidInputError(f"start point must be finite, got {x0}")
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
-    vals0, _ = eval_smooth(p, x0, cfg.mu0)  # sets the bound; not counted as a feval
+    vals0, _ = eval_smooth(p, x0, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
     bound_ref = float(vals0.max()) + eval_g(p, x0)
     bound_limit = _BOUND_FACTOR * max(abs(bound_ref), 1.0) + _BOUND_OFFSET
     warned = False

@@ -250,7 +250,7 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
 def _build_core(inp: SubproblemInput) -> _Core:
     p = inp.problem
     evals_y = eval_smooth(p, inp.y, inp.mu)
-    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu), inp.ell)
+    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu, jac=False), inp.ell)
 
 
 def solve_subproblem(

@@ -2,14 +2,73 @@
 
 The oracles here deliberately re-derive everything from eval_smooth /
 eval_g / eval_true instead of reusing solver internals, so they can catch
-bugs in the code under test.
+bugs in the code under test.  value_grad re-derives tree evaluation from
+the atoms without the compiled kernel.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from sapgm.problems import GKind, ProblemSpec, eval_true
-from sapgm.smoothing import compose_surrogate
+from sapgm.smoothing import (
+    Abs,
+    Affine,
+    Exp,
+    Max2,
+    MaxList,
+    Plus,
+    Quartic,
+    Scale,
+    Square,
+    Sum,
+    compose_surrogate,
+    smooth_abs,
+    smooth_max2,
+    smooth_max_list,
+    smooth_plus,
+)
+
+
+def value_grad(expr, x, mu):
+    """Reference evaluator: value and gradient of a tree at (x, mu) by recursion.
+
+    Each node combines its children's values and NumPy gradient vectors by
+    the chain rule, so it shares only the scalar atoms with the compiled
+    kernel.  mu = 0 gives the exact value and a subgradient.
+    """
+    x = np.asarray(x, float)
+    if isinstance(expr, Affine):
+        return float(expr.w @ x) + expr.c, expr.w.copy()
+    if isinstance(expr, Sum):
+        v, g = 0.0, np.zeros(x.size)
+        for c in expr.children:
+            u, gu = value_grad(c, x, mu)
+            v, g = v + u, g + gu
+        return v, g
+    if isinstance(expr, MaxList):
+        vals, grads = zip(*[value_grad(c, x, mu) for c in expr.children])
+        v, w = smooth_max_list(vals, mu)
+        return v, sum(wj * gj for wj, gj in zip(w, grads))
+    if isinstance(expr, Max2):
+        ua, ga = value_grad(expr.a, x, mu)
+        ub, gb = value_grad(expr.b, x, mu)
+        v, da, db = smooth_max2(ua, ub, mu)
+        return v, da * ga + db * gb
+    u, gu = value_grad(expr.child, x, mu)
+    if isinstance(expr, Scale):
+        return expr.c * u, expr.c * gu
+    if isinstance(expr, Square):
+        return u * u, (2.0 * u) * gu
+    if isinstance(expr, Quartic):
+        return u**4, (4.0 * u**3) * gu
+    if isinstance(expr, Exp):
+        e = math.exp(u)
+        return e, e * gu
+    assert isinstance(expr, (Abs, Plus)), type(expr)
+    v, d = (smooth_abs if isinstance(expr, Abs) else smooth_plus)(u, mu)
+    return v, d * gu
 
 
 def build_problem(name, exprs, g_kind, lower, upper, cert_pad=5.0):

@@ -185,10 +185,19 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--problems", "JOS1", "--runs", "0", "--out", str(tmp_path / "y")]) == 2
     assert main(["rate", "--problem", "JOS1", "--sigmas", "2.5", "--out", str(tmp_path / "z")]) == 2
     # an empty problem list, and a problem named twice by any spelling
-    for problems in ("", ",", "JOS1,jos1", "5,JOS1"):
+    for problems in ("", ",", " , ", "JOS1,jos1", "JOS1, jos1", "5,JOS1"):
         out = tmp_path / f"p{len(problems)}"
         assert main(["run", "--problems", problems, "--runs", "1", "--out", str(out)]) == 2
         assert not (out / "runs.csv").exists()
+    # blanks around a name are not part of it
+    out = tmp_path / "blanks"
+    assert main(["run", "--problems", "JOS1, SP1", "--runs", "1", "--out", str(out)]) == 0
+    assert {row.split(",")[0] for row in (out / "runs.csv").read_text().splitlines()[1:]} == {"JOS1", "SP1"}
+    # `bench rate` sets sigma, eps and max_iter itself and takes no flag for them
+    for flag, value in (("--max-iter", "5"), ("--eps", "0.1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--problem", "JOS1", flag, value, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
     # NaN solver parameters are invalid configurations
     for flag in ("--eps", "--L0", "--eta"):
         assert main(["run", "--problems", "JOS1", "--runs", "1", flag, "nan", "--out", str(tmp_path / "n")]) == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import value_grad
 from sapgm.errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError
 from sapgm.smoothing import (
     Abs,
@@ -27,6 +28,7 @@ from sapgm.smoothing import (
     smooth_plus,
     verify_surrogate,
 )
+from sapgm.problems import eval_smooth, registry, sample_start
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 mus = st.floats(1e-6, 1.0, allow_nan=False)
@@ -71,10 +73,10 @@ def test_smooth_max2_values():
 def test_smooth_max_list_values():
     v, w = smooth_max_list([0.0, 0.0, 0.0], 1.0)
     assert v == pytest.approx(math.log(3.0))
-    np.testing.assert_allclose(w, [1 / 3, 1 / 3, 1 / 3])
+    np.testing.assert_allclose(np.asarray(w), [1 / 3, 1 / 3, 1 / 3])
     v, w = smooth_max_list([100.0, 0.0], 1.0)
     assert v == pytest.approx(100.0, abs=1e-9)
-    assert w[0] == pytest.approx(1.0, abs=1e-9)
+    assert np.asarray(w)[0] == pytest.approx(1.0, abs=1e-9)
     v, _ = smooth_max_list([1.0, 2.0], 0.5)
     assert 2.0 <= v <= 2.0 + 0.5 * math.log(2.0)
 
@@ -97,7 +99,7 @@ def test_atoms_at_mu_zero_are_exact():
     ):
         v, g = smooth_max_list(vals, 0.0)
         assert v == top
-        np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(np.asarray(g), w)
 
 
 def subgradient_holds(f, u, d, w):
@@ -124,6 +126,7 @@ def test_max2_at_mu_zero_bit_exact_with_subgradient(a, b, w):
 @given(vals=st.lists(st.sampled_from([-1.0, 0.0, 2.5]) | finite, min_size=1, max_size=6))
 def test_max_list_at_mu_zero_bit_exact_on_the_argmax(vals):
     v, g = smooth_max_list(vals, 0.0)
+    g = np.asarray(g)
     assert v == max(vals)
     assert abs(g.sum() - 1.0) <= 1e-15 and np.all(g[np.array(vals) < v] == 0.0)
 
@@ -155,6 +158,7 @@ def test_max2_gradients_partition_unity(a, b, mu):
 @given(vals=st.lists(finite, min_size=1, max_size=6), mu=mus)
 def test_max_list_weights_on_simplex(vals, mu):
     _, w = smooth_max_list(vals, mu)
+    w = np.asarray(w)
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -273,8 +277,8 @@ def test_compose_rejects_unknown_atom():
     class Mystery(Expr):
         kappa = 0.0
 
-        def value_grad(self, x, mu):  # pragma: no cover - never reached
-            return 0.0, np.zeros(1)
+        def code(self, v, a, args, bind):  # pragma: no cover - never reached
+            return f"{v} = 0.0", []
 
     with pytest.raises(UnsupportedAtomError, match="Mystery"):
         compose_surrogate(Mystery())
@@ -291,7 +295,7 @@ def test_compose_rejects_unknown_atom():
 def test_compose_rejects_power_or_exp_of_a_smoothed_argument(expr, x):
     # the child's kappa does not bound the error: at mu = 1 it is exceeded
     x = np.array([x])
-    err = abs(expr.value_grad(x, 1.0)[0] - expr.value_grad(x, 0.0)[0])
+    err = abs(value_grad(expr, x, 1.0)[0] - value_grad(expr, x, 0.0)[0])
     assert err > expr.kappa * 1.0 + 1.0
     with pytest.raises(UnsupportedAtomError, match="smoothed argument"):
         compose_surrogate(expr)
@@ -357,11 +361,14 @@ def test_tree_of_all_ten_atoms_at_mu_zero_is_exact():
     tree = all_ten_atoms()
     assert {type(node) for node in _walk(tree)} == set(_SUPPORTED)
     x = np.array([1.0, -2.0])
-    v, g = tree.value_grad(x, 0.0)
+    v, g = value_grad(tree, x, 0.0)
     assert v == 24.5
     np.testing.assert_array_equal(g, [0.0, -36.0])
     s = compose_surrogate(tree)
     assert s.true_eval(x) == 24.5
+    v, g = kernel(s, x, 0.0)
+    assert v == 24.5
+    np.testing.assert_array_equal(g, [0.0, -36.0])
     for mu in (1.0, 0.1, 1e-3):
         assert abs(s.eval(x, mu)[0] - 24.5) <= s.constants.kappa * mu
 
@@ -474,3 +481,50 @@ def test_tree_gradient_matches_finite_differences(case):
         e[j] = h
         fd[j] = (s.eval(x + e, mu)[0] - s.eval(x - e, mu)[0]) / (2.0 * h)
     assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, float(np.linalg.norm(g)))
+
+
+# ------------------------------------------------------------ compiled kernel
+
+
+def kernel(s, x, mu):
+    """The surrogate's compiled kernel at (x, mu), mu = 0 included: value and gradient."""
+    v, adjoints = s._value_adjoints(s._leaves(x), mu)
+    return v, np.array(adjoints).dot(s._W)
+
+
+def assert_kernel_matches_reference(s, x, mu):
+    v, g = kernel(s, x, mu)
+    ref_v, ref_g = value_grad(s.expr, x, mu)
+    # the kernel sums the adjoints in another order: agreement to rounding
+    assert abs(v - ref_v) <= 1e-12 * max(1.0, abs(ref_v))
+    assert np.max(np.abs(g - ref_g)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref_g))))
+    if mu > 0.0:
+        (v_jac, g_jac), (v_only, none) = s.eval(x, mu), s.eval(x, mu, jac=False)
+        assert none is None and v_only == v_jac == v
+        np.testing.assert_array_equal(g_jac, g)
+    else:
+        assert s.true_eval(x) == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tree_cases(1))
+def test_kernel_matches_the_reference_evaluator_on_random_trees(case):
+    s, (x,), mu = case
+    for m in (mu, 0.0):
+        assert_kernel_matches_reference(s, x, m)
+
+
+def test_kernel_matches_the_reference_evaluator_on_the_registry():
+    rng = np.random.default_rng(3)
+    for p in registry():
+        # start points, and points of the wider box the factors are certified on
+        points = [sample_start(p, seed) for seed in range(10)]
+        points += [rng.uniform(p.lower - 5.0, p.upper + 5.0) for _ in range(10)]
+        for x in points:
+            for mu in (1.0, 1e-2, 1e-4, 0.0):
+                for s in p.smooth_parts:
+                    assert_kernel_matches_reference(s, x, mu)
+                if mu > 0.0:
+                    (vals, J), (vals_only, none) = eval_smooth(p, x, mu), eval_smooth(p, x, mu, jac=False)
+                    assert none is None and J.shape == (p.m, p.n)
+                    np.testing.assert_array_equal(vals_only, vals)

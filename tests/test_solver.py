@@ -199,10 +199,10 @@ def test_fevals_count_every_smooth_evaluation_but_the_bound(record_trace, monkey
     calls = 0
     inner = sapgm.solver.eval_smooth
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
     cfg = SolverConfig(record_trace=record_trace)
