@@ -492,8 +492,14 @@ class SmoothSurrogate:
         return self._value(self._leaves(x), 0.0)
 
     def _leaves(self, x) -> list[float]:
-        """The Affine leaf values W x + c."""
-        return (self._W.dot(x) + self._c).tolist()
+        """The Affine leaf values W x + c; InvalidInputError unless x has shape (n,)."""
+        try:
+            u = self._W.dot(x) + self._c
+            if u.ndim == 1:  # a column or a scalar x broadcasts to a matrix
+                return u.tolist()
+        except ValueError:  # W x is not defined
+            pass
+        raise InvalidInputError(f"expected a point of dimension {self.n}, got shape {np.shape(x)}")
 
 
 def compose_surrogate(

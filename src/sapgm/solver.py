@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from .problems import ProblemSpec, eval_g, eval_smooth, eval_true
-from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
+from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _dot, _solve_core
 
 __all__ = [
     "SolverConfig",
@@ -134,18 +134,17 @@ def backtrack_step(
     evals_y = eval_smooth(p, y, mu)
     L_trial = cfg.L0
     core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L_trial / mu)
-    vals_y, grads_y = evals_y
-    m = grads_y.shape[0]
-    lam0 = np.full(m, 1.0 / m)
+    vals_y = evals_y[0].tolist()
+    m = len(vals_y)
+    lam0 = [1.0 / m] * m
     for trial in range(1, MAX_BACKTRACKS + 2):
         z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
         vals_z, _ = eval_smooth(p, z, mu, jac=False)
-        d = z - core.y
-        ss = float(d @ d)
-        gaps = vals_z - vals_y - grads_y @ d
-        rhs = 0.5 * core.ell * ss
-        slack = 1e-9 * max(1.0, rhs) + 1e-12
-        if float(gaps.max()) <= rhs + slack:
+        # max_i [f_i(z) - f_i(y) - <grad f_i(y), z - y>] <= (ell / 2) ||z - y||^2, on floats
+        d = [zj - yj for zj, yj in zip(z.tolist(), core.ys)]
+        rhs = 0.5 * core.ell * _dot(d, d)
+        bound = rhs + (1e-9 * max(1.0, rhs) + 1e-12)
+        if all(fz - fy - _dot(g, d) <= bound for fz, fy, g in zip(vals_z.tolist(), vals_y, core.rows)):
             return z, L_trial, trial, vals_z
         L_trial *= cfg.eta
         core.ell = L_trial / mu
@@ -176,13 +175,13 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
         mu_next = mu_schedule(k, cfg.mu0, cfg.sigma)
         x_next, L_next, trials, vals_next = backtrack_step(p, x, y, mu_next, cfg)
         fevals += 2 + trials
-        step = float(np.linalg.norm(x - x_next))
+        step = math.dist(x, x_next)
 
         t_next, theta_next = momentum_update(t, mu, mu_next, L, L_next)
         if not accelerated:
             theta_next = 0.0
 
-        smooth_max = float(vals_next.max()) + eval_g(p, x_next)
+        smooth_max = max(vals_next.tolist()) + eval_g(p, x_next)
         if smooth_max > bound_limit and not warned:
             logger.warning(
                 "%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d",

@@ -13,11 +13,13 @@ whose inner minimum is a single prox step.  q is concave.  For m = 2 it is
 maximized exactly: with lam = (t, 1 - t) its derivative in t is
 comp_1 - comp_2, which does not increase and is piecewise linear with a kink
 wherever a soft-threshold coordinate of the prox switches, so one pass over
-the kinks brackets its root on a linear piece.  Other m use projected
-gradient ascent with a backtracking step.  Strong convexity makes the primal
-minimizer unique, so the duality gap, the KKT residual and the
-complementarity violation certify the solution; solve_subproblem returns all
-three with it.
+the kinks brackets its root on a linear piece.  That search, its prox step
+and its gap run on Python floats, since at n = 2 a NumPy call on a length-2
+array costs more than its arithmetic; only z and lam come back as arrays.
+Other m use projected gradient ascent with a backtracking step, on NumPy
+arrays.  Strong convexity makes the primal minimizer unique, so the duality
+gap, the KKT residual and the complementarity violation certify the
+solution; solve_subproblem returns all three with it.
 
 All g_i are required to be the identical shared term; distinct g_i would
 break the closed-form inner step and are rejected at ProblemSpec
@@ -26,6 +28,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +109,16 @@ def _g_value(z: np.ndarray, g_kind: GKind, n: int) -> float:
 
 
 class _Core:
-    """Dual ascent working on raw arrays; built once per (y, mu, grads)."""
+    """The min-max model at one expansion point y: Jacobian rows G, offsets c
+    and the prox weight ell.
 
-    __slots__ = ("y", "G", "c", "ell", "g_kind", "n")
+    A core serves every trial of a backtracking step, and only ell changes
+    between trials.  G, y and c are kept as arrays for the NumPy paths
+    (`inner`, the ascent for m != 2, the certificates) and, converted once,
+    as float lists for the m = 2 kink search.
+    """
+
+    __slots__ = ("y", "G", "c", "ell", "g_kind", "n", "ys", "rows", "cs")
 
     def __init__(self, y, G, c, ell, g_kind):
         self.y = y
@@ -117,6 +127,9 @@ class _Core:
         self.ell = ell
         self.g_kind = g_kind
         self.n = y.size
+        self.ys = y.tolist()
+        self.rows = G.tolist()
+        self.cs = c.tolist()
 
     def inner(self, lam):
         """Prox step for fixed weights; returns (z, component gaps d, dual value)."""
@@ -132,56 +145,97 @@ class _Core:
         return float(comp.max()) + quad
 
 
-def _solve_core(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
+def _solve_core(core: _Core, lam0, tol: float, max_inner: int):
     """Maximize the dual from lam0; returns (z, lam, theta, gap, steps)."""
-    if core.G.shape[0] == 2:
+    if len(core.rows) == 2:
         return _solve_pair(core, lam0)
     return _ascend(core, lam0, tol, max_inner)
 
 
-def _solve_pair(core: _Core, lam0: np.ndarray):
-    """Exact dual maximizer for m = 2 over lam = (t, 1 - t).
+def _soft(v: float, tau: float) -> float:
+    """prox_g's soft threshold of one coordinate, signed zeros and nan included."""
+    if v > tau:
+        return v - tau
+    if v < -tau:
+        return v + tau
+    return 0.0 if v >= 0.0 else 0.0 * v  # np.sign: +0 at -0.0, -0 below 0, nan at nan
+
+
+def _dot(u, v) -> float:
+    """Sum of products, left to right (sum() of floats compensates from Python 3.12 on)."""
+    s = 0.0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _solve_pair(core: _Core, lam0):
+    """Exact dual maximizer for m = 2 over lam = (t, 1 - t), on floats.
 
     z(t) = prox(a - t d / ell) with d = g_1 - g_2 and a = y - g_2 / ell, and
     h(t) = <d, z(t) - y> + c_1 - c_2 is the dual derivative.  The prox is
     monotone, so h does not increase; it is linear between the kinks
     t = (a_j -+ thr) ell / d_j where a soft-threshold coordinate switches.
-    h is evaluated at once at 0, 1, the start weight and every kink clipped
-    into [0, 1], and its root is interpolated between the last point where
-    h > 0 and the first where h <= 0.  A start weight where h vanishes (a
-    flat dual) is kept, as the ascent keeps it; a non-finite h gives t = nan
-    and so a non-finite gap.
+    h is evaluated at 0, 1, the start weight and every kink inside (0, 1)
+    (one outside, or of a coordinate constant in t, would land on 0 or 1),
+    and its root is interpolated between the last point where h > 0 and the
+    first where h <= 0.  A start weight where h vanishes (a flat dual) is
+    kept, as the ascent keeps it; a non-finite h gives t = nan and so a
+    non-finite gap.  Only z and lam are returned as arrays.
     """
-    d = core.G[0] - core.G[1]
-    a = core.y - core.G[1] / core.ell
+    ell, n, ys = core.ell, core.n, core.ys
+    g1, g2 = core.rows
+    c1, c2 = core.cs
+    d = [u - v for u, v in zip(g1, g2)]
+    s = [dj / ell for dj in d]
+    a = [yj - v / ell for yj, v in zip(ys, g2)]
+    l0, l1 = float(lam0[0]), float(lam0[1])
     # projection onto the simplex; a weight already on it stays as it is
-    t0 = min(max(lam0[0] + 0.5 * (1.0 - lam0[0] - lam0[1]), 0.0), 1.0)
-    ts = np.array([0.0, 1.0, t0])
+    t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
+    ts = [0.0, 1.0, t0]
+    tau = 0.0  # the prox threshold; 0 makes _soft the identity on h
     if core.g_kind is GKind.SCALED_L1:
-        thr = 1.0 / (core.ell * core.n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kinks = np.concatenate((a - thr, a + thr)) * core.ell / np.concatenate((d, d))
-        # a kink outside [0, 1], or of a coordinate constant in t, lands on 0 or 1
-        ts = np.concatenate((ts, np.fmin(np.fmax(kinks, 0.0), 1.0)))
-    Z = prox_g(a - ts[:, None] * (d / core.ell), 1.0 / core.ell, core.g_kind, core.n)
-    h = (Z - core.y) @ d + (core.c[0] - core.c[1])
-    if not np.isfinite(h).all():
-        t = np.nan
-    elif h[2] == 0.0:
+        thr = 1.0 / (ell * n)
+        tau = 1.0 / ell / n
+        for aj, dj in zip(a, d):
+            if dj:
+                ts += [k for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj) if 0.0 < k < 1.0]
+    dc = c1 - c2
+    coords = list(zip(a, s, ys, d))
+    hs = []
+    for t in ts:
+        h = 0.0
+        for aj, sj, yj, dj in coords:
+            h += (_soft(aj - t * sj, tau) - yj) * dj
+        hs.append(h + dc)
+    if not all(map(math.isfinite, hs)):
+        t = math.nan
+    elif hs[2] == 0.0:
         t = t0
-    elif h[0] <= 0.0:
+    elif hs[0] <= 0.0:
         t = 0.0
-    elif h[1] >= 0.0:
+    elif hs[1] >= 0.0:
         t = 1.0
     else:
-        pos = h > 0.0
-        i = np.where(pos, ts, -1.0).argmax()
-        j = np.where(pos, 2.0, ts).argmin()
-        t = ts[i] + (ts[j] - ts[i]) * h[i] / (h[i] - h[j])
-    lam = np.array([t, 1.0 - t])
-    z, comp, dual, quad = core.inner(lam)
-    theta = core.primal(comp, quad)
-    return z, lam, theta, theta - dual, 1
+        ti, hi = max((t, h) for t, h in zip(ts, hs) if h > 0.0)
+        tj, hj = min((t, h) for t, h in zip(ts, hs) if h <= 0.0)
+        t = ti + (tj - ti) * hi / (hi - hj)
+    # the prox step and its certificates at lam = (t, 1 - t)
+    u = 1.0 - t
+    z = [yj - (g1j * t + g2j * u) / ell for yj, g1j, g2j in zip(ys, g1, g2)]
+    gz = 0.0  # g(z)
+    if core.g_kind is GKind.SCALED_L1:
+        z = [_soft(v, tau) for v in z]
+        for zj in z:
+            gz += abs(zj)
+        gz /= n
+    dz = [zj - yj for zj, yj in zip(z, ys)]
+    comp1 = _dot(g1, dz) + c1 + gz
+    comp2 = _dot(g2, dz) + c2 + gz
+    quad = 0.5 * ell * _dot(dz, dz)
+    theta = max(comp1, comp2) + quad
+    dual = t * comp1 + u * comp2 + quad
+    return np.array(z), np.array([t, u]), theta, theta - dual, 1
 
 
 def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
@@ -234,17 +288,17 @@ def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
 def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
     """Core at expansion point y from eval_smooth's results at y and at x.
 
-    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or
-    offsets c that are not finite raise InvalidInputError.
+    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)) in floats; a
+    Jacobian G or offsets c that are not finite raise InvalidInputError.
     """
     vals_y, G = evals_y
     vals_x, _ = evals_x
-    c = vals_y - (vals_x + eval_g(p, x))
-    if not (np.isfinite(G).all() and np.isfinite(c).all()):
-        raise InvalidInputError(
-            f"{p.name}: Jacobian or offsets at y = {np.asarray(y, float).tolist()} are not finite"
-        )
-    return _Core(np.asarray(y, float), G, c, ell, p.g_kind)
+    gx = eval_g(p, x)
+    c = [fy - (fx + gx) for fy, fx in zip(vals_y.tolist(), vals_x.tolist())]
+    core = _Core(np.asarray(y, float), G, np.array(c), ell, p.g_kind)
+    if not (all(map(math.isfinite, c)) and all(math.isfinite(v) for row in core.rows for v in row)):
+        raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.ys} are not finite")
+    return core
 
 
 def _build_core(inp: SubproblemInput) -> _Core:

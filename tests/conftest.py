@@ -3,7 +3,8 @@
 The oracles here deliberately re-derive everything from eval_smooth /
 eval_g / eval_true instead of reusing solver internals, so they can catch
 bugs in the code under test.  value_grad re-derives tree evaluation from
-the atoms without the compiled kernel.
+the atoms without the compiled kernel, and solve_pair_reference is the m = 2
+kink search over NumPy arrays that the float one replaced.
 """
 from __future__ import annotations
 
@@ -69,6 +70,49 @@ def value_grad(expr, x, mu):
     assert isinstance(expr, (Abs, Plus)), type(expr)
     v, d = (smooth_abs if isinstance(expr, Abs) else smooth_plus)(u, mu)
     return v, d * gu
+
+
+def solve_pair_reference(core, lam0):
+    """Reference m = 2 dual solve: the kink search over NumPy arrays.
+
+    Same algorithm as the float search in sapgm.subproblem: h(t) at 0, 1,
+    the start weight and every kink clipped into [0, 1], stacked and
+    evaluated at once through prox_g and core.inner.  Returns
+    (z, lam, theta, gap, 1).
+    """
+    from sapgm.subproblem import prox_g
+
+    d = core.G[0] - core.G[1]
+    a = core.y - core.G[1] / core.ell
+    t0 = min(max(lam0[0] + 0.5 * (1.0 - lam0[0] - lam0[1]), 0.0), 1.0)
+    ts = np.array([0.0, 1.0, t0])
+    if core.g_kind is GKind.SCALED_L1:
+        thr = 1.0 / (core.ell * core.n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            kinks = np.concatenate((a - thr, a + thr)) * core.ell / np.concatenate((d, d))
+        # a kink outside [0, 1], or of a coordinate constant in t, lands on 0 or 1
+        ts = np.concatenate((ts, np.fmin(np.fmax(kinks, 0.0), 1.0)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        Z = prox_g(a - ts[:, None] * (d / core.ell), 1.0 / core.ell, core.g_kind, core.n)
+        h = (Z - core.y) @ d + (core.c[0] - core.c[1])
+    if not np.isfinite(h).all():
+        t = np.nan
+    elif h[2] == 0.0:
+        t = t0
+    elif h[0] <= 0.0:
+        t = 0.0
+    elif h[1] >= 0.0:
+        t = 1.0
+    else:
+        pos = h > 0.0
+        i = np.where(pos, ts, -1.0).argmax()
+        j = np.where(pos, 2.0, ts).argmin()
+        t = ts[i] + (ts[j] - ts[i]) * h[i] / (h[i] - h[j])
+    lam = np.array([t, 1.0 - t])
+    with np.errstate(invalid="ignore", over="ignore"):
+        z, comp, dual, quad = core.inner(lam)
+        theta = core.primal(comp, quad)
+    return z, lam, theta, theta - dual, 1
 
 
 def build_problem(name, exprs, g_kind, lower, upper, cert_pad=5.0):

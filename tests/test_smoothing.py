@@ -28,7 +28,7 @@ from sapgm.smoothing import (
     smooth_plus,
     verify_surrogate,
 )
-from sapgm.problems import eval_smooth, registry, sample_start
+from sapgm.problems import eval_smooth, get_problem, registry, sample_start
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 mus = st.floats(1e-6, 1.0, allow_nan=False)
@@ -379,6 +379,15 @@ def test_surrogate_eval_rejects_nonpositive_mu():
     for mu in (0.0, -1.0, math.nan):
         with pytest.raises(InvalidParameterError):
             s.eval(np.array([1.0]), mu)
+
+
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], np.ones(4), np.ones((2, 1)), np.ones((1, 2)), 3.0])
+def test_surrogate_rejects_a_point_of_another_dimension(x):
+    s = get_problem("JOS1").smooth_parts[0]  # n = 2
+    msg = r"expected a point of dimension 2, got shape \([\d, ]*\)"
+    for evaluate in (lambda: s.eval(x, 0.5), lambda: s.eval(x, 0.5, jac=False), lambda: s.true_eval(x)):
+        with pytest.raises(InvalidInputError, match=msg):
+            evaluate()
 
 
 # ------------------------------------------------------------- verification

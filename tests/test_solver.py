@@ -7,6 +7,7 @@ from conftest import build_problem
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from sapgm.problems import GKind, eval_smooth, get_problem, registry, sample_start
 from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
+from sapgm.subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
 from sapgm.solver import (
     SolverConfig,
     backtrack_step,
@@ -105,21 +106,53 @@ def test_backtrack_inflation_count_on_stiff_quadratic():
     assert trials == 4 and L_acc == 8.0
 
 
+def descent_test_numpy(p, x, y, mu, L):
+    """The trial at L, and the descent test on it in NumPy: (z, lhs, rhs + slack)."""
+    evals_y = eval_smooth(p, y, mu)
+    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L / mu)
+    z = _solve_core(core, np.full(p.m, 1.0 / p.m), DEFAULT_TOL, DEFAULT_MAX_INNER)[0]
+    vals_y, grads_y = evals_y
+    vals_z, _ = eval_smooth(p, z, mu)
+    lhs = float(np.max(vals_z - vals_y - grads_y @ (z - y)))
+    rhs = 0.5 * (L / mu) * float(np.sum((z - y) ** 2))
+    return z, lhs, rhs + 1e-9 * max(1.0, rhs) + 1e-12
+
+
+def run_steps(p, seed, cfg):
+    """(x_k, y_k, mu_{k+1}, x_{k+1}, L_{k+1}) for every step k of a recorded run."""
+    x0 = sample_start(p, seed)
+    tr = solve(p, x0, SolverConfig(record_trace=True)).trace
+    x_prev, x, y = x0, x0, x0
+    for k, rec in enumerate(tr):
+        yield x, y, mu_schedule(k, cfg.mu0, cfg.sigma), rec.x, rec.L
+        x_prev, x = x, rec.x
+        y = x + rec.theta * (x - x_prev)
+
+
 def test_backtrack_postcondition_replay():
-    p = get_problem("CB3&MF1")
+    # every step of three runs per problem is replayed from the run's own
+    # (x_k, y_k): the accepted trial passes the NumPy form of the descent
+    # test and, after an inflation, the trial at L / eta fails it
     cfg = SolverConfig()
-    for seed in range(5):
-        x0 = sample_start(p, seed)
-        mu = mu_schedule(0, cfg.mu0, cfg.sigma)
-        x_next, L_acc, _, vals_next = backtrack_step(p, x0, x0, mu, cfg)
-        ell = L_acc / mu
-        vals_y, grads_y = eval_smooth(p, x0, mu)
-        vals_x, _ = eval_smooth(p, x_next, mu)
-        # the returned values are f(x_next, mu), bit for bit
-        np.testing.assert_array_equal(vals_next, vals_x)
-        lhs = np.max(vals_x - vals_y - grads_y @ (x_next - x0))
-        rhs = 0.5 * ell * float(np.sum((x_next - x0) ** 2))
-        assert lhs <= rhs + 1e-9 * max(1.0, rhs) + 1e-12
+    rejected = {}
+    for p in registry():
+        rejected[p.name] = 0
+        for seed in range(3):
+            for x, y, mu, x_next, L_next in run_steps(p, seed, cfg):
+                z, L_acc, trials, vals_z = backtrack_step(p, x, y, mu, cfg)
+                # the replay is the run's step, and f(z, mu) comes back bit for bit
+                np.testing.assert_array_equal(z, x_next)
+                assert L_acc == L_next == cfg.L0 * cfg.eta ** (trials - 1)
+                np.testing.assert_array_equal(vals_z, eval_smooth(p, z, mu)[0])
+                z_acc, lhs, bound = descent_test_numpy(p, x, y, mu, L_acc)
+                np.testing.assert_array_equal(z_acc, z)
+                assert lhs <= bound
+                if trials > 1:
+                    rejected[p.name] += 1
+                    _, lhs, bound = descent_test_numpy(p, x, y, mu, L_acc / cfg.eta)
+                    assert lhs > bound
+    # BK1's Hessian 2 I needs an inflation at mu_1 = 1; JOS1's I never does
+    assert rejected["JOS1"] == 0 and all(rejected[name] > 0 for name in rejected if name != "JOS1"), rejected
 
 
 def test_backtrack_diverging_lipschitz_guard():

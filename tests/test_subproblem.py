@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_problem, grid_argmin_2d, subproblem_objective
+from conftest import build_problem, grid_argmin_2d, solve_pair_reference, subproblem_objective
 from sapgm.errors import InvalidInputError
 from sapgm.problems import GKind, eval_smooth, get_problem
 from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum
@@ -437,3 +437,77 @@ def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
         assert -1e-12 <= gap <= DEFAULT_TOL and lam.sum() == 1.0 and lam.min() >= 0.0
         _, lam, _, gap, _ = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
         assert gap <= DEFAULT_TOL and lam.sum() == pytest.approx(1.0) and lam.min() >= 0.0
+
+
+# ------------------------------------- the float kink search against NumPy's
+
+REL = 1e-12  # |float - reference| <= REL * scale, per value
+
+
+def close(value, ref, scale):
+    return abs(value - ref) <= REL * scale
+
+
+def rounding_scales(core, z_ref):
+    """The sizes at which z and theta carry rounding: max(1, the size of their terms).
+
+    z = prox(y - G^T lam / ell) rounds at |y| + |G| / ell, whatever its own
+    size.  theta sums c, G (z - y), g(z) and (ell / 2) |z - y|^2, and takes
+    z's rounding on through G and ell (z - y).
+    """
+    n, ell = core.n, core.ell
+    g = np.abs(core.G).max()
+    dz = np.abs(z_ref - core.y)
+    z_scale = max(1.0, np.abs(core.y).max() + g / ell)
+    terms = np.abs(core.c).max() + g * dz.sum() + np.abs(z_ref).sum() / n + ell * dz @ dz
+    return z_scale, max(1.0, terms) + n * (g + ell * dz.max() + 1.0) * z_scale
+
+
+@st.composite
+def pair_cores(draw):
+    """m = 2 cores with n <= 4, ell over nine decades and some d_j = 0."""
+    n = draw(st.integers(1, 4))
+    entry = st.floats(-5.0, 5.0)
+    G = np.array(draw(st.lists(entry, min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    for j in range(n):
+        if draw(st.booleans()):
+            G[1, j] = G[0, j]  # a coordinate constant in t: its kinks divide by 0
+    y = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(entry, min_size=2, max_size=2)))
+    ell = 10.0 ** draw(st.floats(-3.0, 6.0))
+    return _Core(y, G, c, ell, draw(st.sampled_from(list(GKind))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    core=pair_cores(),
+    # weights on the simplex, and off it: the search projects them first
+    lam0=st.one_of(
+        st.floats(0.0, 1.0).map(lambda t: np.array([t, 1.0 - t])),
+        st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array),
+    ),
+)
+def test_float_pair_search_matches_the_numpy_reference(core, lam0):
+    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    z_ref, lam_ref, theta_ref, gap_ref, _ = solve_pair_reference(core, lam0)
+    assert steps == 1 and isinstance(z, np.ndarray) and isinstance(lam, np.ndarray)
+    z_scale, theta_scale = rounding_scales(core, z_ref)
+    assert close(lam[0], lam_ref[0], 1.0) and lam[1] == 1.0 - lam[0]
+    assert all(close(a, b, z_scale) for a, b in zip(z.tolist(), z_ref.tolist()))
+    # the gap is theta minus the dual value, so it carries their rounding
+    assert close(theta, theta_ref, theta_scale) and close(gap, gap_ref, theta_scale)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["G", "y", "c"])
+@pytest.mark.parametrize("g_kind", list(GKind))
+def test_float_pair_search_nonfinite_core_like_the_reference(bad, where, g_kind):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        parts = {"y": rng.normal(size=2), "G": rng.normal(size=(2, 2)), "c": rng.normal(size=2)}
+        parts[where].flat[rng.integers(parts[where].size)] = bad
+        core = _Core(parts["y"], parts["G"], parts["c"], 2.0, g_kind)
+        _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        _, lam_ref, _, gap_ref, _ = solve_pair_reference(core, LAM_HALF)
+        assert np.isnan(lam_ref[0]) and not np.isfinite(gap_ref)
+        assert np.isnan(lam).all() and not np.isfinite(gap)
