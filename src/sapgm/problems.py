@@ -31,6 +31,7 @@ from .smoothing import (
     SmoothSurrogate,
     Square,
     Sum,
+    _as_point,
     compose_surrogate,
 )
 
@@ -81,33 +82,38 @@ class ProblemSpec:
         return max(s.constants.lip_factor for s in self.smooth_parts)
 
 
-def _check_dim(p: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise InvalidInputError(f"{p.name}: expected point of dimension {p.n}, got shape {x.shape}")
-    return x
+def _point(p: ProblemSpec, x: Sequence[float]) -> list[float]:
+    """x as a list of p.n finite floats; InvalidInputError naming the problem otherwise."""
+    try:
+        return _as_point(x, p.n, finite=True)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{p.name}: {e}") from None
 
 
 def eval_g(p: ProblemSpec, x: Sequence[float]) -> float:
     """Shared nonsmooth term: (1/n) ||x||_1 or 0."""
-    x = _check_dim(p, np.asarray(x, float))
+    x = _point(p, x)
     if p.g_kind is GKind.SCALED_L1:
-        return float(np.abs(x).sum()) / p.n
+        s = 0.0
+        for v in x:
+            s += abs(v)
+        return s / p.n
     return 0.0
 
 
-def _not_finite(p: ProblemSpec, x: np.ndarray, i: int, what: str) -> InvalidInputError:
-    return InvalidInputError(f"{p.name}: component {i + 1} at x = {x.tolist()} {what}")
+def _not_finite(p: ProblemSpec, x: list[float], i: int, what: str) -> InvalidInputError:
+    return InvalidInputError(f"{p.name}: component {i + 1} at x = {x} {what}")
 
 
 def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
     """Exact nonsmooth objective vector (F_1(x), ..., F_m(x)).
 
-    Raises InvalidInputError when a component overflows or is not finite.
+    Raises InvalidInputError when x is not a finite point of R^n or a
+    component overflows or is not finite.
     """
-    x = _check_dim(p, np.asarray(x, float))
+    x = _point(p, x)
     g = eval_g(p, x)
-    values = np.empty(p.m)
+    values = []
     for i, s in enumerate(p.smooth_parts):
         try:
             v = s.true_eval(x) + g
@@ -115,8 +121,8 @@ def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
             raise _not_finite(p, x, i, "overflows") from e
         if not math.isfinite(v):
             raise _not_finite(p, x, i, f"is {v}")
-        values[i] = v
-    return values
+        values.append(v)
+    return np.array(values)
 
 
 def eval_smooth(
@@ -125,10 +131,10 @@ def eval_smooth(
     """Smoothed components and their Jacobian at (x, mu); g is excluded.
 
     With ``jac`` false the Jacobian is not formed and None is returned in its
-    place; the values are the same.  Raises InvalidInputError when a
-    component value overflows or is not finite.
+    place; the values are the same.  Raises InvalidInputError when x is not a
+    finite point of R^n or a component value overflows or is not finite.
     """
-    x = _check_dim(p, x)
+    x = _point(p, x)
     if not mu > 0.0:
         raise InvalidParameterError(f"mu must be positive, got {mu}")
     values, rows = [], []

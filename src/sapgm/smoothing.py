@@ -20,12 +20,13 @@ and a subgradient, so a tree evaluated at ``mu = 0`` gives its exact value.
 
 Surrogates are built by composing immutable expression nodes; the constants
 of a composite are conservative sums over the tree.  ``compose_surrogate``
-compiles each tree once into a straight-line kernel over floats: the Affine
-leaves become one matrix W and offset vector c, every other node one line of
-generated code that calls its atom's scalar rule.  A forward pass gives the
-value and a reverse pass the leaf adjoints s, so the gradient is s @ W and is
-formed only when asked for.  ``mu = 0`` runs the same kernel.  Nodes and
-kernels are stateless and safe to evaluate concurrently.
+compiles each tree once into a straight-line kernel that takes the point as
+a list of floats: each Affine leaf becomes one line u_j = w_j . x + c_j over
+its nonzero weights, every other node one line that calls its atom's scalar
+rule.  A forward pass gives the value; a reverse pass gives the leaf
+adjoints s_j and then one line per coordinate, g_k = sum_j s_j w_jk, so the
+gradient is formed only when asked for.  ``mu = 0`` runs the same kernel.
+Nodes and kernels are stateless and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -390,33 +391,38 @@ _KERNEL_GLOBALS = {
 }
 
 
-def _compile(expr: Expr):
-    """Compile a tree into (W, c, value, value_adjoints).
+def _compile(expr: Expr, n: int):
+    """Compile a tree over R^n into (value, value_grad), both over a float list x.
 
-    The Affine leaves, in walk order, give the rows of W and the entries of
-    c, so ``u = W @ x + c`` holds the leaf values.  ``value(u, mu)`` runs the
-    forward pass; ``value_adjoints(u, mu)`` also runs the reverse pass and
-    returns the adjoint s_j of every leaf, so the gradient is s @ W.  Each
-    position in the tree gets its own slots, so each node has one parent and
-    the reverse pass only assigns.
+    Each Affine leaf, in walk order, is one line ``u_j = w_j0 * x0 + ... + c_j``
+    over its nonzero weights.  ``value(x, mu)`` runs the forward pass;
+    ``value_grad(x, mu)`` also runs the reverse pass for the leaf adjoints s_j
+    and returns the value and the gradient as a list, g_k = sum_j s_j w_jk
+    over the leaves that read x_k (0.0 when none does).  Each position in the
+    tree gets its own slots, so each node has one parent and the reverse pass
+    only assigns.
     """
-    rows: list[np.ndarray] = []
-    offsets: list[float] = []
     consts: dict[str, float] = {}
     forward: list[str] = []
     blocks: list[list[str]] = []  # per node, in forward order: its children's adjoints
+    leaves: list[np.ndarray] = []
 
     def bind(value: float) -> str:
         name = f"k{len(consts)}"
         consts[name] = value
         return name
 
+    def times(a: str, w: float) -> str:
+        """a * w for a weight w != 0; a product with +-1 is exact as a (negated) name."""
+        return a if w == 1.0 else f"-{a}" if w == -1.0 else f"{a} * {bind(w)}"
+
     def visit(node: Expr) -> tuple[str, str]:
         """Emit the node after its children; return its value and adjoint slots."""
         if isinstance(node, Affine):
-            j = len(rows)
-            rows.append(node.w)
-            offsets.append(node.c)
+            j = len(leaves)
+            leaves.append(node.w)
+            terms = [times(f"x{k}", float(w)) for k, w in enumerate(node.w) if w]
+            forward.append(f"u{j} = {' + '.join(terms + [bind(node.c)])}")
             return f"u{j}", f"s{j}"
         kids = [visit(child) for child in _children(node)]
         v, a = f"v{len(forward)}", f"a{len(forward)}"
@@ -426,19 +432,21 @@ def _compile(expr: Expr):
         return v, a
 
     root_v, root_a = visit(expr)
-    head = "".join(f"u{j}, " for j in range(len(rows))) + "= u"
-    body = [head] + forward
+    body = ["".join(f"x{k}, " for k in range(n)) + "= x"] + forward
     reverse = [f"{root_a} = 1.0"] + [line for block in reversed(blocks) for line in block]
-    leaf_adjoints = ", ".join(f"s{j}" for j in range(len(rows)))
+    grad = [
+        " + ".join(times(f"s{j}", float(w[k])) for j, w in enumerate(leaves) if w[k]) or "0.0"
+        for k in range(n)
+    ]
     src = "\n".join(
-        ["def value(u, mu):"]
+        ["def value(x, mu):"]
         + [f"    {line}" for line in body + [f"return {root_v}"]]
-        + ["def value_adjoints(u, mu):"]
-        + [f"    {line}" for line in body + reverse + [f"return {root_v}, [{leaf_adjoints}]"]]
+        + ["def value_grad(x, mu):"]
+        + [f"    {line}" for line in body + reverse + [f"return {root_v}, [{', '.join(grad)}]"]]
     )
     ns = {**_KERNEL_GLOBALS, **consts}
     exec(compile(src, "<sapgm kernel>", "exec"), ns)
-    return np.array(rows), np.array(offsets), ns["value"], ns["value_adjoints"]
+    return ns["value"], ns["value_grad"]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +469,8 @@ class SmoothingConstants:
 class SmoothSurrogate:
     """A scalar objective component over R^n, run through the tree's compiled kernel.
 
-    ``true_eval`` is the kernel at mu = 0.
+    Points are lists of n floats; any other sequence or array of shape (n,)
+    is converted first.  ``true_eval`` is the kernel at mu = 0.
     """
 
     def __init__(self, expr: Expr, box: tuple[np.ndarray, np.ndarray]):
@@ -476,30 +485,51 @@ class SmoothSurrogate:
             raise InvalidInputError(f"{where} gives the Lipschitz factor {stats.curv}")
         self.constants = SmoothingConstants(expr.kappa, max(stats.curv, 1e-12))
         self.n = lo.size
-        self._W, self._c, self._value, self._value_adjoints = _compile(expr)
+        self._value, self._value_grad = _compile(expr, self.n)
 
-    def eval(self, x: np.ndarray, mu: float, jac: bool = True) -> tuple[float, np.ndarray | None]:
+    def eval(self, x: Sequence[float], mu: float, jac: bool = True) -> tuple[float, np.ndarray | None]:
         """Value and gradient at (x, mu); the gradient is None when ``jac`` is false."""
         if not mu > 0.0:
             raise InvalidParameterError(f"smoothing parameter mu must be positive, got {mu}")
-        u = self._leaves(x)
+        x = _as_point(x, self.n)
         if not jac:
-            return self._value(u, mu), None
-        v, s = self._value_adjoints(u, mu)
-        return v, np.array(s).dot(self._W)  # s @ W; .dot costs less than @ at this size
+            return self._value(x, mu), None
+        v, g = self._value_grad(x, mu)
+        return v, np.array(g)
 
-    def true_eval(self, x: np.ndarray) -> float:
-        return self._value(self._leaves(x), 0.0)
+    def true_eval(self, x: Sequence[float]) -> float:
+        return self._value(_as_point(x, self.n), 0.0)
 
-    def _leaves(self, x) -> list[float]:
-        """The Affine leaf values W x + c; InvalidInputError unless x has shape (n,)."""
+
+def _as_point(x, n: int, finite: bool = False) -> list[float]:
+    """x as a list of n floats; InvalidInputError unless x is a point of R^n,
+    and with ``finite`` also unless every coordinate is finite.
+
+    A list whose entries sum to a float (a finite one with ``finite``) is
+    taken as it is, so the solver's float lists pass with one sum() and no
+    copy; anything else goes through NumPy and must have shape (n,).
+    """
+    if type(x) is list and len(x) == n:
         try:
-            u = self._W.dot(x) + self._c
-            if u.ndim == 1:  # a column or a scalar x broadcasts to a matrix
-                return u.tolist()
-        except ValueError:  # W x is not defined
-            pass
-        raise InvalidInputError(f"expected a point of dimension {self.n}, got shape {np.shape(x)}")
+            s = sum(x)
+        except (TypeError, OverflowError):  # an entry that is no number, or an int too large
+            s = None
+        if type(s) is float and (s - s == 0.0 or not finite):  # s - s is nan for inf and nan
+            return x
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (n,):
+        try:
+            shape = np.shape(x)
+        except ValueError:  # a ragged sequence
+            shape = (len(x),)
+        what = " that does not hold numbers" if arr is None and shape == (n,) else ""
+        raise InvalidInputError(f"expected a point of dimension {n}, got shape {shape}{what}")
+    if finite and not np.isfinite(arr).all():
+        raise InvalidInputError(f"expected a finite point, got {arr.tolist()}")
+    return arr.tolist()
 
 
 def compose_surrogate(

@@ -17,8 +17,11 @@ Per iteration k (starting at 0, with y_0 = x_0 and t_0 = 1):
 The non-accelerated baseline runs the identical loop with theta forced to 0.
 The run's state (x, y, t, mu, L and the feval tally, 2 + trials per
 iteration) lives in locals of one solve call, so concurrent solves on a
-shared problem spec are safe.  The boundedness diagnostic reads the accepted
-trial's f(x_{k+1}, mu_{k+1}), which backtrack_step already computed.
+shared problem spec are safe.  x0 is checked once; from there x, y and each
+accepted z are lists of floats, which the surrogate kernels take as they
+are, and only the trace and the result hold arrays.  The boundedness
+diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}), which
+backtrack_step already computed.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def backtrack_step(
     `mu` is already decayed for this iteration.  Returns the accepted
     candidate z, the accepted L, the trial count and f(z, mu); the step
     spends 2 + trials smooth evaluations, and only the one at y forms a
-    Jacobian.
+    Jacobian.  x and y may be float lists, as the solver loop passes them.
     """
     evals_y = eval_smooth(p, y, mu)
     L_trial = cfg.L0
@@ -139,12 +142,13 @@ def backtrack_step(
     lam0 = [1.0 / m] * m
     for trial in range(1, MAX_BACKTRACKS + 2):
         z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
-        vals_z, _ = eval_smooth(p, z, mu, jac=False)
+        zs = z.tolist()
+        vals_z, _ = eval_smooth(p, zs, mu, jac=False)
         # max_i [f_i(z) - f_i(y) - <grad f_i(y), z - y>] <= (ell / 2) ||z - y||^2, on floats
-        d = [zj - yj for zj, yj in zip(z.tolist(), core.ys)]
+        d = [zj - yj for zj, yj in zip(zs, core.y)]
         rhs = 0.5 * core.ell * _dot(d, d)
         bound = rhs + (1e-9 * max(1.0, rhs) + 1e-12)
-        if all(fz - fy - _dot(g, d) <= bound for fz, fy, g in zip(vals_z.tolist(), vals_y, core.rows)):
+        if all(fz - fy - _dot(g, d) <= bound for fz, fy, g in zip(vals_z.tolist(), vals_y, core.G)):
             return z, L_trial, trial, vals_z
         L_trial *= cfg.eta
         core.ell = L_trial / mu
@@ -161,19 +165,21 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
     if not np.isfinite(x0).all():
         raise InvalidInputError(f"start point must be finite, got {x0}")
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
-    vals0, _ = eval_smooth(p, x0, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
-    bound_ref = float(vals0.max()) + eval_g(p, x0)
+    x = y = x0.tolist()
+    vals0, _ = eval_smooth(p, x, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
+    bound_ref = max(vals0.tolist()) + eval_g(p, x)
     bound_limit = _BOUND_FACTOR * max(abs(bound_ref), 1.0) + _BOUND_OFFSET
     warned = False
 
-    x, y, t, mu, L = x0, x0, 1.0, cfg.mu0, cfg.L0
+    t, mu, L = 1.0, cfg.mu0, cfg.L0
     fevals = 0
     start = time.perf_counter()
     status = "MaxIter"
     iterations = cfg.max_iter
     for k in range(cfg.max_iter):
         mu_next = mu_schedule(k, cfg.mu0, cfg.sigma)
-        x_next, L_next, trials, vals_next = backtrack_step(p, x, y, mu_next, cfg)
+        z, L_next, trials, vals_next = backtrack_step(p, x, y, mu_next, cfg)
+        x_next = z.tolist()
         fevals += 2 + trials
         step = math.dist(x, x_next)
 
@@ -192,9 +198,9 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
             )
             warned = True
         if trace is not None:
-            trace.append(TraceRecord(k, x_next.copy(), mu_next, L_next, t_next, theta_next, step, smooth_max))
+            trace.append(TraceRecord(k, z, mu_next, L_next, t_next, theta_next, step, smooth_max))
 
-        y = x_next + theta_next * (x_next - x)
+        y = [a + theta_next * (a - b) for a, b in zip(x_next, x)]
         x, t, mu, L = x_next, t_next, mu_next, L_next
         if step < cfg.eps and mu < cfg.eps:
             status = "Converged"
@@ -202,7 +208,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
             break
 
     wall = time.perf_counter() - start
-    return RunResult(x, eval_true(p, x), iterations, fevals, wall, status, trace)
+    return RunResult(np.array(x), eval_true(p, x), iterations, fevals, wall, status, trace)
 
 
 def solve(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig | None = None) -> RunResult:

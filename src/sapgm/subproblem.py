@@ -17,9 +17,10 @@ the kinks brackets its root on a linear piece.  That search, its prox step
 and its gap run on Python floats, since at n = 2 a NumPy call on a length-2
 array costs more than its arithmetic; only z and lam come back as arrays.
 Other m use projected gradient ascent with a backtracking step, on NumPy
-arrays.  Strong convexity makes the primal minimizer unique, so the duality
-gap, the KKT residual and the complementarity violation certify the
-solution; solve_subproblem returns all three with it.
+arrays built once per solve from the core's float lists.  Strong convexity
+makes the primal minimizer unique, so the duality gap, the KKT residual and
+the complementarity violation certify the solution; solve_subproblem
+returns all three with it.
 
 All g_i are required to be the identical shared term; distinct g_i would
 break the closed-form inner step and are rejected at ProblemSpec
@@ -108,36 +109,47 @@ def _g_value(z: np.ndarray, g_kind: GKind, n: int) -> float:
     return 0.0
 
 
+def _floats(a) -> list:
+    """A list (of rows) as it is, an array as its list of floats."""
+    return a if type(a) is list else np.asarray(a, dtype=float).tolist()
+
+
 class _Core:
     """The min-max model at one expansion point y: Jacobian rows G, offsets c
     and the prox weight ell.
 
     A core serves every trial of a backtracking step, and only ell changes
-    between trials.  G, y and c are kept as arrays for the NumPy paths
-    (`inner`, the ascent for m != 2, the certificates) and, converted once,
-    as float lists for the m = 2 kink search.
+    between trials.  y, G and c are float lists (rows of floats for G), as
+    the m = 2 kink search reads them; the NumPy paths (the ascent for
+    m != 2, the certificates) take them as arrays from ``arrays()``.
     """
 
-    __slots__ = ("y", "G", "c", "ell", "g_kind", "n", "ys", "rows", "cs")
+    __slots__ = ("y", "G", "c", "ell", "g_kind", "n")
 
     def __init__(self, y, G, c, ell, g_kind):
-        self.y = y
-        self.G = G
-        self.c = c
+        self.y = _floats(y)
+        self.G = _floats(G)
+        self.c = _floats(c)
         self.ell = ell
         self.g_kind = g_kind
-        self.n = y.size
-        self.ys = y.tolist()
-        self.rows = G.tolist()
-        self.cs = c.tolist()
+        self.n = len(self.y)
 
-    def inner(self, lam):
-        """Prox step for fixed weights; returns (z, component gaps d, dual value)."""
-        d_dir = self.G.T @ lam
-        z = prox_g(self.y - d_dir / self.ell, 1.0 / self.ell, self.g_kind, self.n)
-        dz = z - self.y
+    def arrays(self):
+        """(y, G, c) as new arrays."""
+        return np.array(self.y), np.array(self.G), np.array(self.c)
+
+    def inner(self, lam, arrays=None):
+        """Prox step for fixed weights; returns (z, component gaps d, dual value, quad).
+
+        ``arrays`` is the core's ``arrays()``, built once by a caller that
+        steps many times.
+        """
+        y, G, c = arrays or self.arrays()
+        d_dir = G.T @ lam
+        z = prox_g(y - d_dir / self.ell, 1.0 / self.ell, self.g_kind, self.n)
+        dz = z - y
         gz = _g_value(z, self.g_kind, self.n)
-        comp = self.G @ dz + self.c + gz  # per-component bracket values
+        comp = G @ dz + c + gz  # per-component bracket values
         quad = 0.5 * self.ell * float(dz @ dz)
         return z, comp, float(lam @ comp) + quad, quad
 
@@ -147,7 +159,7 @@ class _Core:
 
 def _solve_core(core: _Core, lam0, tol: float, max_inner: int):
     """Maximize the dual from lam0; returns (z, lam, theta, gap, steps)."""
-    if len(core.rows) == 2:
+    if len(core.G) == 2:
         return _solve_pair(core, lam0)
     return _ascend(core, lam0, tol, max_inner)
 
@@ -183,9 +195,9 @@ def _solve_pair(core: _Core, lam0):
     kept, as the ascent keeps it; a non-finite h gives t = nan and so a
     non-finite gap.  Only z and lam are returned as arrays.
     """
-    ell, n, ys = core.ell, core.n, core.ys
-    g1, g2 = core.rows
-    c1, c2 = core.cs
+    ell, n, ys = core.ell, core.n, core.y
+    g1, g2 = core.G
+    c1, c2 = core.c
     d = [u - v for u, v in zip(g1, g2)]
     s = [dj / ell for dj in d]
     a = [yj - v / ell for yj, v in zip(ys, g2)]
@@ -240,18 +252,20 @@ def _solve_pair(core: _Core, lam0):
 
 def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
     """Projected gradient ascent on the dual; the path for m != 2."""
+    arrays = core.arrays()
     lam = project_simplex(lam0)
-    z, comp, dual, quad = core.inner(lam)
+    z, comp, dual, quad = core.inner(lam, arrays)
     # dual curvature along simplex directions is at most smax(G_centered)^2 / ell;
     # its reciprocal is the natural ascent step
-    Gc = core.G - core.G.mean(axis=0)
+    G = arrays[1]
+    Gc = G - G.mean(axis=0)
     curv = float(np.linalg.norm(Gc, 2)) ** 2 / core.ell
     if 2.0 * curv <= tol:
         # (nearly) linear dual, m = 1 included: lam moves z by at most
         # smax sqrt(2) / ell, so the vertex of the largest bracket has gap <= 2 curv
         lam = np.zeros(lam.size)
         lam[comp.argmax()] = 1.0
-        z, comp, dual, quad = core.inner(lam)
+        z, comp, dual, quad = core.inner(lam, arrays)
         return z, lam, core.primal(comp, quad), core.primal(comp, quad) - dual, 1
     step0 = 1.0 / max(curv, 1e-300)
     step = step0
@@ -270,7 +284,7 @@ def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
                     break  # projected fixed point at a safe step: optimal
                 step = min(step * 4.0, step0)
                 continue
-            z2, comp2, dual2, quad2 = core.inner(lam_try)
+            z2, comp2, dual2, quad2 = core.inner(lam_try, arrays)
             # steps at or below 1/curv ascend in exact arithmetic, so take
             # them even when the increase falls below rounding noise
             if dual2 >= dual + 0.5 * msq / step or step <= step0:
@@ -295,9 +309,9 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
     vals_x, _ = evals_x
     gx = eval_g(p, x)
     c = [fy - (fx + gx) for fy, fx in zip(vals_y.tolist(), vals_x.tolist())]
-    core = _Core(np.asarray(y, float), G, np.array(c), ell, p.g_kind)
-    if not (all(map(math.isfinite, c)) and all(math.isfinite(v) for row in core.rows for v in row)):
-        raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.ys} are not finite")
+    core = _Core(y, G.tolist(), c, ell, p.g_kind)
+    if not (all(map(math.isfinite, c)) and all(math.isfinite(v) for row in core.G for v in row)):
+        raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.y} are not finite")
     return core
 
 
@@ -321,7 +335,7 @@ def solve_subproblem(
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
     core = _build_core(inp)
-    m = core.G.shape[0]
+    m = len(core.G)
     if lam0 is None:
         lam0 = np.full(m, 1.0 / m)
     z, lam, theta, gap, iters = _solve_core(core, np.asarray(lam0, float), tol, max_inner)
@@ -339,7 +353,8 @@ def _kkt_from_core(core: _Core, z: np.ndarray, lam: np.ndarray) -> float:
     xi is the element of the subdifferential of g at z closest to exact
     stationarity.
     """
-    d = core.G.T @ lam + core.ell * (z - core.y)
+    y, G, _ = core.arrays()
+    d = G.T @ lam + core.ell * (z - y)
     # xi must equal -d for stationarity; clamp it into the subdifferential of g
     xi = -d
     if core.g_kind is GKind.SCALED_L1:

@@ -82,8 +82,9 @@ def solve_pair_reference(core, lam0):
     """
     from sapgm.subproblem import prox_g
 
-    d = core.G[0] - core.G[1]
-    a = core.y - core.G[1] / core.ell
+    y, G, c = core.arrays()
+    d = G[0] - G[1]
+    a = y - G[1] / core.ell
     t0 = min(max(lam0[0] + 0.5 * (1.0 - lam0[0] - lam0[1]), 0.0), 1.0)
     ts = np.array([0.0, 1.0, t0])
     if core.g_kind is GKind.SCALED_L1:
@@ -94,7 +95,7 @@ def solve_pair_reference(core, lam0):
         ts = np.concatenate((ts, np.fmin(np.fmax(kinks, 0.0), 1.0)))
     with np.errstate(invalid="ignore", over="ignore"):
         Z = prox_g(a - ts[:, None] * (d / core.ell), 1.0 / core.ell, core.g_kind, core.n)
-        h = (Z - core.y) @ d + (core.c[0] - core.c[1])
+        h = (Z - y) @ d + (c[0] - c[1])
     if not np.isfinite(h).all():
         t = np.nan
     elif h[2] == 0.0:

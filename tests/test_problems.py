@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -108,6 +109,36 @@ def test_eval_g_values():
         [1.0, 1.0],
     )
     assert eval_g(zp, [3.0, -1.0]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "x, match",
+    [
+        ([1.0, 2.0, 3.0], r"BK1: expected a point of dimension 2, got shape \(3,\)"),
+        ([[1.0], [2.0]], r"BK1: expected a point of dimension 2, got shape \(2, 1\)"),
+        ([1.0, math.nan], r"BK1: expected a finite point, got \[1\.0, nan\]"),
+        ([math.inf, 1.0], r"BK1: expected a finite point, got \[inf, 1\.0\]"),
+        (np.array([1.0, -math.inf]), r"BK1: expected a finite point, got \[1\.0, -inf\]"),
+    ],
+    ids=["length", "nested", "nan", "inf", "array-inf"],
+)
+def test_evaluators_reject_a_bad_point(x, match):
+    p = get_problem("BK1")
+    for evaluate in (
+        lambda: eval_smooth(p, x, 0.5),
+        lambda: eval_smooth(p, x, 0.5, jac=False),
+        lambda: eval_g(p, x),
+        lambda: eval_true(p, x),
+    ):
+        with pytest.raises(InvalidInputError, match=match):
+            evaluate()
+
+
+def test_finite_coordinates_whose_sum_overflows_are_a_point():
+    # the float-list check sums the coordinates; an inf sum of finite ones
+    # is checked coordinate by coordinate
+    p = get_problem("JOS1")
+    assert eval_g(p, [1e308, 1e308]) == math.inf
 
 
 def test_dimension_mismatch_rejected():

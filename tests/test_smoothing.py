@@ -381,7 +381,12 @@ def test_surrogate_eval_rejects_nonpositive_mu():
             s.eval(np.array([1.0]), mu)
 
 
-@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0], np.ones(4), np.ones((2, 1)), np.ones((1, 2)), 3.0])
+@pytest.mark.parametrize(
+    "x",
+    # a nested list and a list that holds a non-number have length n = 2,
+    # so the float-list fast path must not take them
+    [[1.0, 2.0, 3.0], [1.0], np.ones(4), np.ones((2, 1)), np.ones((1, 2)), 3.0, [[1.0], [2.0]], [1.0, "a"]],
+)
 def test_surrogate_rejects_a_point_of_another_dimension(x):
     s = get_problem("JOS1").smooth_parts[0]  # n = 2
     msg = r"expected a point of dimension 2, got shape \([\d, ]*\)"
@@ -426,18 +431,19 @@ tree_mus = st.floats(1e-2, 1.0, allow_nan=False)
 
 
 @st.composite
-def affines(draw, n):
-    return Affine([draw(weights) for _ in range(n)], draw(weights))
+def affines(draw, n, unread=None):
+    """An affine leaf; its weight on coordinate ``unread`` is 0."""
+    return Affine([0.0 if k == unread else draw(weights) for k in range(n)], draw(weights))
 
 
 @st.composite
-def convex_trees(draw, n, depth=3):
+def convex_trees(draw, n, depth=3, unread=None):
     leaves = ("affine", "square", "quartic", "exp", "abs")
     kind = draw(st.sampled_from(leaves + (("scale", "sum", "plus", "max2", "maxlist") if depth else ())))
     if kind in leaves:
-        a = draw(affines(n))
+        a = draw(affines(n, unread))
         return {"affine": a, "square": Square(a), "quartic": Quartic(a), "exp": Exp(a), "abs": Abs(a)}[kind]
-    sub = convex_trees(n, depth - 1)
+    sub = convex_trees(n, depth - 1, unread)
     if kind == "scale":
         return Scale(draw(st.floats(0.0, 2.0)), draw(sub))
     if kind == "plus":
@@ -497,8 +503,8 @@ def test_tree_gradient_matches_finite_differences(case):
 
 def kernel(s, x, mu):
     """The surrogate's compiled kernel at (x, mu), mu = 0 included: value and gradient."""
-    v, adjoints = s._value_adjoints(s._leaves(x), mu)
-    return v, np.array(adjoints).dot(s._W)
+    v, g = s._value_grad(np.asarray(x, float).tolist(), mu)
+    return v, np.array(g)
 
 
 def assert_kernel_matches_reference(s, x, mu):
@@ -521,6 +527,24 @@ def test_kernel_matches_the_reference_evaluator_on_random_trees(case):
     s, (x,), mu = case
     for m in (mu, 0.0):
         assert_kernel_matches_reference(s, x, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_reference_with_a_constant_leaf_and_an_unread_coordinate(data):
+    # an all-zero leaf emits no product, and a coordinate no leaf reads has
+    # the gradient line 0.0
+    n = data.draw(st.integers(1, 3))
+    unread = data.draw(st.integers(0, n - 1))
+    tree = data.draw(convex_trees(n, data.draw(st.integers(0, 3)), unread))
+    const = Affine(np.zeros(n), data.draw(weights))
+    box = (-TREE_BOX * np.ones(n), TREE_BOX * np.ones(n))
+    s, s_tree = compose_surrogate(Sum([tree, const]), box), compose_surrogate(tree, box)
+    x = np.array(data.draw(st.lists(st.floats(-TREE_BOX, TREE_BOX), min_size=n, max_size=n)))
+    for mu in (data.draw(tree_mus), 0.0):
+        assert_kernel_matches_reference(s, x, mu)
+        v, g = kernel(s, x, mu)
+        assert g[unread] == 0.0 and v == kernel(s_tree, x, mu)[0] + const.c
 
 
 def test_kernel_matches_the_reference_evaluator_on_the_registry():

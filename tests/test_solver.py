@@ -323,6 +323,17 @@ def test_baseline_not_faster_on_strongly_convex():
     assert wins >= 40
 
 
+@pytest.mark.parametrize("run", [solve, solve_baseline])
+def test_iterates_come_back_as_float_arrays(run):
+    # the loop keeps x, y and z as float lists; the result and the trace
+    # hold arrays of shape (n,)
+    p = get_problem("CB3&LQ")
+    res = run(p, sample_start(p, 0), SolverConfig(record_trace=True))
+    for x in [res.final_x] + [rec.x for rec in res.trace]:
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (p.n,)
+    np.testing.assert_array_equal(res.final_x, res.trace[-1].x)
+
+
 def test_trace_off_by_default():
     p = get_problem("BK1")
     res = solve(p, sample_start(p, 0))

@@ -337,9 +337,10 @@ LAM_HALF = np.array([0.5, 0.5])
 def kinks_inside(core):
     """Weights t in (0, 1) where a soft-threshold coordinate of z(t) switches."""
     thr = 1.0 / (core.ell * core.n)
+    y, G, _ = core.arrays()
     ts = []
     for t in np.linspace(0.0, 1.0, 2001):
-        v = core.y - (t * core.G[0] + (1.0 - t) * core.G[1]) / core.ell
+        v = y - (t * G[0] + (1.0 - t) * G[1]) / core.ell
         ts.append(np.abs(v) > thr)
     return int(np.sum(np.any(np.diff(np.array(ts), axis=0), axis=1)))
 
