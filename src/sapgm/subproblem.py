@@ -294,7 +294,10 @@ def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
         if not accepted:
             break
         lam, z, comp, dual, quad = lam_try, z2, comp2, dual2, quad2
-        step = min(step * 2.0, 1e6 * step0)
+        # where z rests in a flat piece of the prox (inside the soft-threshold
+        # band) the dual is linear and 1/curv is far too short a step, so the
+        # step doubles up to 2^40 step0, which 60 halvings still bring back
+        step = min(step * 2.0, 2.0**40 * step0)
         gap = core.primal(comp, quad) - dual
     return z, lam, core.primal(comp, quad), gap, iters + 1
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_problem, grid_argmin_2d, solve_pair_reference, subproblem_objective
@@ -423,6 +423,9 @@ def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c, g_kind):
     ell=st.floats(0.1, 100.0),
     t0=st.floats(0.0, 1.0),
 )
+# z rests inside the soft-threshold band for every weight, so the dual is
+# linear with a slope of 1.2e-8: the ascent's step must grow far past 1/curv
+@example(n=1, g_kind=GKind.SCALED_L1, data=[0.0, 1.0] + [0.0] * 11 + [-1.1950395177352375e-08], ell=0.125, t0=0.0)
 def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
     G = np.array(data[: 2 * n]).reshape(2, n)
     y = np.array(data[8 : 8 + n])
