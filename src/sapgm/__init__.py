@@ -41,8 +41,6 @@ from .solver import (
 from .subproblem import (
     SubproblemInput,
     SubproblemSolution,
-    project_simplex,
-    prox_g,
     solve_subproblem,
 )
 
@@ -84,7 +82,5 @@ __all__ = [
     "solve_baseline",
     "SubproblemInput",
     "SubproblemSolution",
-    "project_simplex",
-    "prox_g",
     "solve_subproblem",
 ]

@@ -67,6 +67,9 @@ class ProblemSpec:
             raise InvalidParameterError("need at least two objectives")
         if len(self.smooth_parts) != self.m:
             raise InvalidInputError("smooth_parts length must equal m")
+        for b in (self.lower, self.upper):
+            if np.shape(b) != (self.n,) or not np.isfinite(b).all():
+                raise InvalidParameterError(f"bounds must be {self.n} finite numbers, got {b!r}")
         if not np.all(self.lower < self.upper):
             raise InvalidParameterError("lower bound must be strictly below upper bound")
         for s in self.smooth_parts:

@@ -142,14 +142,13 @@ def backtrack_step(
     lam0 = [1.0 / m] * m
     for trial in range(1, MAX_BACKTRACKS + 2):
         z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
-        zs = z.tolist()
-        vals_z, _ = eval_smooth(p, zs, mu, jac=False)
+        vals_z, _ = eval_smooth(p, z, mu, jac=False)
         # max_i [f_i(z) - f_i(y) - <grad f_i(y), z - y>] <= (ell / 2) ||z - y||^2, on floats
-        d = [zj - yj for zj, yj in zip(zs, core.y)]
+        d = [zj - yj for zj, yj in zip(z, core.y)]
         rhs = 0.5 * core.ell * _dot(d, d)
         bound = rhs + (1e-9 * max(1.0, rhs) + 1e-12)
         if all(fz - fy - _dot(g, d) <= bound for fz, fy, g in zip(vals_z.tolist(), vals_y, core.G)):
-            return z, L_trial, trial, vals_z
+            return np.array(z), L_trial, trial, vals_z
         L_trial *= cfg.eta
         core.ell = L_trial / mu
     raise DivergingLipschitzError(

@@ -9,18 +9,17 @@ the max over the unit simplex gives, for weights lam,
 
     q(lam) = min_z  <G^T lam, z - y> + g(z) + (ell / 2) ||z - y||^2 + lam . c
 
-whose inner minimum is a single prox step.  q is concave.  For m = 2 it is
-maximized exactly: with lam = (t, 1 - t) its derivative in t is
+whose inner minimum is a single prox step, _Core.inner.  q is concave.  For
+m = 2 it is maximized exactly: with lam = (t, 1 - t) its derivative in t is
 comp_1 - comp_2, which does not increase and is piecewise linear with a kink
 wherever a soft-threshold coordinate of the prox switches, so one pass over
-the kinks brackets its root on a linear piece.  That search, its prox step
-and its gap run on Python floats, since at n = 2 a NumPy call on a length-2
-array costs more than its arithmetic; only z and lam come back as arrays.
-Other m use projected gradient ascent with a backtracking step, on NumPy
-arrays built once per solve from the core's float lists.  Strong convexity
-makes the primal minimizer unique, so the duality gap, the KKT residual and
-the complementarity violation certify the solution; solve_subproblem
-returns all three with it.
+the kinks brackets its root on a linear piece.  Other m use projected
+gradient ascent with a backtracking step.  Both paths, the prox step and
+the certificates run on Python floats, since at these sizes a NumPy call
+costs more than its arithmetic; only the ascent's curvature bound takes a
+matrix norm, once per solve.  Strong convexity makes the primal minimizer
+unique, so the duality gap, the KKT residual and the complementarity
+violation certify the solution; solve_subproblem returns all three with it.
 
 All g_i are required to be the identical shared term; distinct g_i would
 break the closed-form inner step and are rejected at ProblemSpec
@@ -40,8 +39,6 @@ from .problems import GKind, ProblemSpec, eval_g, eval_smooth
 __all__ = [
     "SubproblemInput",
     "SubproblemSolution",
-    "prox_g",
-    "project_simplex",
     "solve_subproblem",
 ]
 
@@ -59,10 +56,11 @@ class SubproblemInput:
     problem: ProblemSpec
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise InvalidParameterError("mu must be positive")
-        if not self.ell > 0.0:
-            raise InvalidParameterError("ell must be positive")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.mu < math.inf:
+            raise InvalidParameterError("mu must be finite and positive")
+        if not 0.0 < self.ell < math.inf:
+            raise InvalidParameterError("ell must be finite and positive")
 
 
 @dataclass
@@ -77,51 +75,26 @@ class SubproblemSolution:
     converged: bool
 
 
-def prox_g(v: np.ndarray, tau: float, g_kind: GKind, n: int) -> np.ndarray:
-    """argmin_z tau * g(z) + 0.5 ||z - v||^2.
-
-    Soft-thresholding at tau / n for the scaled l1 term, identity for g = 0.
-    """
-    if not tau > 0.0:
-        raise InvalidParameterError("tau must be positive")
-    v = np.asarray(v, dtype=float)
-    if g_kind is GKind.ZERO:
-        return v.copy()
-    thr = tau / n
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-
-
-def project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-and-threshold)."""
-    w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        raise InvalidInputError("cannot project an empty vector")
-    u = np.sort(w)[::-1]
-    cs = np.cumsum(u) - 1.0
-    rho = np.nonzero(u > cs / np.arange(1, w.size + 1))[0][-1]
-    tau = cs[rho] / (rho + 1.0)
-    return np.maximum(w - tau, 0.0)
-
-
-def _g_value(z: np.ndarray, g_kind: GKind, n: int) -> float:
-    if g_kind is GKind.SCALED_L1:
-        return float(np.abs(z).sum()) / n
-    return 0.0
-
-
 def _floats(a) -> list:
     """A list (of rows) as it is, an array as its list of floats."""
     return a if type(a) is list else np.asarray(a, dtype=float).tolist()
 
 
+def _combine(lam, rows) -> list:
+    """sum_i lam_i rows_i, one coordinate at a time, summed over i in order."""
+    v = [lam[0] * r for r in rows[0]]
+    for li, row in zip(lam[1:], rows[1:]):
+        v = [vj + r * li for vj, r in zip(v, row)]
+    return v
+
+
 class _Core:
     """The min-max model at one expansion point y: Jacobian rows G, offsets c
-    and the prox weight ell.
+    and the prox weight ell, as float lists (rows of floats for G).
 
     A core serves every trial of a backtracking step, and only ell changes
-    between trials.  y, G and c are float lists (rows of floats for G), as
-    the m = 2 kink search reads them; the NumPy paths (the ascent for
-    m != 2, the certificates) take them as arrays from ``arrays()``.
+    between trials.  Its prox step ``inner`` is the one both dual paths and
+    the certificates take.
     """
 
     __slots__ = ("y", "G", "c", "ell", "g_kind", "n")
@@ -134,38 +107,38 @@ class _Core:
         self.g_kind = g_kind
         self.n = len(self.y)
 
-    def arrays(self):
-        """(y, G, c) as new arrays."""
-        return np.array(self.y), np.array(self.G), np.array(self.c)
+    def inner(self, lam):
+        """Prox step for fixed weights; returns (z, brackets comp, dual value, quad).
 
-    def inner(self, lam, arrays=None):
-        """Prox step for fixed weights; returns (z, component gaps d, dual value, quad).
-
-        ``arrays`` is the core's ``arrays()``, built once by a caller that
-        steps many times.
+        z = soft(y - sum_i lam_i g_i / ell), comp_i = <g_i, z - y> + c_i + g(z),
+        quad = (ell / 2) ||z - y||^2 and the dual value is lam . comp + quad.
         """
-        y, G, c = arrays or self.arrays()
-        d_dir = G.T @ lam
-        z = prox_g(y - d_dir / self.ell, 1.0 / self.ell, self.g_kind, self.n)
-        dz = z - y
-        gz = _g_value(z, self.g_kind, self.n)
-        comp = G @ dz + c + gz  # per-component bracket values
-        quad = 0.5 * self.ell * float(dz @ dz)
-        return z, comp, float(lam @ comp) + quad, quad
-
-    def primal(self, comp, quad):
-        return float(comp.max()) + quad
+        ell, ys, G = self.ell, self.y, self.G
+        v = _combine(lam, G)
+        gz = 0.0  # g(z)
+        if self.g_kind is GKind.SCALED_L1:
+            tau = 1.0 / ell / self.n
+            z = [_soft(yj - vj / ell, tau) for yj, vj in zip(ys, v)]
+            for zj in z:
+                gz += abs(zj)
+            gz /= self.n
+        else:
+            z = [yj - vj / ell for yj, vj in zip(ys, v)]
+        dz = [zj - yj for zj, yj in zip(z, ys)]
+        comp = [_dot(g, dz) + ci + gz for g, ci in zip(G, self.c)]
+        quad = 0.5 * ell * _dot(dz, dz)
+        return z, comp, _dot(lam, comp) + quad, quad
 
 
 def _solve_core(core: _Core, lam0, tol: float, max_inner: int):
-    """Maximize the dual from lam0; returns (z, lam, theta, gap, steps)."""
+    """Maximize the dual from lam0; returns (z, lam, theta, gap, steps), z and lam as float lists."""
     if len(core.G) == 2:
         return _solve_pair(core, lam0)
     return _ascend(core, lam0, tol, max_inner)
 
 
 def _soft(v: float, tau: float) -> float:
-    """prox_g's soft threshold of one coordinate, signed zeros and nan included."""
+    """Soft threshold sign(v) * max(|v| - tau, 0) of one coordinate, signed zeros and nan included."""
     if v > tau:
         return v - tau
     if v < -tau:
@@ -182,7 +155,7 @@ def _dot(u, v) -> float:
 
 
 def _solve_pair(core: _Core, lam0):
-    """Exact dual maximizer for m = 2 over lam = (t, 1 - t), on floats.
+    """Exact dual maximizer for m = 2 over lam = (t, 1 - t).
 
     z(t) = prox(a - t d / ell) with d = g_1 - g_2 and a = y - g_2 / ell, and
     h(t) = <d, z(t) - y> + c_1 - c_2 is the dual derivative.  The prox is
@@ -193,7 +166,7 @@ def _solve_pair(core: _Core, lam0):
     and its root is interpolated between the last point where h > 0 and the
     first where h <= 0.  A start weight where h vanishes (a flat dual) is
     kept, as the ascent keeps it; a non-finite h gives t = nan and so a
-    non-finite gap.  Only z and lam are returned as arrays.
+    non-finite gap.
     """
     ell, n, ys = core.ell, core.n, core.y
     g1, g2 = core.G
@@ -232,59 +205,57 @@ def _solve_pair(core: _Core, lam0):
         ti, hi = max((t, h) for t, h in zip(ts, hs) if h > 0.0)
         tj, hj = min((t, h) for t, h in zip(ts, hs) if h <= 0.0)
         t = ti + (tj - ti) * hi / (hi - hj)
-    # the prox step and its certificates at lam = (t, 1 - t)
-    u = 1.0 - t
-    z = [yj - (g1j * t + g2j * u) / ell for yj, g1j, g2j in zip(ys, g1, g2)]
-    gz = 0.0  # g(z)
-    if core.g_kind is GKind.SCALED_L1:
-        z = [_soft(v, tau) for v in z]
-        for zj in z:
-            gz += abs(zj)
-        gz /= n
-    dz = [zj - yj for zj, yj in zip(z, ys)]
-    comp1 = _dot(g1, dz) + c1 + gz
-    comp2 = _dot(g2, dz) + c2 + gz
-    quad = 0.5 * ell * _dot(dz, dz)
-    theta = max(comp1, comp2) + quad
-    dual = t * comp1 + u * comp2 + quad
-    return np.array(z), np.array([t, u]), theta, theta - dual, 1
+    lam = [t, 1.0 - t]
+    z, comp, dual, quad = core.inner(lam)
+    theta = max(comp) + quad
+    return z, lam, theta, theta - dual, 1
 
 
-def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
+def _proj_simplex(w: list) -> list:
+    """Euclidean projection of a float list onto the unit simplex (sort and threshold)."""
+    tau = math.nan  # stays nan when no entry is finite
+    cs = 0.0
+    for k, u in enumerate(sorted(w, reverse=True), 1):
+        cs += u
+        if u > (cs - 1.0) / k:
+            tau = (cs - 1.0) / k
+    return [max(v - tau, 0.0) for v in w]
+
+
+def _ascend(core: _Core, lam0, tol: float, max_inner: int):
     """Projected gradient ascent on the dual; the path for m != 2."""
-    arrays = core.arrays()
-    lam = project_simplex(lam0)
-    z, comp, dual, quad = core.inner(lam, arrays)
+    lam = _proj_simplex([float(v) for v in lam0])
+    z, comp, dual, quad = core.inner(lam)
     # dual curvature along simplex directions is at most smax(G_centered)^2 / ell;
     # its reciprocal is the natural ascent step
-    G = arrays[1]
-    Gc = G - G.mean(axis=0)
-    curv = float(np.linalg.norm(Gc, 2)) ** 2 / core.ell
+    G = np.array(core.G)
+    curv = float(np.linalg.norm(G - G.mean(axis=0), 2)) ** 2 / core.ell
     if 2.0 * curv <= tol:
         # (nearly) linear dual, m = 1 included: lam moves z by at most
         # smax sqrt(2) / ell, so the vertex of the largest bracket has gap <= 2 curv
-        lam = np.zeros(lam.size)
-        lam[comp.argmax()] = 1.0
-        z, comp, dual, quad = core.inner(lam, arrays)
-        return z, lam, core.primal(comp, quad), core.primal(comp, quad) - dual, 1
+        lam = [0.0] * len(lam)
+        lam[max(range(len(comp)), key=comp.__getitem__)] = 1.0
+        z, comp, dual, quad = core.inner(lam)
+        theta = max(comp) + quad
+        return z, lam, theta, theta - dual, 1
     step0 = 1.0 / max(curv, 1e-300)
     step = step0
     iters = 0
-    gap = core.primal(comp, quad) - dual
+    gap = max(comp) + quad - dual
     while gap > tol and iters < max_inner:
         iters += 1
         # comp is the dual (super)gradient; backtrack on the ascent step
         accepted = False
         for _ in range(60):
-            lam_try = project_simplex(lam + step * comp)
-            move = lam_try - lam
-            msq = float(move @ move)
+            lam_try = _proj_simplex([li + step * ci for li, ci in zip(lam, comp)])
+            move = [u - v for u, v in zip(lam_try, lam)]
+            msq = _dot(move, move)
             if msq <= 1e-28:
                 if step >= step0:
                     break  # projected fixed point at a safe step: optimal
                 step = min(step * 4.0, step0)
                 continue
-            z2, comp2, dual2, quad2 = core.inner(lam_try, arrays)
+            z2, comp2, dual2, quad2 = core.inner(lam_try)
             # steps at or below 1/curv ascend in exact arithmetic, so take
             # them even when the increase falls below rounding noise
             if dual2 >= dual + 0.5 * msq / step or step <= step0:
@@ -298,8 +269,8 @@ def _ascend(core: _Core, lam0: np.ndarray, tol: float, max_inner: int):
         # band) the dual is linear and 1/curv is far too short a step, so the
         # step doubles up to 2^40 step0, which 60 halvings still bring back
         step = min(step * 2.0, 2.0**40 * step0)
-        gap = core.primal(comp, quad) - dual
-    return z, lam, core.primal(comp, quad), gap, iters + 1
+        gap = max(comp) + quad - dual
+    return z, lam, max(comp) + quad, gap, iters + 1
 
 
 def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
@@ -332,39 +303,46 @@ def solve_subproblem(
 ) -> SubproblemSolution:
     """Solve the min-max model to duality gap <= tol.
 
-    If the gap is still above tol after max_inner ascent steps the best
-    iterate is returned with converged=False; the caller decides.
+    lam0, the start weights, must be m finite numbers (default: uniform);
+    InvalidInputError otherwise.  If the gap is still above tol after
+    max_inner ascent steps the best iterate is returned with
+    converged=False; the caller decides.
     """
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
-    core = _build_core(inp)
-    m = len(core.G)
+    m = inp.problem.m
     if lam0 is None:
-        lam0 = np.full(m, 1.0 / m)
-    z, lam, theta, gap, iters = _solve_core(core, np.asarray(lam0, float), tol, max_inner)
+        lam0 = [1.0 / m] * m
+    elif np.shape(lam0) != (m,) or not np.isfinite(lam0).all():
+        raise InvalidInputError(f"lam0 must be {m} finite weights, got {lam0!r}")
+    core = _build_core(inp)
+    z, lam, theta, gap, iters = _solve_core(core, lam0, tol, max_inner)
     _, comp, _, _ = core.inner(lam)
-    inactive = comp < comp.max() - _ACTIVE_SLACK
-    complementarity = float(lam[inactive].max()) if inactive.any() else 0.0
-    return SubproblemSolution(
-        z, lam, theta, gap, _kkt_from_core(core, z, lam), complementarity, iters, gap <= tol
-    )
+    kkt, complementarity = _kkt_residual(core, z, lam), _complementarity(comp, lam)
+    return SubproblemSolution(np.array(z), np.array(lam), theta, gap, kkt, complementarity, iters, gap <= tol)
 
 
-def _kkt_from_core(core: _Core, z: np.ndarray, lam: np.ndarray) -> float:
+def _kkt_residual(core: _Core, z: list, lam: list) -> float:
     """Stationarity residual || sum_i lam_i grad_i + xi + ell (z - y) ||.
 
     xi is the element of the subdifferential of g at z closest to exact
     stationarity.
     """
-    y, G, _ = core.arrays()
-    d = G.T @ lam + core.ell * (z - y)
-    # xi must equal -d for stationarity; clamp it into the subdifferential of g
-    xi = -d
-    if core.g_kind is GKind.SCALED_L1:
-        w = 1.0 / core.n
-        hi = np.where(z > 0, w, np.where(z < 0, -w, w))
-        lo = np.where(z > 0, w, np.where(z < 0, -w, -w))
-        xi = np.clip(xi, lo, hi)
-    elif core.g_kind is GKind.ZERO:
-        xi = np.zeros_like(d)
-    return float(np.linalg.norm(d + xi))
+    ell = core.ell
+    d = [vj + ell * (zj - yj) for vj, zj, yj in zip(_combine(lam, core.G), z, core.y)]
+    if core.g_kind is GKind.ZERO:
+        return math.sqrt(_dot(d, d))
+    # xi must equal -d for stationarity; clamp it into the subdifferential of
+    # g = ||.||_1 / n: {sign(z_j) / n} where z_j != 0, [-1/n, 1/n] where z_j = 0
+    w = 1.0 / core.n
+    r = []
+    for dj, zj in zip(d, z):
+        lo, hi = (w, w) if zj > 0.0 else (-w, -w) if zj < 0.0 else (-w, w)
+        r.append(dj + min(max(-dj, lo), hi))
+    return math.sqrt(_dot(r, r))
+
+
+def _complementarity(comp: list, lam: list) -> float:
+    """Largest weight on a bracket more than _ACTIVE_SLACK below the largest."""
+    top = max(comp) - _ACTIVE_SLACK
+    return max((li for li, ci in zip(lam, comp) if ci < top), default=0.0)

@@ -1,10 +1,13 @@
-"""Shared helpers: custom problem construction and brute-force oracles.
+"""Shared helpers: custom problem construction, references and brute-force oracles.
 
 The oracles here deliberately re-derive everything from eval_smooth /
 eval_g / eval_true instead of reusing solver internals, so they can catch
 bugs in the code under test.  value_grad re-derives tree evaluation from
-the atoms without the compiled kernel, and solve_pair_reference is the m = 2
-kink search over NumPy arrays that the float one replaced.
+the atoms without the compiled kernel.  The subproblem references work on
+NumPy arrays where sapgm.subproblem works on float lists: prox_g and
+project_simplex, the prox step inner_reference, the certificates
+kkt_residual_reference and complementarity_reference, and
+solve_pair_reference, the m = 2 kink search.
 """
 from __future__ import annotations
 
@@ -72,17 +75,73 @@ def value_grad(expr, x, mu):
     return v, d * gu
 
 
+def prox_g(v, tau, g_kind, n):
+    """argmin_z tau * g(z) + 0.5 ||z - v||^2.
+
+    Soft-thresholding at tau / n for the scaled l1 term, identity for g = 0.
+    """
+    v = np.asarray(v, dtype=float)
+    if g_kind is GKind.ZERO:
+        return v.copy()
+    return np.sign(v) * np.maximum(np.abs(v) - tau / n, 0.0)
+
+
+def project_simplex(w):
+    """Euclidean projection onto the unit simplex (sort-and-threshold)."""
+    w = np.asarray(w, dtype=float)
+    u = np.sort(w)[::-1]
+    cs = np.cumsum(u) - 1.0
+    rho = np.nonzero(u > cs / np.arange(1, w.size + 1))[0][-1]
+    tau = cs[rho] / (rho + 1.0)
+    return np.maximum(w - tau, 0.0)
+
+
+def core_arrays(core):
+    """(y, G, c) of a subproblem core as new arrays."""
+    return np.array(core.y), np.array(core.G), np.array(core.c)
+
+
+def inner_reference(core, lam):
+    """The core's prox step for weights lam: (z, brackets comp, dual value, quad)."""
+    y, G, c = core_arrays(core)
+    lam = np.asarray(lam, dtype=float)
+    z = prox_g(y - G.T @ lam / core.ell, 1.0 / core.ell, core.g_kind, core.n)
+    dz = z - y
+    gz = float(np.abs(z).sum()) / core.n if core.g_kind is GKind.SCALED_L1 else 0.0
+    comp = G @ dz + c + gz
+    quad = 0.5 * core.ell * float(dz @ dz)
+    return z, comp, float(lam @ comp) + quad, quad
+
+
+def kkt_residual_reference(core, z, lam):
+    """|| G^T lam + xi + ell (z - y) || with xi the subgradient of g at z nearest stationarity."""
+    y, G, _ = core_arrays(core)
+    z = np.asarray(z, float)
+    d = G.T @ np.asarray(lam, float) + core.ell * (z - y)
+    if core.g_kind is GKind.ZERO:
+        return float(np.linalg.norm(d))
+    w = 1.0 / core.n
+    hi = np.where(z > 0, w, np.where(z < 0, -w, w))
+    lo = np.where(z > 0, w, np.where(z < 0, -w, -w))
+    return float(np.linalg.norm(d + np.clip(-d, lo, hi)))
+
+
+def complementarity_reference(comp, lam):
+    """Largest weight on a bracket more than 1e-8 below the largest, 0 if none."""
+    comp, lam = np.asarray(comp, float), np.asarray(lam, float)
+    inactive = comp < comp.max() - 1e-8
+    return float(lam[inactive].max()) if inactive.any() else 0.0
+
+
 def solve_pair_reference(core, lam0):
     """Reference m = 2 dual solve: the kink search over NumPy arrays.
 
     Same algorithm as the float search in sapgm.subproblem: h(t) at 0, 1,
     the start weight and every kink clipped into [0, 1], stacked and
-    evaluated at once through prox_g and core.inner.  Returns
-    (z, lam, theta, gap, 1).
+    evaluated at once through prox_g, then inner_reference at the root.
+    Returns (z, lam, theta, gap, 1).
     """
-    from sapgm.subproblem import prox_g
-
-    y, G, c = core.arrays()
+    y, G, c = core_arrays(core)
     d = G[0] - G[1]
     a = y - G[1] / core.ell
     t0 = min(max(lam0[0] + 0.5 * (1.0 - lam0[0] - lam0[1]), 0.0), 1.0)
@@ -111,8 +170,8 @@ def solve_pair_reference(core, lam0):
         t = ts[i] + (ts[j] - ts[i]) * h[i] / (h[i] - h[j])
     lam = np.array([t, 1.0 - t])
     with np.errstate(invalid="ignore", over="ignore"):
-        z, comp, dual, quad = core.inner(lam)
-        theta = core.primal(comp, quad)
+        z, comp, dual, quad = inner_reference(core, lam)
+        theta = float(comp.max()) + quad
     return z, lam, theta, theta - dual, 1
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import build_problem
-from sapgm.errors import InvalidInputError
+from sapgm.errors import InvalidInputError, InvalidParameterError
 from sapgm.problems import (
     GKind,
+    ProblemSpec,
     eval_g,
     eval_smooth,
     eval_true,
@@ -150,6 +151,25 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(InvalidInputError):
         eval_g(p, [1.0])
 
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ([0.0], [1.0, 1.0]),  # a bound of size 1 gave sample_start a point of size 1
+        ([0.0, 0.0], [1.0]),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+        ([[0.0, 0.0]], [[1.0, 1.0]]),
+        ([-math.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, math.inf]),
+        ([0.0, math.nan], [1.0, 1.0]),
+    ],
+    ids=["short-lower", "short-upper", "size-3", "2-d", "-inf", "inf", "nan"],
+)
+def test_problem_spec_rejects_bounds_that_are_not_n_finite_numbers(lower, upper):
+    parts = get_problem("JOS1").smooth_parts
+    with pytest.raises(InvalidParameterError, match="bounds must be 2 finite numbers"):
+        ProblemSpec("bad", 2, 2, parts, GKind.SCALED_L1, np.array(lower), np.array(upper))
 
 @pytest.mark.parametrize(
     "name, x, what",

@@ -24,7 +24,7 @@ SURFACE = {
     # solver
     "RunResult", "SolverConfig", "backtrack_step", "momentum_update", "mu_schedule", "solve", "solve_baseline",
     # subproblem
-    "SubproblemInput", "SubproblemSolution", "project_simplex", "prox_g", "solve_subproblem",
+    "SubproblemInput", "SubproblemSolution", "solve_subproblem",
 }
 
 # names a module exports that the package does not re-export

@@ -3,8 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_problem, grid_argmin_2d, solve_pair_reference, subproblem_objective
-from sapgm.errors import InvalidInputError
+from conftest import (
+    build_problem,
+    complementarity_reference,
+    core_arrays,
+    grid_argmin_2d,
+    inner_reference,
+    kkt_residual_reference,
+    project_simplex,
+    prox_g,
+    solve_pair_reference,
+    subproblem_objective,
+)
+from sapgm.errors import InvalidInputError, InvalidParameterError
 from sapgm.problems import GKind, eval_smooth, get_problem
 from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum
 from sapgm.subproblem import (
@@ -13,13 +24,12 @@ from sapgm.subproblem import (
     SubproblemInput,
     _ascend,
     _build_core,
+    _complementarity,
     _Core,
     _core_from_evals,
-    _g_value,
-    _kkt_from_core,
+    _kkt_residual,
+    _proj_simplex,
     _solve_core,
-    project_simplex,
-    prox_g,
     solve_subproblem,
 )
 
@@ -74,10 +84,13 @@ def test_prox_is_argmin():
 
 
 def test_project_simplex_examples():
-    np.testing.assert_allclose(project_simplex(np.array([0.6, 0.6])), [0.5, 0.5])
-    np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
-    w = np.array([1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(project_simplex(w), w)
+    # the NumPy reference and the float projection of the ascent
+    for project in (project_simplex, lambda w: np.array(_proj_simplex(w.tolist()))):
+        np.testing.assert_allclose(project(np.array([0.6, 0.6])), [0.5, 0.5])
+        np.testing.assert_allclose(project(np.array([2.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(project(np.array([-1.0, -1.0])), [0.5, 0.5])
+        w = np.array([1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(project(w), w)
 
 
 def test_project_simplex_minimal_distance():
@@ -157,6 +170,26 @@ def test_nonfinite_jacobian_or_offsets_rejected_when_the_core_is_built():
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match=r"steep_exp: .* y = \[14\.19, 0\.0\]"):
         _core_from_evals(p, x, y, evals_y, evals_x, 1.0)
 
+
+
+@pytest.mark.parametrize("field", ["mu", "ell"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_input_rejects_a_mu_or_ell_outside_the_positive_reals(field, value):
+    y = np.array([0.5, 0.5])
+    args = dict(x=y, y=y, mu=0.5, ell=2.0, problem=get_problem("JOS1"))
+    args[field] = value
+    with pytest.raises(InvalidParameterError, match=f"{field} must be finite and positive"):
+        SubproblemInput(**args)
+
+
+def test_start_weights_must_be_m_finite_numbers():
+    y = np.array([0.5, 0.5])
+    inp = SubproblemInput(x=y, y=y, mu=0.5, ell=2.0, problem=get_problem("JOS1"))
+    for lam0 in ([0.2, 0.3, 0.5], [np.nan, 0.5], [0.5], [[0.5, 0.5]], [np.inf, 0.0], "ab"):
+        with pytest.raises(InvalidInputError, match="lam0 must be 2 finite weights"):
+            solve_subproblem(inp, lam0=lam0)
+    # weights off the simplex are projected, as before
+    assert solve_subproblem(inp, lam0=[2.0, -3.0]).gap <= DEFAULT_TOL
 
 
 def test_identical_objectives_symmetric_lambda():
@@ -255,7 +288,7 @@ def test_kkt_residual_scales_with_perturbation():
     sol = solve_subproblem(inp)
     z_pert = sol.z.copy()
     z_pert[0] += 0.1
-    res = _kkt_from_core(_build_core(inp), z_pert, sol.lam)
+    res = _kkt_residual(_build_core(inp), z_pert.tolist(), sol.lam.tolist())
     assert res == pytest.approx(inp.ell * 0.1, rel=0.05)
 
 
@@ -281,7 +314,7 @@ def test_complementarity_is_the_largest_weight_on_an_inactive_component():
     # one ascent step leaves weight on the two brackets below the first
     inp = triple_instance(GKind.SCALED_L1, [0.2, 0.1])
     early = solve_subproblem(inp, tol=1e-16, max_inner=1)
-    _, comp, _, _ = _build_core(inp).inner(early.lam)
+    comp = np.array(_build_core(inp).inner(early.lam.tolist())[1])
     assert comp.argmax() == 0 and comp[0] - comp[1:].max() > 0.5
     assert early.complementarity == early.lam[1:].max() > 0.3
     assert solve_subproblem(inp).complementarity <= 1e-6
@@ -325,8 +358,10 @@ def test_ascent_on_coinciding_gradients_takes_the_best_vertex(spread, c, g_kind)
         np.testing.assert_array_equal(lam, np.eye(3)[c.argmax()])
         assert 0.0 <= gap <= DEFAULT_TOL and steps == 1
         # z is the prox of y - g / ell, whatever the weights
+        z = np.array(z)
         np.testing.assert_array_equal(z, prox_g(-G[0], 1.0, g_kind, 2))
-        assert theta == pytest.approx(G[0] @ z + c.max() + _g_value(z, g_kind, 2) + 0.5 * z @ z, abs=1e-15)
+        gz = np.abs(z).sum() / 2 if g_kind is GKind.SCALED_L1 else 0.0
+        assert theta == pytest.approx(G[0] @ z + c.max() + gz + 0.5 * z @ z, abs=1e-15)
 
 
 # -------------------------------------------------- m = 2: the exact kink search
@@ -337,7 +372,7 @@ LAM_HALF = np.array([0.5, 0.5])
 def kinks_inside(core):
     """Weights t in (0, 1) where a soft-threshold coordinate of z(t) switches."""
     thr = 1.0 / (core.ell * core.n)
-    y, G, _ = core.arrays()
+    y, G, _ = core_arrays(core)
     ts = []
     for t in np.linspace(0.0, 1.0, 2001):
         v = y - (t * G[0] + (1.0 - t) * G[1]) / core.ell
@@ -353,6 +388,7 @@ def check_exact_against_ascent(core, lam0=LAM_HALF):
     assert -1e-12 <= gap <= DEFAULT_TOL and gap_asc <= DEFAULT_TOL
     np.testing.assert_allclose(z, z_asc, rtol=0.0, atol=1e-8)
     assert theta == pytest.approx(theta_asc, abs=1e-8)
+    lam = np.array(lam)
     assert lam.sum() == 1.0 and lam.min() >= 0.0
     return lam
 
@@ -438,9 +474,9 @@ def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
         # with (nearly) coinciding gradients the dual is (nearly) flat and z
         # is not pinned to 1e-8 by a gap of 1e-10; both paths still certify
         _, lam, _, gap, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
-        assert -1e-12 <= gap <= DEFAULT_TOL and lam.sum() == 1.0 and lam.min() >= 0.0
+        assert -1e-12 <= gap <= DEFAULT_TOL and sum(lam) == 1.0 and min(lam) >= 0.0
         _, lam, _, gap, _ = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
-        assert gap <= DEFAULT_TOL and lam.sum() == pytest.approx(1.0) and lam.min() >= 0.0
+        assert gap <= DEFAULT_TOL and sum(lam) == pytest.approx(1.0) and min(lam) >= 0.0
 
 
 # ------------------------------------- the float kink search against NumPy's
@@ -494,10 +530,10 @@ def pair_cores(draw):
 def test_float_pair_search_matches_the_numpy_reference(core, lam0):
     z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
     z_ref, lam_ref, theta_ref, gap_ref, _ = solve_pair_reference(core, lam0)
-    assert steps == 1 and isinstance(z, np.ndarray) and isinstance(lam, np.ndarray)
+    assert steps == 1 and type(z) is list and type(lam) is list
     z_scale, theta_scale = rounding_scales(core, z_ref)
     assert close(lam[0], lam_ref[0], 1.0) and lam[1] == 1.0 - lam[0]
-    assert all(close(a, b, z_scale) for a, b in zip(z.tolist(), z_ref.tolist()))
+    assert all(close(a, b, z_scale) for a, b in zip(z, z_ref.tolist()))
     # the gap is theta minus the dual value, so it carries their rounding
     assert close(theta, theta_ref, theta_scale) and close(gap, gap_ref, theta_scale)
 
@@ -515,3 +551,68 @@ def test_float_pair_search_nonfinite_core_like_the_reference(bad, where, g_kind)
         _, lam_ref, _, gap_ref, _ = solve_pair_reference(core, LAM_HALF)
         assert np.isnan(lam_ref[0]) and not np.isfinite(gap_ref)
         assert np.isnan(lam).all() and not np.isfinite(gap)
+
+
+# ------------------------------ the float core against its NumPy references
+
+
+@st.composite
+def cores(draw):
+    """Cores with m in {2, 3, 4}, n <= 16, ell over nine decades, and weights on the simplex."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 16))
+    entry = st.floats(-5.0, 5.0)
+    G = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+    y = draw(st.lists(entry, min_size=n, max_size=n))
+    c = draw(st.lists(entry, min_size=m, max_size=m))
+    ell = 10.0 ** draw(st.floats(-3.0, 6.0))
+    core = _Core(y, G, c, ell, draw(st.sampled_from(list(GKind))))
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0.0))
+    return core, [v / sum(w) for v in w]
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_lam=cores())
+def test_inner_step_matches_the_numpy_reference(core_lam):
+    core, lam = core_lam
+    z, comp, dual, quad = core.inner(lam)
+    z_ref, comp_ref, dual_ref, quad_ref = inner_reference(core, lam)
+    z_scale, scale = rounding_scales(core, z_ref)
+    assert type(z) is list and type(comp) is list and len(z) == core.n and len(comp) == len(core.G)
+    assert all(close(a, b, z_scale) for a, b in zip(z, z_ref.tolist()))
+    assert all(close(a, b, scale) for a, b in zip(comp, comp_ref.tolist()))
+    assert close(dual, dual_ref, scale) and close(quad, quad_ref, scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w=st.lists(
+        st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_float_simplex_projection_matches_the_numpy_reference(w):
+    # ties come from the sampled values, negative entries from both strategies
+    got = _proj_simplex(w)
+    assert got == project_simplex(np.array(w)).tolist()
+    assert min(got) >= 0.0 and abs(sum(got) - 1.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_lam=cores(), data=st.data())
+def test_certificates_match_the_numpy_reference(core_lam, data):
+    core, lam = core_lam
+    # points with exact zeros, where the subdifferential of g is an interval
+    z = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=core.n, max_size=core.n))
+    ref = kkt_residual_reference(core, np.array(z), lam)
+    G = np.abs(core.G)
+    scale = max(1.0, (G.max(axis=0) + core.ell * (np.abs(z) + np.abs(core.y))).max())
+    assert close(_kkt_residual(core, z, lam), ref, core.n * scale)
+    # brackets with ties and near-ties around the active slack
+    comp = data.draw(
+        st.lists(st.sampled_from([0.0, -1e-8, -2e-8, 1.0, 1.0 - 5e-9]), min_size=len(lam), max_size=len(lam))
+    )
+    assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
+    _, comp, _, _ = core.inner(lam)
+    assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
