@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParameterError
 from .metrics import FrontPoint, fit_rate, merit_against_values, nondominated_filter
 from .problems import ProblemSpec, eval_true, get_problem, registry, sample_start
-from .solver import SolverConfig, solve, solve_baseline
+from .solver import SolverConfig, _check_int, solve, solve_baseline
 
 __all__ = [
     "BenchConfig",
@@ -61,12 +62,11 @@ class BenchConfig:
     parallel: int = 1
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise InvalidParameterError("runs must be >= 1")
+        _check_int(self.runs, "runs", 1)
+        _check_int(self.base_seed, "base_seed", 0)  # NumPy seeds are nonnegative
+        _check_int(self.parallel, "parallel", 1)
         if self.solver not in ("sapgm", "baseline", "both"):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
-        if self.parallel < 1:
-            raise InvalidParameterError("parallel must be >= 1")
 
     def solver_config(self, **overrides) -> SolverConfig:
         return replace(self.params, **overrides)
@@ -320,19 +320,35 @@ _SVG_W, _SVG_H = 640, 480
 _MARGIN = 60
 
 
+def _span(values: list[float]) -> tuple[float, float]:
+    """Plotted range of finite values: 5% of their width beyond each end
+    (0.05 for one value), clamped to the finite floats and at least one ulp
+    past each end when that pad is below the ulp of the values.
+    """
+    big = sys.float_info.max
+    lo, hi = min(values), max(values)
+    pad = (0.5 * hi - 0.5 * lo) * 0.1 or 0.05  # (hi - lo) * 0.05, which cannot overflow
+    lo, hi = max(lo - pad, -big), min(hi + pad, big)
+    if lo == hi:
+        lo, hi = max(lo - math.ulp(lo), -big), min(hi + math.ulp(hi), big)
+    return lo, hi
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
-    mag = 10 ** math.floor(math.log10(raw))
+    """At most n + 1 distinct ticks in [lo, hi] (lo < hi, both finite), a step
+    of 1, 2 or 5 times a power of ten apart; none when the width is a few
+    subnormal ulps.
+    """
+    raw = (0.5 * hi - 0.5 * lo) / n * 2.0  # (hi - lo) / n, which cannot overflow
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if mag == 0.0:
+        return []
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
-    start = math.ceil(lo / step) * step
-    ticks = []
-    v = start
-    while v <= hi + 1e-12 * step:
+    ticks, v = [], math.ceil(lo / step) * step
+    for _ in range(n + 1):  # a bounded count: below the ulp of v, v += step stalls
         ticks.append(round(v, 12))
         v += step
-    return ticks
+    return sorted({t for t in ticks if lo <= t <= hi})
 
 
 def emit_svg_scatter(
@@ -359,15 +375,13 @@ def emit_svg_scatter(
         return path
 
     n_obj = len(pts[0][1].F)
-    xs = np.array([pt.F[0] for _, pt in pts])
-    ys = np.array([pt.F[1] for _, pt in pts])
-    pad = lambda lo, hi: ((hi - lo) or 1.0) * 0.05
-    x_lo, x_hi = xs.min(), xs.max()
-    y_lo, y_hi = ys.min(), ys.max()
-    x_lo, x_hi = x_lo - pad(x_lo, x_hi), x_hi + pad(x_lo, x_hi)
-    y_lo, y_hi = y_lo - pad(y_lo, y_hi), y_hi + pad(y_lo, y_hi)
-    px = lambda v: _MARGIN + (v - x_lo) / (x_hi - x_lo) * (_SVG_W - 2 * _MARGIN)
-    py = lambda v: _SVG_H - _MARGIN - (v - y_lo) / (y_hi - y_lo) * (_SVG_H - 2 * _MARGIN)
+    x_lo, x_hi = _span([float(pt.F[0]) for _, pt in pts])
+    y_lo, y_hi = _span([float(pt.F[1]) for _, pt in pts])
+    # halves keep a width near the float range finite; with no overflow the
+    # fraction is (v - lo) / (hi - lo) to the bit
+    frac = lambda v, lo, hi: (0.5 * v - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
+    px = lambda v: _MARGIN + frac(v, x_lo, x_hi) * (_SVG_W - 2 * _MARGIN)
+    py = lambda v: _SVG_H - _MARGIN - frac(v, y_lo, y_hi) * (_SVG_H - 2 * _MARGIN)
 
     ax_y = _SVG_H - _MARGIN
     parts.append(
@@ -375,17 +389,15 @@ def emit_svg_scatter(
     )
     parts.append(f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{ax_y}" stroke="black"/>')
     for tv in _ticks(x_lo, x_hi):
-        if x_lo <= tv <= x_hi:
-            parts.append(f'<line x1="{px(tv):.2f}" y1="{ax_y}" x2="{px(tv):.2f}" y2="{ax_y + 5}" stroke="black"/>')
-            parts.append(
-                f'<text x="{px(tv):.2f}" y="{ax_y + 18}" text-anchor="middle" font-size="11">{tv:g}</text>'
-            )
+        parts.append(f'<line x1="{px(tv):.2f}" y1="{ax_y}" x2="{px(tv):.2f}" y2="{ax_y + 5}" stroke="black"/>')
+        parts.append(
+            f'<text x="{px(tv):.2f}" y="{ax_y + 18}" text-anchor="middle" font-size="11">{tv:g}</text>'
+        )
     for tv in _ticks(y_lo, y_hi):
-        if y_lo <= tv <= y_hi:
-            parts.append(f'<line x1="{_MARGIN - 5}" y1="{py(tv):.2f}" x2="{_MARGIN}" y2="{py(tv):.2f}" stroke="black"/>')
-            parts.append(
-                f'<text x="{_MARGIN - 8}" y="{py(tv):.2f}" text-anchor="end" font-size="11" dominant-baseline="middle">{tv:g}</text>'
-            )
+        parts.append(f'<line x1="{_MARGIN - 5}" y1="{py(tv):.2f}" x2="{_MARGIN}" y2="{py(tv):.2f}" stroke="black"/>')
+        parts.append(
+            f'<text x="{_MARGIN - 8}" y="{py(tv):.2f}" text-anchor="end" font-size="11" dominant-baseline="middle">{tv:g}</text>'
+        )
     parts.append(
         f'<text x="{_SVG_W / 2}" y="{_SVG_H - 16}" text-anchor="middle" font-size="12">F1</text>'
     )

@@ -130,16 +130,18 @@ def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
 
 def eval_smooth(
     p: ProblemSpec, x: Sequence[float], mu: float, jac: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[list[float], list[list[float]] | None]:
     """Smoothed components and their Jacobian at (x, mu); g is excluded.
 
-    With ``jac`` false the Jacobian is not formed and None is returned in its
-    place; the values are the same.  Raises InvalidInputError when x is not a
-    finite point of R^n or a component value overflows or is not finite.
+    The values come back as a list of m floats and the Jacobian as m rows of
+    n floats; with ``jac`` false the Jacobian is not formed and None is
+    returned in its place.  Raises InvalidParameterError unless mu is finite
+    and positive, and InvalidInputError when x is not a finite point of R^n
+    or a component value overflows or is not finite.
     """
     x = _point(p, x)
-    if not mu > 0.0:
-        raise InvalidParameterError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise InvalidParameterError(f"mu must be finite and positive, got {mu}")
     values, rows = [], []
     for i, s in enumerate(p.smooth_parts):
         try:
@@ -150,7 +152,7 @@ def eval_smooth(
             raise _not_finite(p, x, i, f"is {v}")
         values.append(v)
         rows.append(g)
-    return np.array(values), np.array(rows) if jac else None
+    return values, rows if jac else None
 
 
 def sample_start(p: ProblemSpec, seed: int) -> np.ndarray:

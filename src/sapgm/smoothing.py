@@ -487,15 +487,14 @@ class SmoothSurrogate:
         self.n = lo.size
         self._value, self._value_grad = _compile(expr, self.n)
 
-    def eval(self, x: Sequence[float], mu: float, jac: bool = True) -> tuple[float, np.ndarray | None]:
-        """Value and gradient at (x, mu); the gradient is None when ``jac`` is false."""
-        if not mu > 0.0:
-            raise InvalidParameterError(f"smoothing parameter mu must be positive, got {mu}")
+    def eval(self, x: Sequence[float], mu: float, jac: bool = True) -> tuple[float, list[float] | None]:
+        """Value and gradient at (x, mu) as the kernel gives them: a float and
+        a list of n floats, or None for the gradient when ``jac`` is false.
+        """
+        if not 0.0 < mu < math.inf:
+            raise InvalidParameterError(f"mu must be finite and positive, got {mu}")
         x = _as_point(x, self.n)
-        if not jac:
-            return self._value(x, mu), None
-        v, g = self._value_grad(x, mu)
-        return v, np.array(g)
+        return self._value_grad(x, mu) if jac else (self._value(x, mu), None)
 
     def true_eval(self, x: Sequence[float]) -> float:
         return self._value(_as_point(x, self.n), 0.0)
@@ -628,6 +627,7 @@ def verify_surrogate(
     for i, x in enumerate(pts):
         mu = _VERIFY_MUS[i % len(_VERIFY_MUS)]
         v, g = s.eval(x, mu)
+        g = np.array(g)
         kap_v = max(kap_v, abs(v - s.true_eval(x)) - kappa * mu)
 
         mu2 = _VERIFY_MUS[(i + 1) % len(_VERIFY_MUS)]
@@ -655,7 +655,7 @@ def verify_surrogate(
         # empirical Lipschitz ratio of the gradient
         dist = float(np.linalg.norm(x - y))
         if dist > 1e-12:
-            ratio = float(np.linalg.norm(g - gy)) / dist
+            ratio = float(np.linalg.norm(g - np.array(gy))) / dist
             lip_x = max(lip_x, ratio * mu / lip - 1.0)
 
     return SurrogateReport(kap_v, mu_v, conv_v, grad_e, lip_x, n_samples)

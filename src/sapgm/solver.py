@@ -17,24 +17,26 @@ Per iteration k (starting at 0, with y_0 = x_0 and t_0 = 1):
 The non-accelerated baseline runs the identical loop with theta forced to 0.
 The run's state (x, y, t, mu, L and the feval tally, 2 + trials per
 iteration) lives in locals of one solve call, so concurrent solves on a
-shared problem spec are safe.  x0 is checked once; from there x, y and each
-accepted z are lists of floats, which the surrogate kernels take as they
-are, and only the trace and the result hold arrays.  The boundedness
-diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}), which
-backtrack_step already computed.
+shared problem spec are safe.  x0 goes through the problem's point check
+once; from there x, y, each accepted z and the smoothed values are float
+lists, as the kernels take and return them, and only the trace and the
+result hold arrays.  The boundedness diagnostic reads the accepted trial's
+f(x_{k+1}, mu_{k+1}), which backtrack_step already computed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
-from .problems import ProblemSpec, eval_g, eval_smooth, eval_true
+from .errors import DivergingLipschitzError, InvalidParameterError
+from .problems import ProblemSpec, _point, eval_g, eval_smooth, eval_true
 from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _dot, _solve_core
 
 __all__ = [
@@ -55,6 +57,16 @@ MAX_BACKTRACKS = 60
 # _BOUND_FACTOR * max(|max_i F_i(x_0, mu_0)|, 1) + _BOUND_OFFSET
 _BOUND_FACTOR = 10.0
 _BOUND_OFFSET = 10.0
+
+
+def _check_int(value, name: str, least: int) -> None:
+    """InvalidParameterError unless value is an integer (operator.index takes it) >= least."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +93,7 @@ class SolverConfig:
             raise InvalidParameterError("sigma must lie in (0, 2)")
         if not self.eps >= 0.0:
             raise InvalidParameterError("eps must be nonnegative")
-        if self.max_iter < 1:
-            raise InvalidParameterError("max_iter must be >= 1")
+        _check_int(self.max_iter, "max_iter", 1)
 
 
 @dataclass
@@ -125,19 +136,19 @@ def momentum_update(
 
 
 def backtrack_step(
-    p: ProblemSpec, x: np.ndarray, y: np.ndarray, mu: float, cfg: SolverConfig
-) -> tuple[np.ndarray, float, int, np.ndarray]:
+    p: ProblemSpec, x: Sequence[float], y: Sequence[float], mu: float, cfg: SolverConfig
+) -> tuple[list[float], float, int, list[float]]:
     """Accept/inflate loop on the Lipschitz estimate at the extrapolation point y.
 
     `mu` is already decayed for this iteration.  Returns the accepted
-    candidate z, the accepted L, the trial count and f(z, mu); the step
-    spends 2 + trials smooth evaluations, and only the one at y forms a
-    Jacobian.  x and y may be float lists, as the solver loop passes them.
+    candidate z, the accepted L, the trial count and f(z, mu), with z and
+    f(z, mu) as float lists; the step spends 2 + trials smooth evaluations,
+    and only the one at y forms a Jacobian.
     """
     evals_y = eval_smooth(p, y, mu)
     L_trial = cfg.L0
     core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L_trial / mu)
-    vals_y = evals_y[0].tolist()
+    vals_y = evals_y[0]
     m = len(vals_y)
     lam0 = [1.0 / m] * m
     for trial in range(1, MAX_BACKTRACKS + 2):
@@ -147,8 +158,8 @@ def backtrack_step(
         d = [zj - yj for zj, yj in zip(z, core.y)]
         rhs = 0.5 * core.ell * _dot(d, d)
         bound = rhs + (1e-9 * max(1.0, rhs) + 1e-12)
-        if all(fz - fy - _dot(g, d) <= bound for fz, fy, g in zip(vals_z.tolist(), vals_y, core.G)):
-            return np.array(z), L_trial, trial, vals_z
+        if all(fz - fy - _dot(g, d) <= bound for fz, fy, g in zip(vals_z, vals_y, core.G)):
+            return z, L_trial, trial, vals_z
         L_trial *= cfg.eta
         core.ell = L_trial / mu
     raise DivergingLipschitzError(
@@ -158,15 +169,10 @@ def backtrack_step(
 
 
 def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -> RunResult:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (p.n,):
-        raise InvalidInputError(f"start point must have dimension {p.n}")
-    if not np.isfinite(x0).all():
-        raise InvalidInputError(f"start point must be finite, got {x0}")
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
-    x = y = x0.tolist()
+    x = y = _point(p, x0)
     vals0, _ = eval_smooth(p, x, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
-    bound_ref = max(vals0.tolist()) + eval_g(p, x)
+    bound_ref = max(vals0) + eval_g(p, x)
     bound_limit = _BOUND_FACTOR * max(abs(bound_ref), 1.0) + _BOUND_OFFSET
     warned = False
 
@@ -177,8 +183,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
     iterations = cfg.max_iter
     for k in range(cfg.max_iter):
         mu_next = mu_schedule(k, cfg.mu0, cfg.sigma)
-        z, L_next, trials, vals_next = backtrack_step(p, x, y, mu_next, cfg)
-        x_next = z.tolist()
+        x_next, L_next, trials, vals_next = backtrack_step(p, x, y, mu_next, cfg)
         fevals += 2 + trials
         step = math.dist(x, x_next)
 
@@ -186,7 +191,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
         if not accelerated:
             theta_next = 0.0
 
-        smooth_max = max(vals_next.tolist()) + eval_g(p, x_next)
+        smooth_max = max(vals_next) + eval_g(p, x_next)
         if smooth_max > bound_limit and not warned:
             logger.warning(
                 "%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d",
@@ -197,7 +202,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
             )
             warned = True
         if trace is not None:
-            trace.append(TraceRecord(k, z, mu_next, L_next, t_next, theta_next, step, smooth_max))
+            trace.append(TraceRecord(k, np.array(x_next), mu_next, L_next, t_next, theta_next, step, smooth_max))
 
         y = [a + theta_next * (a - b) for a, b in zip(x_next, x)]
         x, t, mu, L = x_next, t_next, mu_next, L_next

@@ -274,16 +274,16 @@ def _ascend(core: _Core, lam0, tol: float, max_inner: int):
 
 
 def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
-    """Core at expansion point y from eval_smooth's results at y and at x.
+    """Core at expansion point y from eval_smooth's float lists at y and at x.
 
-    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)) in floats; a
-    Jacobian G or offsets c that are not finite raise InvalidInputError.
+    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G
+    or offsets c that are not finite raise InvalidInputError.
     """
     vals_y, G = evals_y
     vals_x, _ = evals_x
     gx = eval_g(p, x)
-    c = [fy - (fx + gx) for fy, fx in zip(vals_y.tolist(), vals_x.tolist())]
-    core = _Core(y, G.tolist(), c, ell, p.g_kind)
+    c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
+    core = _Core(y, G, c, ell, p.g_kind)
     if not (all(map(math.isfinite, c)) and all(math.isfinite(v) for row in core.G for v in row)):
         raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.y} are not finite")
     return core

@@ -322,6 +322,7 @@ def subproblem_objective(inp):
     p = inp.problem
     vals_y, grads_y = eval_smooth(p, inp.y, inp.mu)
     vals_x, _ = eval_smooth(p, inp.x, inp.mu)
+    vals_y, grads_y, vals_x = np.asarray(vals_y), np.asarray(grads_y), np.asarray(vals_x)
     offs = vals_y - (vals_x + eval_g(p, inp.x))
 
     def phi(Z):

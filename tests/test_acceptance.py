@@ -128,7 +128,7 @@ def test_criterion_3_subproblem_oracle_equivalence():
         inp = random_instance(seed)
         sol = solve_subproblem(inp, tol=1e-10)
         phi = subproblem_objective(inp)
-        _, grads = eval_smooth(inp.problem, inp.y, inp.mu)
+        grads = np.asarray(eval_smooth(inp.problem, inp.y, inp.mu)[1])
         radius = (np.linalg.norm(grads, axis=1).max() + 1.0) / inp.ell + 0.1
         d = grads[0] - grads[1]
         z_star = grid_argmin_2d(phi, inp.y, radius, npts=400, extra_dirs=[[-d[1], d[0]]])

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -14,6 +15,7 @@ from sapgm.bench import (
     slugify,
 )
 from sapgm.cli import main
+from sapgm.errors import InvalidParameterError
 from sapgm.metrics import FrontPoint, nondominated_filter
 from sapgm.problems import eval_true, get_problem
 from sapgm.solver import SolverConfig
@@ -90,6 +92,26 @@ def test_front_csv_is_nondominated(tmp_path):
         assert len(kept) == len(pts)
 
 
+def test_bench_config_validation():
+    # constructing a config starts no run and no pool
+    for bad in (
+        dict(runs=0),
+        dict(parallel=0),
+        dict(solver="other"),
+        # a count or seed that is no integer failed inside the run, or
+        # (parallel = nan) ran serially without a word
+        dict(runs=2.5),
+        dict(runs=math.nan),
+        dict(base_seed=1.5),
+        dict(base_seed=-1),
+        dict(parallel=math.nan),
+        dict(parallel=2.0),
+    ):
+        with pytest.raises(InvalidParameterError):
+            BenchConfig(**bad)
+    assert BenchConfig(runs=np.int64(3), base_seed=0, parallel=2).runs == 3
+
+
 def test_slugify():
     assert slugify("CB3&LQ") == "CB3-LQ"
     assert slugify("JOS1") == "JOS1"
@@ -152,6 +174,32 @@ def test_svg_empty_front(tmp_path):
     path = tmp_path / "empty.svg"
     emit_svg_scatter({"sapgm": []}, path, title="none")
     assert "no data" in path.read_text()
+
+
+@pytest.mark.parametrize(
+    "f1",
+    [
+        [1e16, 1e16 + 4],  # a tick step below the ulp of the values stalled the tick loop
+        [1e16, 1e16],  # a padded range no wider than a point divided by zero
+        [-1e308, 1e308],  # a width that overflows
+    ],
+)
+def test_svg_of_any_finite_front_has_finite_ticks_on_the_axes(tmp_path, f1):
+    front = [FrontPoint(np.zeros(2), np.array([v, float(i)])) for i, v in enumerate(f1)]
+    path = tmp_path / "front.svg"
+    emit_svg_scatter({"sapgm": front}, path, title="extreme")
+    text = path.read_text()
+    assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE)
+    root = ET.parse(path).getroot()
+    w, h, margin = float(root.get("width")), float(root.get("height")), 60.0
+    ticks = root.findall(".//s:line", {"s": "http://www.w3.org/2000/svg"})[2:]  # after the two axes
+    for t in ticks:
+        x1, y1, x2, y2 = (float(t.get(k)) for k in ("x1", "y1", "x2", "y2"))
+        if y2 > y1:  # a tick on the F1 axis, at a value in [lo, hi]
+            assert margin <= x1 == x2 <= w - margin
+        else:  # a tick on the F2 axis
+            assert margin <= y1 == y2 <= h - margin
+    assert len(_markers(path)[0]) == len(f1)
 
 
 # ------------------------------------------------------------------ rate mode

@@ -86,13 +86,13 @@ def test_jacobian_matches_finite_differences():
         for _ in range(20):
             x = rng.uniform(p.lower, p.upper)
             for mu in (1.0, 0.05):
-                vals, J = eval_smooth(p, x, mu)
+                J = np.asarray(eval_smooth(p, x, mu)[1])
                 for j in range(p.n):
                     h = 1e-6 * max(1.0, abs(x[j]))
                     e = np.zeros(p.n)
                     e[j] = h
-                    vp, _ = eval_smooth(p, x + e, mu)
-                    vm, _ = eval_smooth(p, x - e, mu)
+                    vp = np.asarray(eval_smooth(p, x + e, mu)[0])
+                    vm = np.asarray(eval_smooth(p, x - e, mu)[0])
                     fd = (vp - vm) / (2 * h)
                     scale = np.maximum(1.0, np.abs(J[:, j]))
                     assert np.max(np.abs(J[:, j] - fd) / scale) <= 1e-5
@@ -150,6 +150,16 @@ def test_dimension_mismatch_rejected():
         eval_smooth(p, [1.0], 0.5)
     with pytest.raises(InvalidInputError):
         eval_g(p, [1.0])
+
+
+@pytest.mark.parametrize("name", ["JOS1", "CB3&MF1"])
+def test_eval_smooth_rejects_a_mu_outside_the_positive_reals(name):
+    # mu = inf gave JOS1 values and CB3&MF1 an error about its component
+    p = get_problem(name)
+    for mu in (0.0, -1.0, math.nan, math.inf):
+        for jac in (True, False):
+            with pytest.raises(InvalidParameterError, match="mu must be finite and positive"):
+                eval_smooth(p, [0.5, 0.5], mu, jac=jac)
 
 
 

@@ -376,7 +376,7 @@ def test_tree_of_all_ten_atoms_at_mu_zero_is_exact():
 def test_surrogate_eval_rejects_nonpositive_mu():
     # mu = 0 is the exact path, reached through true_eval only
     s = compose_surrogate(Abs(Affine([1.0])))
-    for mu in (0.0, -1.0, math.nan):
+    for mu in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
             s.eval(np.array([1.0]), mu)
 
@@ -559,5 +559,5 @@ def test_kernel_matches_the_reference_evaluator_on_the_registry():
                     assert_kernel_matches_reference(s, x, mu)
                 if mu > 0.0:
                     (vals, J), (vals_only, none) = eval_smooth(p, x, mu), eval_smooth(p, x, mu, jac=False)
-                    assert none is None and J.shape == (p.m, p.n)
+                    assert none is None and np.asarray(J).shape == (p.m, p.n)
                     np.testing.assert_array_equal(vals_only, vals)

@@ -111,8 +111,8 @@ def descent_test_numpy(p, x, y, mu, L):
     evals_y = eval_smooth(p, y, mu)
     core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L / mu)
     z = _solve_core(core, np.full(p.m, 1.0 / p.m), DEFAULT_TOL, DEFAULT_MAX_INNER)[0]
-    vals_y, grads_y = evals_y
-    vals_z, _ = eval_smooth(p, z, mu)
+    vals_y, grads_y = np.asarray(evals_y[0]), np.asarray(evals_y[1])
+    vals_z = np.asarray(eval_smooth(p, z, mu)[0])
     lhs = float(np.max(vals_z - vals_y - grads_y @ (z - y)))
     rhs = 0.5 * (L / mu) * float(np.sum((z - y) ** 2))
     return z, lhs, rhs + 1e-9 * max(1.0, rhs) + 1e-12
@@ -177,6 +177,10 @@ def test_config_validation():
         dict(eta=1.0),
         dict(L0=0.5),
         dict(max_iter=0),
+        # a count that is no integer fails here, not inside the loop
+        dict(max_iter=2.5),
+        dict(max_iter=math.nan),
+        dict(max_iter="3"),
         # NaN and inf fail the checks instead of slipping past them
         dict(mu0=math.nan),
         dict(sigma=math.nan),
@@ -190,7 +194,13 @@ def test_config_validation():
             SolverConfig(**bad)
 
 
-@pytest.mark.parametrize("x0", [[math.nan, 1.0], [math.inf, 1.0], [0.0, -math.inf]])
+_NONFINITE_STARTS = ([math.nan, 1.0], [math.inf, 1.0], [0.0, -math.inf])
+# a ragged list, a string and a list that holds a non-number, which NumPy
+# itself cannot make into a point
+_MALFORMED_STARTS = ([[1.0, 2.0], [3.0]], "ab", [1.0, "a"])
+
+
+@pytest.mark.parametrize("x0", _NONFINITE_STARTS + _MALFORMED_STARTS)
 def test_nonfinite_start_rejected_before_any_evaluation(x0, monkeypatch):
     import sapgm.solver
 
@@ -198,9 +208,13 @@ def test_nonfinite_start_rejected_before_any_evaluation(x0, monkeypatch):
         raise AssertionError("evaluated a non-finite start")
 
     monkeypatch.setattr(sapgm.solver, "eval_smooth", no_eval)
+    if any(x0 is bad for bad in _NONFINITE_STARTS):
+        x0, match = np.array(x0), "finite"
+    else:
+        match = "JOS1: expected a point of dimension 2"
     for run in (solve, solve_baseline):
-        with pytest.raises(InvalidInputError, match="finite"):
-            run(get_problem("JOS1"), np.array(x0))
+        with pytest.raises(InvalidInputError, match=match):
+            run(get_problem("JOS1"), x0)
 
 
 def test_overflowing_start_raises_the_typed_error():
@@ -332,6 +346,29 @@ def test_iterates_come_back_as_float_arrays(run):
     for x in [res.final_x] + [rec.x for rec in res.trace]:
         assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (p.n,)
     np.testing.assert_array_equal(res.final_x, res.trace[-1].x)
+
+
+def _is_floats(v, size):
+    return type(v) is list and len(v) == size and all(type(a) is float for a in v)
+
+
+def test_evaluations_and_the_step_return_float_lists():
+    # floats go from the kernels to the loop as they are; only the records a
+    # run hands back hold arrays
+    for p in registry():
+        x = sample_start(p, 0).tolist()
+        vals, J = eval_smooth(p, x, 0.5)
+        assert _is_floats(vals, p.m) and type(J) is list and len(J) == p.m
+        assert all(_is_floats(row, p.n) for row in J)
+        vals, J = eval_smooth(p, x, 0.5, jac=False)
+        assert _is_floats(vals, p.m) and J is None
+        for s in p.smooth_parts:
+            v, g = s.eval(x, 0.5)
+            assert type(v) is float and _is_floats(g, p.n)
+            v, g = s.eval(x, 0.5, jac=False)
+            assert type(v) is float and g is None
+        z, _, _, vals_z = backtrack_step(p, x, x, 0.5, SolverConfig())
+        assert _is_floats(z, p.n) and _is_floats(vals_z, p.m)
 
 
 def test_trace_off_by_default():

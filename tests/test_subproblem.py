@@ -116,7 +116,7 @@ def test_core_inner_degenerate_weight_is_gradient_step():
     y = np.array([0.7, -0.4])
     mu, ell = 0.5, 2.0
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
-    _, grads = eval_smooth(p, y, mu)
+    grads = np.asarray(eval_smooth(p, y, mu)[1])
     z, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))
     np.testing.assert_allclose(z, y - grads[0] / ell, atol=1e-12)
 
@@ -143,7 +143,7 @@ def test_core_inner_matches_grid_oracle_on_jos1():
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
     z, _, _, _ = _build_core(inp).inner(lam)
 
-    _, grads = eval_smooth(p, y, mu)
+    grads = np.asarray(eval_smooth(p, y, mu)[1])
     glam = grads.T @ lam
 
     def lagrangian(Z):
@@ -231,7 +231,7 @@ def test_solution_matches_grid_oracle():
         sol = solve_subproblem(inp)
         assert sol.converged
         phi = subproblem_objective(inp)
-        _, grads = eval_smooth(inp.problem, inp.y, inp.mu)
+        grads = np.asarray(eval_smooth(inp.problem, inp.y, inp.mu)[1])
         radius = (np.linalg.norm(grads, axis=1).max() + 1.0) / inp.ell + 0.1
         # the kink valley of the two-term max runs orthogonal to grad1-grad2
         valley = np.array([-(grads[0] - grads[1])[1], (grads[0] - grads[1])[0]])
@@ -332,7 +332,7 @@ def test_three_objectives_match_grid_oracle(g_kind):
         assert sol.kkt_residual <= 1e-6
         assert sol.complementarity <= 1e-6
         phi = subproblem_objective(inp)
-        _, grads = eval_smooth(inp.problem, inp.y, inp.mu)
+        grads = np.asarray(eval_smooth(inp.problem, inp.y, inp.mu)[1])
         radius = (np.linalg.norm(grads, axis=1).max() + 1.0) / inp.ell + 0.1
         # kink valleys run orthogonal to each pairwise gradient difference
         diffs = [grads[i] - grads[j] for i, j in ((0, 1), (0, 2), (1, 2))]
