@@ -346,7 +346,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     ticks, v = [], math.ceil(lo / step) * step
     for _ in range(n + 1):  # a bounded count: below the ulp of v, v += step stalls
-        ticks.append(round(v, 12))
+        ticks.append(round(v, 12) + 0.0)  # + 0.0 turns a rounded -0.0 into 0.0
         v += step
     return sorted({t for t in ticks if lo <= t <= hi})
 

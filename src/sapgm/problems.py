@@ -93,15 +93,19 @@ def _point(p: ProblemSpec, x: Sequence[float]) -> list[float]:
         raise InvalidInputError(f"{p.name}: {e}") from None
 
 
-def eval_g(p: ProblemSpec, x: Sequence[float]) -> float:
-    """Shared nonsmooth term: (1/n) ||x||_1 or 0."""
-    x = _point(p, x)
+def _g(p: ProblemSpec, x: list[float]) -> float:
+    """Shared nonsmooth term at a point that has already passed _point."""
     if p.g_kind is GKind.SCALED_L1:
         s = 0.0
         for v in x:
             s += abs(v)
         return s / p.n
     return 0.0
+
+
+def eval_g(p: ProblemSpec, x: Sequence[float]) -> float:
+    """Shared nonsmooth term: (1/n) ||x||_1 or 0."""
+    return _g(p, _point(p, x))
 
 
 def _not_finite(p: ProblemSpec, x: list[float], i: int, what: str) -> InvalidInputError:
@@ -115,7 +119,7 @@ def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
     component overflows or is not finite.
     """
     x = _point(p, x)
-    g = eval_g(p, x)
+    g = _g(p, x)
     values = []
     for i, s in enumerate(p.smooth_parts):
         try:

@@ -20,8 +20,10 @@ iteration) lives in locals of one solve call, so concurrent solves on a
 shared problem spec are safe.  x0 goes through the problem's point check
 once; from there x, y, each accepted z and the smoothed values are float
 lists, as the kernels take and return them, and only the trace and the
-result hold arrays.  The boundedness diagnostic reads the accepted trial's
-f(x_{k+1}, mu_{k+1}), which backtrack_step already computed.
+result hold arrays.  g is read at points that have passed the check without
+checking them again, and the descent test is a plain loop over those floats.
+The boundedness diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}),
+which backtrack_step already computed.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergingLipschitzError, InvalidParameterError
-from .problems import ProblemSpec, _point, eval_g, eval_smooth, eval_true
-from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _dot, _solve_core
+from .problems import ProblemSpec, _g, _point, eval_smooth, eval_true
+from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
 
 __all__ = [
     "SolverConfig",
@@ -155,10 +157,21 @@ def backtrack_step(
         z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
         vals_z, _ = eval_smooth(p, z, mu, jac=False)
         # max_i [f_i(z) - f_i(y) - <grad f_i(y), z - y>] <= (ell / 2) ||z - y||^2, on floats
-        d = [zj - yj for zj, yj in zip(z, core.y)]
-        rhs = 0.5 * core.ell * _dot(d, d)
+        d = []
+        sq = 0.0
+        for zj, yj in zip(z, core.y):
+            dj = zj - yj
+            d.append(dj)
+            sq += dj * dj
+        rhs = 0.5 * core.ell * sq
         bound = rhs + (1e-9 * max(1.0, rhs) + 1e-12)
-        if all(fz - fy - _dot(g, d) <= bound for fz, fy, g in zip(vals_z, vals_y, core.G)):
+        for fz, fy, g in zip(vals_z, vals_y, core.G):
+            lin = 0.0
+            for gj, dj in zip(g, d):
+                lin += gj * dj
+            if not fz - fy - lin <= bound:  # so that a nan trial fails
+                break
+        else:
             return z, L_trial, trial, vals_z
         L_trial *= cfg.eta
         core.ell = L_trial / mu
@@ -172,7 +185,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
     x = y = _point(p, x0)
     vals0, _ = eval_smooth(p, x, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
-    bound_ref = max(vals0) + eval_g(p, x)
+    bound_ref = max(vals0) + _g(p, x)
     bound_limit = _BOUND_FACTOR * max(abs(bound_ref), 1.0) + _BOUND_OFFSET
     warned = False
 
@@ -191,7 +204,7 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
         if not accelerated:
             theta_next = 0.0
 
-        smooth_max = max(vals_next) + eval_g(p, x_next)
+        smooth_max = max(vals_next) + _g(p, x_next)
         if smooth_max > bound_limit and not warned:
             logger.warning(
                 "%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d",

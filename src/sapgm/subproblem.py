@@ -17,9 +17,13 @@ the kinks brackets its root on a linear piece.  Other m use projected
 gradient ascent with a backtracking step.  Both paths, the prox step and
 the certificates run on Python floats, since at these sizes a NumPy call
 costs more than its arithmetic; only the ascent's curvature bound takes a
-matrix norm, once per solve.  Strong convexity makes the primal minimizer
-unique, so the duality gap, the KKT residual and the complementarity
-violation certify the solution; solve_subproblem returns all three with it.
+matrix norm, once per solve.  For the same reason the per-call overhead of
+the m = 2 path is kept low: the prox step fills z, z - y and g(z) in one
+loop, the kink search builds its coordinates and kinks in another, both
+with the soft threshold written inline, and a core's finiteness check is
+one sum.  Strong convexity makes the primal minimizer unique, so the
+duality gap, the KKT residual and the complementarity violation certify
+the solution; solve_subproblem returns all three with it.
 
 All g_i are required to be the identical shared term; distinct g_i would
 break the closed-form inner step and are rejected at ProblemSpec
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .problems import GKind, ProblemSpec, eval_g, eval_smooth
+from .problems import GKind, ProblemSpec, _g, _point, eval_smooth
 
 __all__ = [
     "SubproblemInput",
@@ -112,22 +116,47 @@ class _Core:
 
         z = soft(y - sum_i lam_i g_i / ell), comp_i = <g_i, z - y> + c_i + g(z),
         quad = (ell / 2) ||z - y||^2 and the dual value is lam . comp + quad.
+        The soft threshold sign(v) * max(|v| - tau, 0) keeps signed zeros and
+        nan as np.sign gives them: +0 at -0.0, -0 below 0 and nan at nan.
         """
-        ell, ys, G = self.ell, self.y, self.G
-        v = _combine(lam, G)
-        gz = 0.0  # g(z)
-        if self.g_kind is GKind.SCALED_L1:
+        ell, G = self.ell, self.G
+        l0, g0 = lam[0], G[0]
+        rest = tuple(zip(lam[1:], G[1:]))
+        z, dz = [], []
+        gz = sq = 0.0  # g(z) and ||z - y||^2
+        scaled = self.g_kind is GKind.SCALED_L1
+        if scaled:
             tau = 1.0 / ell / self.n
-            z = [_soft(yj - vj / ell, tau) for yj, vj in zip(ys, v)]
-            for zj in z:
-                gz += abs(zj)
+        for j, yj in enumerate(self.y):
+            vj = l0 * g0[j]  # (G^T lam)_j, summed over i in order
+            for li, row in rest:
+                vj += row[j] * li
+            u = yj - vj / ell
+            if scaled:
+                if u > tau:
+                    u -= tau
+                elif u < -tau:
+                    u += tau
+                else:
+                    u = 0.0 if u >= 0.0 else 0.0 * u
+                gz += abs(u)
+            z.append(u)
+            dj = u - yj
+            dz.append(dj)
+            sq += dj * dj
+        if scaled:
             gz /= self.n
-        else:
-            z = [yj - vj / ell for yj, vj in zip(ys, v)]
-        dz = [zj - yj for zj, yj in zip(z, ys)]
-        comp = [_dot(g, dz) + ci + gz for g, ci in zip(G, self.c)]
-        quad = 0.5 * ell * _dot(dz, dz)
-        return z, comp, _dot(lam, comp) + quad, quad
+        comp = []
+        dual = 0.0  # lam . comp
+        for g, ci, li in zip(G, self.c, lam):
+            b = 0.0
+            for gj, dj in zip(g, dz):
+                b += gj * dj
+            b = b + ci + gz
+            comp.append(b)
+            dual += li * b
+        quad = 0.5 * ell * sq
+        return z, comp, dual + quad, quad
 
 
 def _solve_core(core: _Core, lam0, tol: float, max_inner: int):
@@ -135,15 +164,6 @@ def _solve_core(core: _Core, lam0, tol: float, max_inner: int):
     if len(core.G) == 2:
         return _solve_pair(core, lam0)
     return _ascend(core, lam0, tol, max_inner)
-
-
-def _soft(v: float, tau: float) -> float:
-    """Soft threshold sign(v) * max(|v| - tau, 0) of one coordinate, signed zeros and nan included."""
-    if v > tau:
-        return v - tau
-    if v < -tau:
-        return v + tau
-    return 0.0 if v >= 0.0 else 0.0 * v  # np.sign: +0 at -0.0, -0 below 0, nan at nan
 
 
 def _dot(u, v) -> float:
@@ -168,30 +188,40 @@ def _solve_pair(core: _Core, lam0):
     kept, as the ascent keeps it; a non-finite h gives t = nan and so a
     non-finite gap.
     """
-    ell, n, ys = core.ell, core.n, core.y
+    ell = core.ell
     g1, g2 = core.G
     c1, c2 = core.c
-    d = [u - v for u, v in zip(g1, g2)]
-    s = [dj / ell for dj in d]
-    a = [yj - v / ell for yj, v in zip(ys, g2)]
     l0, l1 = float(lam0[0]), float(lam0[1])
     # projection onto the simplex; a weight already on it stays as it is
     t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
     ts = [0.0, 1.0, t0]
-    tau = 0.0  # the prox threshold; 0 makes _soft the identity on h
-    if core.g_kind is GKind.SCALED_L1:
-        thr = 1.0 / (ell * n)
-        tau = 1.0 / ell / n
-        for aj, dj in zip(a, d):
-            if dj:
-                ts += [k for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj) if 0.0 < k < 1.0]
+    scaled = core.g_kind is GKind.SCALED_L1
+    tau = 0.0  # the prox threshold; 0 makes the soft threshold the identity on h
+    if scaled:
+        thr = 1.0 / (ell * core.n)
+        tau = 1.0 / ell / core.n
+    coords = []  # (a_j, d_j / ell, y_j, d_j)
+    for yj, u, v in zip(core.y, g1, g2):
+        dj = u - v
+        aj = yj - v / ell
+        coords.append((aj, dj / ell, yj, dj))
+        if scaled and dj:
+            for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
+                if 0.0 < k < 1.0:
+                    ts.append(k)
     dc = c1 - c2
-    coords = list(zip(a, s, ys, d))
     hs = []
     for t in ts:
         h = 0.0
         for aj, sj, yj, dj in coords:
-            h += (_soft(aj - t * sj, tau) - yj) * dj
+            u = aj - t * sj  # soft threshold as in _Core.inner
+            if u > tau:
+                u -= tau
+            elif u < -tau:
+                u += tau
+            else:
+                u = 0.0 if u >= 0.0 else 0.0 * u
+            h += (u - yj) * dj
         hs.append(h + dc)
     if not all(map(math.isfinite, hs)):
         t = math.nan
@@ -276,15 +306,24 @@ def _ascend(core: _Core, lam0, tol: float, max_inner: int):
 def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
     """Core at expansion point y from eval_smooth's float lists at y and at x.
 
-    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G
-    or offsets c that are not finite raise InvalidInputError.
+    x and y must be points that eval_smooth has checked, and an array among
+    them is taken as its list of floats, as _Core takes y.  Forms the offsets
+    c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or offsets c that are
+    not finite raise InvalidInputError.
     """
     vals_y, G = evals_y
     vals_x, _ = evals_x
-    gx = eval_g(p, x)
+    gx = _g(p, _floats(x))
     c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
     core = _Core(y, G, c, ell, p.g_kind)
-    if not (all(map(math.isfinite, c)) and all(math.isfinite(v) for row in core.G for v in row)):
+    # 0 * v is 0 for a finite v and nan for inf or nan, so one sum finds either
+    s = 0.0
+    for v in c:
+        s += 0.0 * v
+    for row in core.G:
+        for v in row:
+            s += 0.0 * v
+    if s != 0.0:
         raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.y} are not finite")
     return core
 
@@ -292,7 +331,8 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
 def _build_core(inp: SubproblemInput) -> _Core:
     p = inp.problem
     evals_y = eval_smooth(p, inp.y, inp.mu)
-    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu, jac=False), inp.ell)
+    x = _point(p, inp.x)
+    return _core_from_evals(p, x, inp.y, evals_y, eval_smooth(p, x, inp.mu, jac=False), inp.ell)
 
 
 def solve_subproblem(

@@ -9,6 +9,7 @@ import pytest
 
 from sapgm.bench import (
     BenchConfig,
+    _ticks,
     emit_svg_scatter,
     run_benchmark,
     run_rate_experiment,
@@ -174,6 +175,14 @@ def test_svg_empty_front(tmp_path):
     path = tmp_path / "empty.svg"
     emit_svg_scatter({"sapgm": []}, path, title="none")
     assert "no data" in path.read_text()
+
+
+def test_ticks_carry_no_negative_zero():
+    # from -0.6 the accumulated step of 0.2 reaches about -5.6e-17, which rounds to -0.0
+    ticks = _ticks(-0.7, 0.3)
+    assert 0.0 in ticks
+    assert all(math.copysign(1.0, t) > 0.0 for t in ticks if t == 0.0)
+    assert [f"{t:g}" for t in ticks] == ["-0.6", "-0.4", "-0.2", "0", "0.2"]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -167,9 +169,28 @@ def test_nonfinite_jacobian_or_offsets_rejected_when_the_core_is_built():
     # finite values whose difference overflows give an infinite offset
     x, G = np.array([0.5, 0.0]), np.ones((2, 2))
     evals_y, evals_x = (np.array([1e308, 0.0]), G), (np.array([-1e308, 0.0]), G)
-    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match=r"steep_exp: .* y = \[14\.19, 0\.0\]"):
+    # NumPy scalars warn where the one-pass check multiplies inf by 0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError, match=r"steep_exp: .* y = \[14\.19, 0\.0\]"):
         _core_from_evals(p, x, y, evals_y, evals_x, 1.0)
+    def core_at_y(vals_y, G):
+        return _core_from_evals(p, [0.5, 0.0], [14.19, 0.0], (vals_y, G), ([0.0, 0.0], None), 1.0)
 
+    # finite entries are accepted even where their sum overflows
+    big = [[1e308, 1e308], [1e308, 1e308]]
+    core = core_at_y([1e308, 1e308], big)
+    assert core.G == big and core.c == [1e308, 1e308]
+    # one inf or nan anywhere in G or c is rejected
+    for bad in (math.inf, -math.inf, math.nan):
+        for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            G = [[1.0, 2.0], [3.0, 4.0]]
+            G[i][j] = bad
+            with pytest.raises(InvalidInputError, match=r"steep_exp: Jacobian .* y = \[14\.19, 0\.0\]"):
+                core_at_y([1.0, 2.0], G)
+        for i in range(2):
+            vals_y = [1.0, 2.0]
+            vals_y[i] = bad
+            with pytest.raises(InvalidInputError, match=r"steep_exp: Jacobian .* y = \[14\.19, 0\.0\]"):
+                core_at_y(vals_y, [[1.0, 2.0], [3.0, 4.0]])
 
 
 @pytest.mark.parametrize("field", ["mu", "ell"])
@@ -616,3 +637,45 @@ def test_certificates_match_the_numpy_reference(core_lam, data):
     assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
     _, comp, _, _ = core.inner(lam)
     assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
+
+
+# solve_subproblem at x = (0.4, 0.7), y = (0.5, 0.6), mu = 0.25, ell = 8 with every
+# float as float.hex: two m = 2 kink searches and one m = 3 ascent.  Like the
+# solver's recorded runs, these bits change only on purpose.
+_RECORDED_SOLUTIONS = [
+    (
+        "CB3&MF1",
+        ("0x1.22911ca7d7062p-1", "0x1.273eeee3d2061p-1"),
+        ("0x1.5479409345787p-1", "0x1.570d7ed9750f2p-2"),
+        ("-0x1.14b6a453892d5p-3", "0x1.3000000000000p-51", "0x0.0p+0", "0x0.0p+0"),
+        1,
+    ),
+    (
+        "SP1",
+        ("0x1.15a37b7138241p-1", "0x1.7593201dfcc37p-1"),
+        ("0x1.46b575235aba4p-1", "0x1.729515b94a8b8p-2"),
+        ("-0x1.be34ebbdd2c28p-5", "0x1.a000000000000p-52", "0x1.0000000000000p-52", "0x0.0p+0"),
+        1,
+    ),
+    (
+        "triple",
+        ("0x1.391b91b9bf4fcp-2", "0x1.1e07e07dd14bdp-1"),
+        ("0x1.42f42f44a8d4dp-2", "0x1.5e85e85dab95ap-1", "0x0.0p+0"),
+        ("-0x1.c61ac80be9558p-5", "0x1.bf8fe00000000p-35", "0x1.99ccc999fff00p-52", "0x0.0p+0"),
+        16,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, z_hex, lam_hex, certs_hex, steps", _RECORDED_SOLUTIONS, ids=[r[0] for r in _RECORDED_SOLUTIONS]
+)
+def test_solutions_reproduce_the_recorded_bits(name, z_hex, lam_hex, certs_hex, steps):
+    p = triple(GKind.SCALED_L1) if name == "triple" else get_problem(name)
+    inp = SubproblemInput(x=np.array([0.4, 0.7]), y=np.array([0.5, 0.6]), mu=0.25, ell=8.0, problem=p)
+    sol = solve_subproblem(inp)
+    assert tuple(v.hex() for v in sol.z.tolist()) == z_hex
+    assert tuple(v.hex() for v in sol.lam.tolist()) == lam_hex
+    certs = (sol.theta, sol.gap, sol.kkt_residual, sol.complementarity)
+    assert tuple(float(v).hex() for v in certs) == certs_hex
+    assert sol.inner_iterations == steps
