@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InsufficientDataError, InvalidInputError, InvalidParameterError
 
 __all__ = [
     "FrontPoint",
@@ -42,9 +42,22 @@ class RateFit:
     residual: float
 
 
-def merit_against_values(Fx: np.ndarray, ref_F: np.ndarray) -> float:
+def merit_against_values(Fx: Sequence[float], ref_F: np.ndarray) -> float:
     """Finite-reference lower bound of the Pareto merit at a point with exact
-    objective values Fx: max over reference rows of min_i (Fx_i - ref_i)."""
+    objective values Fx: max over reference rows of min_i (Fx_i - ref_i).
+
+    Fx is any sequence of m numbers and ref_F one or more rows of m numbers
+    (a 1-D ref_F is one row); InvalidInputError otherwise.
+    """
+    try:
+        Fx = np.asarray(Fx, dtype=float)
+        ref_F = np.asarray(ref_F, dtype=float)
+    except (TypeError, ValueError) as e:  # no numbers, or ragged rows
+        raise InvalidInputError(f"Fx and ref_F must hold numbers in rows of equal length: {e}") from None
+    if Fx.ndim != 1 or Fx.size == 0:
+        raise InvalidInputError(f"Fx must be m >= 1 objective values, got shape {Fx.shape}")
+    if ref_F.ndim not in (1, 2) or ref_F.size == 0 or ref_F.shape[-1] != Fx.size:
+        raise InvalidInputError(f"ref_F must be rows of {Fx.size} objective values, got shape {ref_F.shape}")
     return float(np.min(Fx[None, :] - ref_F, axis=1).max())
 
 

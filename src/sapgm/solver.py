@@ -21,7 +21,8 @@ shared problem spec are safe.  x0 goes through the problem's point check
 once; from there x, y, each accepted z and the smoothed values are float
 lists, as the kernels take and return them, and only the trace and the
 result hold arrays.  g is read at points that have passed the check without
-checking them again, and the descent test is a plain loop over those floats.
+checking them again, and the descent test reads its terms from the prox
+step that formed z: one comparison per objective.
 The boundedness diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}),
 which backtrack_step already computed.
 """
@@ -144,8 +145,9 @@ def backtrack_step(
 
     `mu` is already decayed for this iteration.  Returns the accepted
     candidate z, the accepted L, the trial count and f(z, mu), with z and
-    f(z, mu) as float lists; the step spends 2 + trials smooth evaluations,
-    and only the one at y forms a Jacobian.
+    f(z, mu) as float lists for any x and y eval_smooth accepts; the step
+    spends 2 + trials smooth evaluations, and only the one at y forms a
+    Jacobian.
     """
     evals_y = eval_smooth(p, y, mu)
     L_trial = cfg.L0
@@ -154,22 +156,13 @@ def backtrack_step(
     m = len(vals_y)
     lam0 = [1.0 / m] * m
     for trial in range(1, MAX_BACKTRACKS + 2):
-        z, _, _, _, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
         vals_z, _ = eval_smooth(p, z, mu, jac=False)
-        # max_i [f_i(z) - f_i(y) - <grad f_i(y), z - y>] <= (ell / 2) ||z - y||^2, on floats
-        d = []
-        sq = 0.0
-        for zj, yj in zip(z, core.y):
-            dj = zj - yj
-            d.append(dj)
-            sq += dj * dj
-        rhs = 0.5 * core.ell * sq
-        bound = rhs + (1e-9 * max(1.0, rhs) + 1e-12)
-        for fz, fy, g in zip(vals_z, vals_y, core.G):
-            lin = 0.0
-            for gj, dj in zip(g, d):
-                lin += gj * dj
-            if not fz - fy - lin <= bound:  # so that a nan trial fails
+        # f_i(z) - f_i(y) - <grad f_i(y), z - y> <= (ell / 2) ||z - y||^2 for every i;
+        # dots and quad are the prox step's <grad f_i(y), z - y> and (ell / 2) ||z - y||^2
+        bound = quad + (1e-9 * max(1.0, quad) + 1e-12)
+        for fz, fy, dot in zip(vals_z, vals_y, dots):
+            if not fz - fy - dot <= bound:  # so that a nan trial fails
                 break
         else:
             return z, L_trial, trial, vals_z

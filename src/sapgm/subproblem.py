@@ -21,9 +21,11 @@ matrix norm, once per solve.  For the same reason the per-call overhead of
 the m = 2 path is kept low: the prox step fills z, z - y and g(z) in one
 loop, the kink search builds its coordinates and kinks in another, both
 with the soft threshold written inline, and a core's finiteness check is
-one sum.  Strong convexity makes the primal minimizer unique, so the
-duality gap, the KKT residual and the complementarity violation certify
-the solution; solve_subproblem returns all three with it.
+one sum.  Only the prox step forms z - y, ||z - y||^2 and <g_i, z - y>;
+every consumer of a solve reads them from its last step.  Strong convexity
+makes the primal minimizer unique, so the duality gap, the KKT residual and
+the complementarity violation certify the solution; solve_subproblem
+returns all three with it.
 
 All g_i are required to be the identical shared term; distinct g_i would
 break the closed-form inner step and are rejected at ProblemSpec
@@ -112,9 +114,10 @@ class _Core:
         self.n = len(self.y)
 
     def inner(self, lam):
-        """Prox step for fixed weights; returns (z, brackets comp, dual value, quad).
+        """Prox step for fixed weights; returns (z, brackets comp, dual value, quad, dots).
 
-        z = soft(y - sum_i lam_i g_i / ell), comp_i = <g_i, z - y> + c_i + g(z),
+        z = soft(y - sum_i lam_i g_i / ell), dots_i = <g_i, z - y> (summed from
+        0.0 over j in order), comp_i = dots_i + c_i + g(z),
         quad = (ell / 2) ||z - y||^2 and the dual value is lam . comp + quad.
         The soft threshold sign(v) * max(|v| - tau, 0) keeps signed zeros and
         nan as np.sign gives them: +0 at -0.0, -0 below 0 and nan at nan.
@@ -146,24 +149,29 @@ class _Core:
             sq += dj * dj
         if scaled:
             gz /= self.n
-        comp = []
+        comp, dots = [], []
         dual = 0.0  # lam . comp
         for g, ci, li in zip(G, self.c, lam):
             b = 0.0
             for gj, dj in zip(g, dz):
                 b += gj * dj
+            dots.append(b)
             b = b + ci + gz
             comp.append(b)
             dual += li * b
         quad = 0.5 * ell * sq
-        return z, comp, dual + quad, quad
+        return z, comp, dual + quad, quad, dots
 
 
 def _solve_core(core: _Core, lam0, tol: float, max_inner: int):
-    """Maximize the dual from lam0; returns (z, lam, theta, gap, steps), z and lam as float lists."""
+    """Maximize the dual from lam0; returns (z, lam, theta, gap, steps, dots, quad, comp),
+    where z, dots, quad and comp are the prox step's at lam and the lists hold floats."""
     if len(core.G) == 2:
-        return _solve_pair(core, lam0)
-    return _ascend(core, lam0, tol, max_inner)
+        lam, steps, (z, comp, dual, quad, dots) = _solve_pair(core, lam0)
+    else:
+        lam, steps, (z, comp, dual, quad, dots) = _ascend(core, lam0, tol, max_inner)
+    theta = max(comp) + quad
+    return z, lam, theta, theta - dual, steps, dots, quad, comp
 
 
 def _dot(u, v) -> float:
@@ -186,7 +194,7 @@ def _solve_pair(core: _Core, lam0):
     and its root is interpolated between the last point where h > 0 and the
     first where h <= 0.  A start weight where h vanishes (a flat dual) is
     kept, as the ascent keeps it; a non-finite h gives t = nan and so a
-    non-finite gap.
+    non-finite gap.  Returns (lam, 1, the prox step at lam).
     """
     ell = core.ell
     g1, g2 = core.G
@@ -236,9 +244,7 @@ def _solve_pair(core: _Core, lam0):
         tj, hj = min((t, h) for t, h in zip(ts, hs) if h <= 0.0)
         t = ti + (tj - ti) * hi / (hi - hj)
     lam = [t, 1.0 - t]
-    z, comp, dual, quad = core.inner(lam)
-    theta = max(comp) + quad
-    return z, lam, theta, theta - dual, 1
+    return lam, 1, core.inner(lam)
 
 
 def _proj_simplex(w: list) -> list:
@@ -253,9 +259,10 @@ def _proj_simplex(w: list) -> list:
 
 
 def _ascend(core: _Core, lam0, tol: float, max_inner: int):
-    """Projected gradient ascent on the dual; the path for m != 2."""
+    """Projected gradient ascent on the dual, the path for m != 2; returns (lam, steps, prox step)."""
     lam = _proj_simplex([float(v) for v in lam0])
-    z, comp, dual, quad = core.inner(lam)
+    prox = core.inner(lam)
+    _, comp, dual, quad, _ = prox
     # dual curvature along simplex directions is at most smax(G_centered)^2 / ell;
     # its reciprocal is the natural ascent step
     G = np.array(core.G)
@@ -265,14 +272,11 @@ def _ascend(core: _Core, lam0, tol: float, max_inner: int):
         # smax sqrt(2) / ell, so the vertex of the largest bracket has gap <= 2 curv
         lam = [0.0] * len(lam)
         lam[max(range(len(comp)), key=comp.__getitem__)] = 1.0
-        z, comp, dual, quad = core.inner(lam)
-        theta = max(comp) + quad
-        return z, lam, theta, theta - dual, 1
+        return lam, 1, core.inner(lam)
     step0 = 1.0 / max(curv, 1e-300)
     step = step0
     iters = 0
-    gap = max(comp) + quad - dual
-    while gap > tol and iters < max_inner:
+    while max(comp) + quad - dual > tol and iters < max_inner:
         iters += 1
         # comp is the dual (super)gradient; backtrack on the ascent step
         accepted = False
@@ -285,35 +289,37 @@ def _ascend(core: _Core, lam0, tol: float, max_inner: int):
                     break  # projected fixed point at a safe step: optimal
                 step = min(step * 4.0, step0)
                 continue
-            z2, comp2, dual2, quad2 = core.inner(lam_try)
+            prox_try = core.inner(lam_try)
+            dual_try = prox_try[2]
             # steps at or below 1/curv ascend in exact arithmetic, so take
             # them even when the increase falls below rounding noise
-            if dual2 >= dual + 0.5 * msq / step or step <= step0:
+            if dual_try >= dual + 0.5 * msq / step or step <= step0:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-        lam, z, comp, dual, quad = lam_try, z2, comp2, dual2, quad2
+        lam, prox = lam_try, prox_try
+        _, comp, dual, quad, _ = prox
         # where z rests in a flat piece of the prox (inside the soft-threshold
         # band) the dual is linear and 1/curv is far too short a step, so the
         # step doubles up to 2^40 step0, which 60 halvings still bring back
         step = min(step * 2.0, 2.0**40 * step0)
-        gap = max(comp) + quad - dual
-    return z, lam, max(comp) + quad, gap, iters + 1
+    return lam, iters + 1, prox
 
 
 def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
     """Core at expansion point y from eval_smooth's float lists at y and at x.
 
-    x and y must be points that eval_smooth has checked, and an array among
-    them is taken as its list of floats, as _Core takes y.  Forms the offsets
-    c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or offsets c that are
-    not finite raise InvalidInputError.
+    x and y must be points that eval_smooth has accepted; _point makes any
+    of them (an array, NumPy scalars) a list of Python floats, so z is one.
+    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or
+    offsets c that are not finite raise InvalidInputError.
     """
     vals_y, G = evals_y
     vals_x, _ = evals_x
-    gx = _g(p, _floats(x))
+    x, y = _point(p, x), _point(p, y)
+    gx = _g(p, x)
     c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
     core = _Core(y, G, c, ell, p.g_kind)
     # 0 * v is 0 for a finite v and nan for inf or nan, so one sum finds either
@@ -331,8 +337,7 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
 def _build_core(inp: SubproblemInput) -> _Core:
     p = inp.problem
     evals_y = eval_smooth(p, inp.y, inp.mu)
-    x = _point(p, inp.x)
-    return _core_from_evals(p, x, inp.y, evals_y, eval_smooth(p, x, inp.mu, jac=False), inp.ell)
+    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu, jac=False), inp.ell)
 
 
 def solve_subproblem(
@@ -356,8 +361,7 @@ def solve_subproblem(
     elif np.shape(lam0) != (m,) or not np.isfinite(lam0).all():
         raise InvalidInputError(f"lam0 must be {m} finite weights, got {lam0!r}")
     core = _build_core(inp)
-    z, lam, theta, gap, iters = _solve_core(core, lam0, tol, max_inner)
-    _, comp, _, _ = core.inner(lam)
+    z, lam, theta, gap, iters, _, _, comp = _solve_core(core, lam0, tol, max_inner)
     kkt, complementarity = _kkt_residual(core, z, lam), _complementarity(comp, lam)
     return SubproblemSolution(np.array(z), np.array(lam), theta, gap, kkt, complementarity, iters, gap <= tol)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_merit
-from sapgm.errors import InsufficientDataError, InvalidParameterError
+from sapgm.errors import InsufficientDataError, InvalidInputError, InvalidParameterError
 from sapgm.metrics import (
     FrontPoint,
     fit_rate,
@@ -58,6 +58,34 @@ def test_merit_monotone_in_reference_set():
     x = rng.uniform(p.lower, p.upper)
     vals = [merit(p, x, Z[: i + 1]) for i in range(len(Z))]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def test_merit_takes_any_sequence_and_a_single_reference_row():
+    ref = np.array([[0.0, 4.0], [6.0, 2.0]])
+    # (30, 14) against (0, 4) and (6, 2): max{min(30, 10), min(24, 12)} = 12
+    assert merit_against_values([30.0, 14.0], ref) == 12.0
+    assert merit_against_values((30, 14), ref.tolist()) == 12.0
+    # a 1-D reference of length m is one row
+    assert merit_against_values(np.array([30.0, 14.0]), ref[1]) == 12.0
+
+
+@pytest.mark.parametrize(
+    "Fx, ref",
+    [
+        ([1.0, 2.0], np.empty((0, 2))),  # no reference row
+        ([1.0, 2.0], []),
+        ([1.0, 2.0], np.zeros((3, 3))),  # rows of another length
+        ([1.0, 2.0], np.zeros(3)),
+        ([1.0, 2.0], [[0.0, 1.0], [0.0]]),  # ragged rows
+        ([1.0, 2.0], np.zeros((1, 1, 2))),
+        ([], np.zeros((1, 0))),  # no objective
+        ([[1.0, 2.0]], np.zeros((1, 2))),
+        (["a", "b"], np.zeros((1, 2))),
+    ],
+)
+def test_merit_rejects_references_that_are_not_rows_of_m_values(Fx, ref):
+    with pytest.raises(InvalidInputError):
+        merit_against_values(Fx, ref)
 
 
 def test_exact_merit_oracle_hand_values():

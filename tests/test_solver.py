@@ -367,9 +367,12 @@ def test_evaluations_and_the_step_return_float_lists():
             assert type(v) is float and _is_floats(g, p.n)
             v, g = s.eval(x, 0.5, jac=False)
             assert type(v) is float and g is None
-        for x_step in (x, np.array(x)):  # an array x still gives float lists
-            z, _, _, vals_z = backtrack_step(p, x_step, x, 0.5, SolverConfig())
-            assert _is_floats(z, p.n) and _is_floats(vals_z, p.m)
+        # an array, or a list of NumPy scalars, for x or y still gives float lists
+        forms = (x, np.array(x), [np.float64(v) for v in x])
+        for x_step in forms:
+            for y_step in forms:
+                z, _, _, vals_z = backtrack_step(p, x_step, y_step, 0.5, SolverConfig())
+                assert _is_floats(z, p.n) and _is_floats(vals_z, p.m)
 
 
 def test_trace_off_by_default():

@@ -119,7 +119,7 @@ def test_core_inner_degenerate_weight_is_gradient_step():
     mu, ell = 0.5, 2.0
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
     grads = np.asarray(eval_smooth(p, y, mu)[1])
-    z, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))
+    z, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))[:4]
     np.testing.assert_allclose(z, y - grads[0] / ell, atol=1e-12)
 
 
@@ -133,7 +133,7 @@ def test_core_inner_zero_gradients_fixed_point():
     )
     y = np.array([0.3, -0.8])
     inp = SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=1.0, problem=flat)
-    z, _, _, _ = _build_core(inp).inner(np.array([0.5, 0.5]))
+    z, _, _, _ = _build_core(inp).inner(np.array([0.5, 0.5]))[:4]
     np.testing.assert_array_equal(z, y)
 
 
@@ -143,7 +143,7 @@ def test_core_inner_matches_grid_oracle_on_jos1():
     mu, ell = 1.0, 2.0
     lam = np.array([0.5, 0.5])
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
-    z, _, _, _ = _build_core(inp).inner(lam)
+    z, _, _, _ = _build_core(inp).inner(lam)[:4]
 
     grads = np.asarray(eval_smooth(p, y, mu)[1])
     glam = grads.T @ lam
@@ -220,7 +220,7 @@ def test_identical_objectives_symmetric_lambda():
     sol = solve_subproblem(inp)
     assert sol.converged and sol.gap <= 1e-12
     np.testing.assert_allclose(sol.lam, [0.5, 0.5], atol=1e-6)
-    z_single, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))
+    z_single, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))[:4]
     np.testing.assert_allclose(sol.z, z_single, atol=1e-8)
 
 
@@ -375,7 +375,7 @@ def test_ascent_on_coinciding_gradients_takes_the_best_vertex(spread, c, g_kind)
     c = np.array(c)
     core = _Core(np.zeros(2), G, c, 1.0, g_kind)
     for lam0 in (np.full(3, 1.0 / 3.0), np.array([0.0, 0.0, 1.0])):
-        z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
         np.testing.assert_array_equal(lam, np.eye(3)[c.argmax()])
         assert 0.0 <= gap <= DEFAULT_TOL and steps == 1
         # z is the prox of y - g / ell, whatever the weights
@@ -401,10 +401,17 @@ def kinks_inside(core):
     return int(np.sum(np.any(np.diff(np.array(ts), axis=0), axis=1)))
 
 
+def ascend(core, lam0):
+    """The ascent's (z, lam, theta, gap, steps), with theta and the gap formed as _solve_core forms them."""
+    lam, steps, (z, comp, dual, quad, _) = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    theta = max(comp) + quad
+    return z, lam, theta, theta - dual, steps
+
+
 def check_exact_against_ascent(core, lam0=LAM_HALF):
     """The exact path's answer and the ascent's; returns the exact weights."""
-    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
-    z_asc, _, theta_asc, gap_asc, _ = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
+    z_asc, _, theta_asc, gap_asc, _ = ascend(core, lam0)
     assert steps == 1
     assert -1e-12 <= gap <= DEFAULT_TOL and gap_asc <= DEFAULT_TOL
     np.testing.assert_allclose(z, z_asc, rtol=0.0, atol=1e-8)
@@ -467,7 +474,7 @@ def test_exact_path_keeps_the_start_weight_on_a_flat_dual(g_kind):
 @pytest.mark.parametrize("g_kind", list(GKind))
 def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c, g_kind):
     core = _Core(np.zeros(2), G, c, 1.0, g_kind)
-    _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
     assert not np.isfinite(gap)
     assert np.isnan(lam).all()  # no weight is picked from a non-finite derivative
 
@@ -494,9 +501,9 @@ def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
     else:
         # with (nearly) coinciding gradients the dual is (nearly) flat and z
         # is not pinned to 1e-8 by a gap of 1e-10; both paths still certify
-        _, lam, _, gap, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        _, lam, _, gap, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
         assert -1e-12 <= gap <= DEFAULT_TOL and sum(lam) == 1.0 and min(lam) >= 0.0
-        _, lam, _, gap, _ = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        _, lam, _, gap, _ = ascend(core, lam0)
         assert gap <= DEFAULT_TOL and sum(lam) == pytest.approx(1.0) and min(lam) >= 0.0
 
 
@@ -549,7 +556,7 @@ def pair_cores(draw):
     ),
 )
 def test_float_pair_search_matches_the_numpy_reference(core, lam0):
-    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
     z_ref, lam_ref, theta_ref, gap_ref, _ = solve_pair_reference(core, lam0)
     assert steps == 1 and type(z) is list and type(lam) is list
     z_scale, theta_scale = rounding_scales(core, z_ref)
@@ -568,7 +575,7 @@ def test_float_pair_search_nonfinite_core_like_the_reference(bad, where, g_kind)
         parts = {"y": rng.normal(size=2), "G": rng.normal(size=(2, 2)), "c": rng.normal(size=2)}
         parts[where].flat[rng.integers(parts[where].size)] = bad
         core = _Core(parts["y"], parts["G"], parts["c"], 2.0, g_kind)
-        _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
         _, lam_ref, _, gap_ref, _ = solve_pair_reference(core, LAM_HALF)
         assert np.isnan(lam_ref[0]) and not np.isfinite(gap_ref)
         assert np.isnan(lam).all() and not np.isfinite(gap)
@@ -578,9 +585,9 @@ def test_float_pair_search_nonfinite_core_like_the_reference(bad, where, g_kind)
 
 
 @st.composite
-def cores(draw):
-    """Cores with m in {2, 3, 4}, n <= 16, ell over nine decades, and weights on the simplex."""
-    m = draw(st.integers(2, 4))
+def cores(draw, m_max=4):
+    """Cores with 2 <= m <= m_max, n <= 16, ell over nine decades, and weights on the simplex."""
+    m = draw(st.integers(2, m_max))
     n = draw(st.integers(1, 16))
     entry = st.floats(-5.0, 5.0)
     G = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
@@ -596,13 +603,42 @@ def cores(draw):
 @given(core_lam=cores())
 def test_inner_step_matches_the_numpy_reference(core_lam):
     core, lam = core_lam
-    z, comp, dual, quad = core.inner(lam)
+    z, comp, dual, quad = core.inner(lam)[:4]
     z_ref, comp_ref, dual_ref, quad_ref = inner_reference(core, lam)
     z_scale, scale = rounding_scales(core, z_ref)
     assert type(z) is list and type(comp) is list and len(z) == core.n and len(comp) == len(core.G)
     assert all(close(a, b, z_scale) for a, b in zip(z, z_ref.tolist()))
     assert all(close(a, b, scale) for a, b in zip(comp, comp_ref.tolist()))
     assert close(dual, dual_ref, scale) and close(quad, quad_ref, scale)
+
+
+def descent_terms(core, z):
+    """<g_i, z - y> for each i and (ell / 2) ||z - y||^2, formed from z as the descent test once formed them."""
+    d = []
+    sq = 0.0
+    for zj, yj in zip(z, core.y):
+        dj = zj - yj
+        d.append(dj)
+        sq += dj * dj
+    dots = []
+    for g in core.G:
+        lin = 0.0
+        for gj, dj in zip(g, d):
+            lin += gj * dj
+        dots.append(lin)
+    return dots, 0.5 * core.ell * sq
+
+
+@settings(max_examples=200, deadline=None)
+@given(core_lam=cores(m_max=3))
+def test_solve_returns_the_descent_terms_of_its_z(core_lam):
+    # both dual paths: the dots and quad handed back are the ones the
+    # descent test needs at the returned z, bit for bit
+    core, lam0 = core_lam
+    z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    dots_ref, quad_ref = descent_terms(core, z)
+    assert list(map(float.hex, dots)) == list(map(float.hex, dots_ref))
+    assert quad.hex() == quad_ref.hex()
 
 
 @settings(max_examples=300, deadline=None)
@@ -635,7 +671,7 @@ def test_certificates_match_the_numpy_reference(core_lam, data):
         st.lists(st.sampled_from([0.0, -1e-8, -2e-8, 1.0, 1.0 - 5e-9]), min_size=len(lam), max_size=len(lam))
     )
     assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
-    _, comp, _, _ = core.inner(lam)
+    _, comp, _, _ = core.inner(lam)[:4]
     assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
 
 
