@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
 from .metrics import FrontPoint, fit_rate, merit_against_values, nondominated_filter
-from .problems import ProblemSpec, eval_true, get_problem, registry, sample_start
-from .solver import SolverConfig, _check_int, solve, solve_baseline
+from .problems import ProblemSpec, _check_int, eval_true, get_problem, registry, sample_start
+from .solver import SolverConfig, solve, solve_baseline
 
 __all__ = [
     "BenchConfig",

@@ -46,8 +46,8 @@ def merit_against_values(Fx: Sequence[float], ref_F: np.ndarray) -> float:
     """Finite-reference lower bound of the Pareto merit at a point with exact
     objective values Fx: max over reference rows of min_i (Fx_i - ref_i).
 
-    Fx is any sequence of m numbers and ref_F one or more rows of m numbers
-    (a 1-D ref_F is one row); InvalidInputError otherwise.
+    Fx is any sequence of m finite numbers and ref_F one or more rows of m
+    finite numbers (a 1-D ref_F is one row); InvalidInputError otherwise.
     """
     try:
         Fx = np.asarray(Fx, dtype=float)
@@ -58,6 +58,8 @@ def merit_against_values(Fx: Sequence[float], ref_F: np.ndarray) -> float:
         raise InvalidInputError(f"Fx must be m >= 1 objective values, got shape {Fx.shape}")
     if ref_F.ndim not in (1, 2) or ref_F.size == 0 or ref_F.shape[-1] != Fx.size:
         raise InvalidInputError(f"ref_F must be rows of {Fx.size} objective values, got shape {ref_F.shape}")
+    if not (np.isfinite(Fx).all() and np.isfinite(ref_F).all()):  # a nan row would make the max nan
+        raise InvalidInputError(f"Fx and ref_F must be finite, got Fx = {Fx.tolist()}")
     return float(np.min(Fx[None, :] - ref_F, axis=1).max())
 
 
@@ -92,15 +94,15 @@ def fit_rate(
 ) -> RateFit:
     """Least-squares line on (log k, log value) over k in [k_lo, k_hi].
 
-    Only strictly positive values enter the fit; fewer than 5 usable points
-    raises InsufficientDataError.
+    Only finite, strictly positive values enter the fit; fewer than 5 usable
+    points raises InsufficientDataError.
     """
     if not k_lo < k_hi:
         raise InvalidParameterError("need k_lo < k_hi")
     ks = []
     vs = []
     for k, v in merit_series:
-        if k_lo <= k <= k_hi and v > 0.0 and k > 0:
+        if k_lo <= k <= k_hi and 0.0 < v < np.inf and k > 0:
             ks.append(k)
             vs.append(v)
     if len(ks) < 5:

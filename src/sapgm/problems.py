@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,6 +84,16 @@ class ProblemSpec:
     @property
     def lip_bound(self) -> float:
         return max(s.constants.lip_factor for s in self.smooth_parts)
+
+
+def _check_int(value, name: str, least: int) -> None:
+    """InvalidParameterError unless value is an integer (operator.index takes it) >= least."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _point(p: ProblemSpec, x: Sequence[float]) -> list[float]:
@@ -160,7 +171,9 @@ def eval_smooth(
 
 
 def sample_start(p: ProblemSpec, seed: int) -> np.ndarray:
-    """Deterministic uniform draw from the start box."""
+    """Deterministic uniform draw from the start box; InvalidParameterError
+    unless seed is an integer >= 0 (NumPy seeds are nonnegative)."""
+    _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     return rng.uniform(p.lower, p.upper)
 
@@ -170,14 +183,14 @@ def sample_start(p: ProblemSpec, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _x(i: int, n: int = 2, shift: float = 0.0, sign: float = 1.0) -> Affine:
-    w = np.zeros(n)
-    w[i] = sign
+def _x(i: int, shift: float = 0.0) -> Affine:
+    w = np.zeros(2)
+    w[i] = 1.0
     return Affine(w, shift)
 
 
-def _const(c: float, n: int = 2) -> Affine:
-    return Affine(np.zeros(n), c)
+def _const(c: float) -> Affine:
+    return Affine(np.zeros(2), c)
 
 
 def _cb3() -> Expr:

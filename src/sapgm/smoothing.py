@@ -19,14 +19,15 @@ Concrete forms (Chen-style smoothings):
 and a subgradient, so a tree evaluated at ``mu = 0`` gives its exact value.
 
 Surrogates are built by composing immutable expression nodes; the constants
-of a composite are conservative sums over the tree.  ``compose_surrogate``
-compiles each tree once into a straight-line kernel that takes the point as
-a list of floats: each Affine leaf becomes one line u_j = w_j . x + c_j over
-its nonzero weights, every other node one line that calls its atom's scalar
-rule.  A forward pass gives the value; a reverse pass gives the leaf
-adjoints s_j and then one line per coordinate, g_k = sum_j s_j w_jk, so the
-gradient is formed only when asked for.  ``mu = 0`` runs the same kernel.
-Nodes and kernels are stateless and safe to evaluate concurrently.
+of a composite are conservative sums over the tree.  ``SmoothSurrogate``
+checks and compiles each tree in one walk into a straight-line kernel that
+takes the point as a list of floats: each Affine leaf becomes one line
+u_j = w_j . x + c_j over its nonzero weights, every other node one line that
+calls its atom's scalar rule.  A forward pass gives the value; a reverse
+pass gives the leaf adjoints s_j and then one line per coordinate,
+g_k = sum_j s_j w_jk, so the gradient is formed only when asked for.
+``mu = 0`` runs the same kernel.  Nodes and kernels are stateless and safe
+to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -172,11 +173,17 @@ class Expr:
 
 
 class Affine(Expr):
-    """w . x + c"""
+    """w . x + c, for a nonempty vector w of finite numbers and a finite c."""
 
     def __init__(self, w: Sequence[float], c: float = 0.0):
-        self.w = np.asarray(w, dtype=float)
-        self.c = float(c)
+        try:
+            self.w, self.c = np.asarray(w, dtype=float), float(c)
+        except (TypeError, ValueError):  # no numbers: fail the check below
+            self.w, self.c = np.empty(0), math.nan
+        if not (self.w.ndim == 1 and self.w.size and np.isfinite(self.w).all() and math.isfinite(self.c)):
+            raise InvalidInputError(
+                f"Affine needs a nonempty vector w of finite numbers and a finite c, got {w!r}, {c!r}"
+            )
 
     def box_stats(self, lo, hi):
         vmin = self.c + float(np.minimum(self.w * lo, self.w * hi).sum())
@@ -370,12 +377,6 @@ def _children(expr: Expr) -> list[Expr]:
     return [k for k in kids if isinstance(k, Expr)] + list(getattr(expr, "children", ()))
 
 
-def _walk(expr: Expr):
-    yield expr
-    for node in _children(expr):
-        yield from _walk(node)
-
-
 # ---------------------------------------------------------------------------
 # compiled kernel
 # ---------------------------------------------------------------------------
@@ -391,16 +392,20 @@ _KERNEL_GLOBALS = {
 }
 
 
-def _compile(expr: Expr, n: int):
-    """Compile a tree over R^n into (value, value_grad), both over a float list x.
+def _compile(expr: Expr):
+    """Check a tree and compile it into (n, value, value_grad): n is the size
+    of the Affine leaves and the kernels take a float list x of R^n.
 
-    Each Affine leaf, in walk order, is one line ``u_j = w_j0 * x0 + ... + c_j``
-    over its nonzero weights.  ``value(x, mu)`` runs the forward pass;
-    ``value_grad(x, mu)`` also runs the reverse pass for the leaf adjoints s_j
-    and returns the value and the gradient as a list, g_k = sum_j s_j w_jk
-    over the leaves that read x_k (0.0 when none does).  Each position in the
-    tree gets its own slots, so each node has one parent and the reverse pass
-    only assigns.
+    Raises UnsupportedAtomError for a node type outside _SUPPORTED and for
+    Square, Quartic or Exp over a smoothed child (kappa > 0), whose error the
+    child's kappa does not bound, and InvalidInputError when the leaves
+    differ in size.  Each Affine leaf, in walk order, is one line
+    ``u_j = w_j0 * x0 + ... + c_j`` over its nonzero weights.
+    ``value(x, mu)`` runs the forward pass; ``value_grad(x, mu)`` also runs
+    the reverse pass for the leaf adjoints s_j and returns the value and the
+    gradient as a list, g_k = sum_j s_j w_jk over the leaves that read x_k
+    (0.0 when none does).  Each position in the tree gets its own slots, so
+    each node has one parent and the reverse pass only assigns.
     """
     consts: dict[str, float] = {}
     forward: list[str] = []
@@ -417,7 +422,16 @@ def _compile(expr: Expr, n: int):
         return a if w == 1.0 else f"-{a}" if w == -1.0 else f"{a} * {bind(w)}"
 
     def visit(node: Expr) -> tuple[str, str]:
-        """Emit the node after its children; return its value and adjoint slots."""
+        """Check the node, emit it after its children; return its value and adjoint slots."""
+        if not isinstance(node, _SUPPORTED):
+            raise UnsupportedAtomError(f"unsupported atom: {type(node).__name__}")
+        # these atoms copy their child's kappa, which bounds their own error
+        # only when the child is exact
+        if isinstance(node, (Square, Quartic, Exp)) and node.child.kappa > 0.0:
+            raise UnsupportedAtomError(
+                f"{type(node).__name__} of a smoothed argument (kappa {node.child.kappa:g}) "
+                "has no certified kappa"
+            )
         if isinstance(node, Affine):
             j = len(leaves)
             leaves.append(node.w)
@@ -432,6 +446,10 @@ def _compile(expr: Expr, n: int):
         return v, a
 
     root_v, root_a = visit(expr)
+    sizes = {w.size for w in leaves}
+    if len(sizes) != 1:
+        raise InvalidInputError(f"Affine leaves of one tree differ in size: {sorted(sizes)}")
+    (n,) = sizes
     body = ["".join(f"x{k}, " for k in range(n)) + "= x"] + forward
     reverse = [f"{root_a} = 1.0"] + [line for block in reversed(blocks) for line in block]
     grad = [
@@ -446,7 +464,7 @@ def _compile(expr: Expr, n: int):
     )
     ns = {**_KERNEL_GLOBALS, **consts}
     exec(compile(src, "<sapgm kernel>", "exec"), ns)
-    return ns["value"], ns["value_grad"]
+    return n, ns["value"], ns["value_grad"]
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +487,22 @@ class SmoothingConstants:
 class SmoothSurrogate:
     """A scalar objective component over R^n, run through the tree's compiled kernel.
 
-    Points are lists of n floats; any other sequence or array of shape (n,)
-    is converted first.  ``true_eval`` is the kernel at mu = 0.
+    One walk of ``expr`` checks it, gives n and compiles the kernel (see
+    ``_compile``).  The gradient-Lipschitz factor is certified over ``box``,
+    [-10, 10]^n for None; InvalidInputError when the box is not two vectors
+    of size n or its certification overflows.  Points are lists of n
+    floats; any other sequence or array of shape (n,) is converted first.
+    ``true_eval`` is the kernel at mu = 0.
     """
 
-    def __init__(self, expr: Expr, box: tuple[np.ndarray, np.ndarray]):
+    def __init__(self, expr: Expr, box: tuple[Sequence[float], Sequence[float]] | None):
         self.expr = expr
+        n, self._value, self._value_grad = _compile(expr)
+        if box is None:
+            box = (-10.0 * np.ones(n), 10.0 * np.ones(n))
         lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+        if lo.shape != (n,) or hi.shape != (n,):
+            raise InvalidInputError(f"box shapes {lo.shape}, {hi.shape} do not match leaves of size {n}")
         where = f"certification over the box [{lo.tolist()}, {hi.tolist()}]"
         try:
             stats = expr.box_stats(lo, hi)
@@ -484,8 +511,7 @@ class SmoothSurrogate:
         if not math.isfinite(stats.curv):
             raise InvalidInputError(f"{where} gives the Lipschitz factor {stats.curv}")
         self.constants = SmoothingConstants(expr.kappa, max(stats.curv, 1e-12))
-        self.n = lo.size
-        self._value, self._value_grad = _compile(expr, self.n)
+        self.n = n
 
     def eval(self, x: Sequence[float], mu: float, jac: bool = True) -> tuple[float, list[float] | None]:
         """Value and gradient at (x, mu) as the kernel gives them: a float and
@@ -534,39 +560,11 @@ def _as_point(x, n: int, finite: bool = False) -> list[float]:
 def compose_surrogate(
     expr: Expr, box: tuple[Sequence[float], Sequence[float]] | None = None
 ) -> SmoothSurrogate:
-    """Build a surrogate from an expression tree.
-
-    n is the size of the Affine leaves.  ``box`` is the region over which the
-    conservative gradient-Lipschitz factor is certified; it defaults to
-    [-10, 10]^n.  Raises UnsupportedAtomError for foreign node types and for
-    Square, Quartic or Exp over a smoothed child (kappa > 0), whose error the
-    child's kappa does not bound, and InvalidInputError when the leaves or
-    the box differ in size or when the certification over the box overflows.
-    """
+    """Build a surrogate from an expression tree: ``SmoothSurrogate(expr, box)``
+    once expr is known to be an expression node (UnsupportedAtomError if not)."""
     if not isinstance(expr, Expr):
         raise UnsupportedAtomError(f"not an expression node: {type(expr).__name__}")
-    sizes = set()
-    for node in _walk(expr):
-        if isinstance(node, Affine):
-            sizes.add(node.w.size)
-        elif not isinstance(node, _SUPPORTED):
-            raise UnsupportedAtomError(f"unsupported atom: {type(node).__name__}")
-        # these atoms copy their child's kappa, which bounds their own error
-        # only when the child is exact
-        if isinstance(node, (Square, Quartic, Exp)) and node.child.kappa > 0.0:
-            raise UnsupportedAtomError(
-                f"{type(node).__name__} of a smoothed argument (kappa {node.child.kappa:g}) "
-                "has no certified kappa"
-            )
-    if len(sizes) != 1:
-        raise InvalidInputError(f"Affine leaves of one tree differ in size: {sorted(sizes)}")
-    (n,) = sizes
-    if box is None:
-        box = (-10.0 * np.ones(n), 10.0 * np.ones(n))
-    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise InvalidInputError(f"box shapes {lo.shape}, {hi.shape} do not match leaves of size {n}")
-    return SmoothSurrogate(expr, (lo, hi))
+    return SmoothSurrogate(expr, box)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergingLipschitzError, InvalidParameterError
-from .problems import ProblemSpec, _g, _point, eval_smooth, eval_true
+from .problems import ProblemSpec, _check_int, _g, _point, eval_smooth, eval_true
 from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
 
 __all__ = [
@@ -62,16 +61,6 @@ _BOUND_FACTOR = 10.0
 _BOUND_OFFSET = 10.0
 
 
-def _check_int(value, name: str, least: int) -> None:
-    """InvalidParameterError unless value is an integer (operator.index takes it) >= least."""
-    try:
-        ok = operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of a solve; the one place each solver default is declared."""
@@ -85,18 +74,25 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0.0 < self.mu0 <= 1.0:
-            raise InvalidParameterError("mu0 must lie in (0, 1]")
-        if not 1.0 <= self.L0 < math.inf:
-            raise InvalidParameterError("L0 must be finite and >= 1")
-        if not 1.0 < self.eta < math.inf:
-            raise InvalidParameterError("eta must be finite and exceed 1")
-        if not 0.0 < self.sigma < 2.0:
-            raise InvalidParameterError("sigma must lie in (0, 2)")
-        if not self.eps >= 0.0:
-            raise InvalidParameterError("eps must be nonnegative")
+        # each check is written so that NaN fails it, and a value that is no
+        # number fails it with a TypeError
+        for name, holds, rule in (
+            ("mu0", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+            ("L0", lambda v: 1.0 <= v < math.inf, "be finite and >= 1"),
+            ("eta", lambda v: 1.0 < v < math.inf, "be finite and exceed 1"),
+            ("sigma", lambda v: 0.0 < v < 2.0, "lie in (0, 2)"),
+            ("eps", lambda v: v >= 0.0, "be nonnegative"),
+        ):
+            value = getattr(self, name)
+            try:
+                ok = holds(value)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise InvalidParameterError(f"{name} must {rule}, got {value!r}")
         _check_int(self.max_iter, "max_iter", 1)
+        if type(self.record_trace) is not bool:
+            raise InvalidParameterError(f"record_trace must be a bool, got {self.record_trace!r}")
 
 
 @dataclass

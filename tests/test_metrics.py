@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,11 @@ def test_merit_takes_any_sequence_and_a_single_reference_row():
         ([], np.zeros((1, 0))),  # no objective
         ([[1.0, 2.0]], np.zeros((1, 2))),
         (["a", "b"], np.zeros((1, 2))),
+        # a value that is not finite; the nan row made the merit nan
+        pytest.param([1.0, 2.0], [[math.nan, 0.0], [0.5, 0.5]], id="nan-in-a-reference-row"),
+        pytest.param([1.0, 2.0], [[math.inf, 0.0]], id="inf-in-a-reference-row"),
+        pytest.param([math.nan, 2.0], [[0.5, 0.5]], id="nan-in-Fx"),
+        pytest.param([1.0, -math.inf], [[0.5, 0.5]], id="inf-in-Fx"),
     ],
 )
 def test_merit_rejects_references_that_are_not_rows_of_m_values(Fx, ref):
@@ -178,6 +185,16 @@ def test_fit_rate_log_over_k():
     series = list(zip(ks, np.log(ks) / ks))
     fit = fit_rate(series, 20, 2000)
     assert -1.0 < fit.slope < -0.8
+
+
+def test_fit_rate_leaves_out_values_that_are_not_finite():
+    # one inf used to make the slope, the intercept and the residual nan
+    ks = np.arange(1, 3000)
+    series = list(zip(ks, ks**-0.5))
+    series[99] = (100, math.inf)
+    fit = fit_rate(series, 20, 1000)
+    assert fit.slope == pytest.approx(-0.5, abs=1e-6)
+    assert fit.residual <= 1e-9
 
 
 def test_fit_rate_insufficient_data():

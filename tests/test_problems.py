@@ -215,3 +215,10 @@ def test_sample_start_deterministic_and_in_box():
     # distinct seeds almost surely differ
     diffs = np.abs(np.diff(draws, axis=0)).max(axis=1)
     assert np.mean(diffs > 1e-12) > 0.999
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+def test_sample_start_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # NumPy raised a bare ValueError for -1 and a TypeError for 1.5
+    with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0"):
+        sample_start(get_problem("JOS1"), seed)

@@ -17,10 +17,11 @@ from sapgm.smoothing import (
     Plus,
     Quartic,
     Scale,
+    SmoothSurrogate,
     Square,
     Sum,
     _SUPPORTED,
-    _walk,
+    _children,
     compose_surrogate,
     smooth_abs,
     smooth_max2,
@@ -273,7 +274,13 @@ def ExpDiff():
     return Exp(Affine([-1.0, 1.0]))
 
 
-def test_compose_rejects_unknown_atom():
+# compose_surrogate is SmoothSurrogate behind a check that its argument is an
+# expression node; both must reject what the one constructor rejects
+constructors = pytest.mark.parametrize("build", [compose_surrogate, SmoothSurrogate])
+
+
+@constructors
+def test_compose_rejects_unknown_atom(build):
     class Mystery(Expr):
         kappa = 0.0
 
@@ -281,9 +288,10 @@ def test_compose_rejects_unknown_atom():
             return f"{v} = 0.0", []
 
     with pytest.raises(UnsupportedAtomError, match="Mystery"):
-        compose_surrogate(Mystery())
+        build(Mystery(), None)
 
 
+@constructors
 @pytest.mark.parametrize(
     "expr, x",
     [
@@ -292,33 +300,58 @@ def test_compose_rejects_unknown_atom():
         (Quartic(Scale(2.0, Plus(Affine([1.0])))), 1.0),
     ],
 )
-def test_compose_rejects_power_or_exp_of_a_smoothed_argument(expr, x):
+def test_compose_rejects_power_or_exp_of_a_smoothed_argument(build, expr, x):
     # the child's kappa does not bound the error: at mu = 1 it is exceeded
     x = np.array([x])
     err = abs(value_grad(expr, x, 1.0)[0] - value_grad(expr, x, 0.0)[0])
     assert err > expr.kappa * 1.0 + 1.0
     with pytest.raises(UnsupportedAtomError, match="smoothed argument"):
-        compose_surrogate(expr)
+        build(expr, ([-10.0], [10.0]))
 
 
+@constructors
 @pytest.mark.parametrize(
     "expr",
     [
-        Sum([Affine([1.0, 0.0]), Affine([1.0])]),
+        # SmoothSurrogate called directly raised a bare IndexError here
+        pytest.param(Sum([Affine([1.0, 0.0]), Affine([1.0])]), id="sizes-2-and-1"),
         Max2(Affine([1.0]), Affine([1.0, 2.0])),
         MaxList([Affine([1.0]), Affine([1.0, 2.0, 3.0])]),
     ],
 )
-def test_compose_rejects_leaves_of_different_sizes(expr):
+def test_compose_rejects_leaves_of_different_sizes(build, expr):
     with pytest.raises(InvalidInputError, match="differ in size"):
-        compose_surrogate(expr)
+        build(expr, ([-10.0, -10.0], [10.0, 10.0]))
 
 
-def test_compose_rejects_a_box_of_another_size():
+@constructors
+def test_compose_rejects_a_box_of_another_size(build):
     with pytest.raises(InvalidInputError, match="box"):
-        compose_surrogate(Abs(Affine([1.0])), box=(-np.ones(2), np.ones(2)))
+        build(Abs(Affine([1.0])), (-np.ones(2), np.ones(2)))
 
 
+@constructors
+@pytest.mark.parametrize(
+    "make",
+    [
+        # compose_surrogate raised a SyntaxError from the generated kernel
+        pytest.param(lambda: Affine([], 0.0), id="empty-leaf"),
+        # NumPy's broadcast ValueError
+        pytest.param(lambda: Sum([Affine([], 0.0), Affine([], 1.0)]), id="two-empty-leaves"),
+        # accepted with lip_factor 1e-12, and every evaluation returned inf
+        pytest.param(lambda: Affine([1.0], math.inf), id="infinite-offset"),
+        pytest.param(lambda: Affine([[1.0, 0.0], [0.0, 1.0]]), id="2-D-weights"),
+        pytest.param(lambda: Affine([1.0, math.nan]), id="nan-weight"),
+        pytest.param(lambda: Affine([1.0, "a"]), id="weight-that-is-no-number"),
+    ],
+)
+def test_compose_rejects_a_leaf_that_is_not_a_finite_vector(build, make):
+    # the leaf rejects itself, before either constructor sees the tree
+    with pytest.raises(InvalidInputError, match="Affine needs a nonempty vector w of finite numbers"):
+        build(make(), None)
+
+
+@constructors
 @pytest.mark.parametrize(
     "expr, what",
     [
@@ -327,10 +360,10 @@ def test_compose_rejects_a_box_of_another_size():
         (Square(Affine([1e200, 0.0])), "gives the Lipschitz factor inf"),  # (2e201)^2 without a raise
     ],
 )
-def test_compose_rejects_a_certification_that_overflows(expr, what):
+def test_compose_rejects_a_certification_that_overflows(build, expr, what):
     with np.errstate(over="ignore"):
         with pytest.raises(InvalidInputError, match=rf"box \[\[-20\.0, -20\.0\], \[20\.0, 20\.0\]\] {what}"):
-            compose_surrogate(expr, box=([-20.0, -20.0], [20.0, 20.0]))
+            build(expr, ([-20.0, -20.0], [20.0, 20.0]))
 
 
 def test_compose_accepts_power_or_exp_of_an_exact_argument():
@@ -357,9 +390,14 @@ def all_ten_atoms():
     )
 
 
+def nodes(expr):
+    """expr and every node below it."""
+    return [expr] + [node for kid in _children(expr) for node in nodes(kid)]
+
+
 def test_tree_of_all_ten_atoms_at_mu_zero_is_exact():
     tree = all_ten_atoms()
-    assert {type(node) for node in _walk(tree)} == set(_SUPPORTED)
+    assert {type(node) for node in nodes(tree)} == set(_SUPPORTED)
     x = np.array([1.0, -2.0])
     v, g = value_grad(tree, x, 0.0)
     assert v == 24.5

@@ -189,6 +189,12 @@ def test_config_validation():
         dict(L0=math.inf),
         dict(eta=math.nan),
         dict(eta=math.inf),
+        # a parameter that is no number raised a bare TypeError
+        dict(sigma="1"),
+        dict(mu0=None),
+        # the trace switch is a bool; these recorded a trace
+        dict(record_trace="no"),
+        dict(record_trace=1),
     ):
         with pytest.raises(InvalidParameterError):
             SolverConfig(**bad)
