@@ -23,9 +23,11 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +46,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-SOLVER_COLORS = {"sapgm": "#d62728", "baseline": "#1f77b4"}
+SOLVERS = ("sapgm", "baseline")  # run by solve and solve_baseline; rows are written in this order
+BOTH = "both"  # the solver choice that runs every solver
+SOLVER_COLORS = dict(zip(SOLVERS, ("#d62728", "#1f77b4")))
 
 # the solver parameters the protocol pins: the manifest records them and
 # `bench run` takes one flag each
@@ -52,11 +56,11 @@ PROTOCOL_PARAMS = ("mu0", "L0", "eta", "sigma", "eps", "max_iter")
 
 
 @dataclass
-class BenchConfig:
+class BenchConfig:  # the `bench` flags take their defaults from these
     problems: Sequence[str] = ("all",)
     runs: int = 200
     base_seed: int = 42
-    solver: str = "both"  # sapgm | baseline | both
+    solver: str = BOTH  # one of SOLVERS, or BOTH
     params: SolverConfig = SolverConfig()
     out_dir: str | Path = "results"
     parallel: int = 1
@@ -65,7 +69,7 @@ class BenchConfig:
         _check_int(self.runs, "runs", 1)
         _check_int(self.base_seed, "base_seed", 0)  # NumPy seeds are nonnegative
         _check_int(self.parallel, "parallel", 1)
-        if self.solver not in ("sapgm", "baseline", "both"):
+        if self.solver not in (*SOLVERS, BOTH):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
 
     def solver_config(self, **overrides) -> SolverConfig:
@@ -84,7 +88,7 @@ class BenchConfig:
         return names
 
     def solver_names(self) -> list[str]:
-        return ["sapgm", "baseline"] if self.solver == "both" else [self.solver]
+        return list(SOLVERS) if self.solver == BOTH else [self.solver]
 
 
 @dataclass
@@ -101,14 +105,32 @@ def slugify(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-")
 
 
+def _vector(prefix: str, get: Callable, size: int) -> list[tuple[str, Callable]]:
+    """Columns prefix0 .. prefix<size - 1>: the entries of the vector get(row), as floats."""
+    return [(f"{prefix}{j}", lambda row, j=j: float(get(row)[j])) for j in range(size)]
+
+
+def _write_csv(path: Path, columns: list[tuple[str, Callable]], rows) -> None:
+    """The columns' names, then per row the values their getters read from it
+    (csv writes a float as its repr and an int as its str)."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([name for name, _ in columns])
+        w.writerows([get(row) for _, get in columns] for row in rows)
+
+
+def _write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # run execution
 # ---------------------------------------------------------------------------
 
 def _execute(problem: str, solver: str, seed: int, cfg: SolverConfig) -> dict:
     p = get_problem(problem)
-    x0 = sample_start(p, seed)
-    run = solve(p, x0, cfg) if solver == "sapgm" else solve_baseline(p, x0, cfg)
+    # read at call time: tracers rebind bench.solve and bench.solve_baseline
+    run = (solve if solver == SOLVERS[0] else solve_baseline)(p, sample_start(p, seed), cfg)
     return {
         "problem": problem,
         "solver": solver,
@@ -120,16 +142,6 @@ def _execute(problem: str, solver: str, seed: int, cfg: SolverConfig) -> dict:
         "x": run.final_x,
         "F": run.final_F,
     }
-
-
-def _execute_star(args) -> dict:
-    return _execute(*args)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def run_benchmark(cfg: BenchConfig) -> Path:
@@ -153,50 +165,29 @@ def run_benchmark(cfg: BenchConfig) -> Path:
         import multiprocessing  # only the pool needs it; it adds to every `import sapgm`
 
         with multiprocessing.Pool(cfg.parallel) as pool:
-            rows = list(pool.imap_unordered(_execute_star, tasks, chunksize=8))
+            rows = pool.starmap(_execute, tasks, chunksize=8)
     else:
         rows = [_execute(*t) for t in tasks]
-    rows.sort(key=lambda r: (r["problem"], r["solver"], r["seed"]))
+    rows.sort(key=itemgetter("problem", "solver", "seed"))
+    groups = {key: list(grp) for key, grp in groupby(rows, key=itemgetter("problem", "solver"))}
 
     first = get_problem(problems[0])
-    x_cols = [f"final_x{j}" for j in range(first.n)]
-    f_cols = [f"final_F{j}" for j in range(first.m)]
-    with (out / "runs.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["problem", "solver", "seed", "status", "iters", "fevals", "time_s"] + x_cols + f_cols)
-        for r in rows:
-            w.writerow(
-                [r["problem"], r["solver"], r["seed"], r["status"], r["iters"], r["fevals"], _fmt(r["time_s"])]
-                + [_fmt(float(v)) for v in r["x"]]
-                + [_fmt(float(v)) for v in r["F"]]
-            )
-
-    summary = summarize(rows)
-    with (out / "summary.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["problem", "solver", "avg_time_s", "avg_iter", "avg_feval", "converged_fraction"])
-        for s in summary:
-            w.writerow(
-                [s.problem, s.solver, _fmt(s.avg_time_s), _fmt(s.avg_iter), _fmt(s.avg_feval), _fmt(s.converged_fraction)]
-            )
+    columns = [(k, itemgetter(k)) for k in ("problem", "solver", "seed", "status", "iters", "fevals", "time_s")]
+    columns += _vector("final_x", itemgetter("x"), first.n) + _vector("final_F", itemgetter("F"), first.m)
+    _write_csv(out / "runs.csv", columns, rows)
+    _write_csv(out / "summary.csv", [(f.name, attrgetter(f.name)) for f in fields(SummaryRow)], summarize(groups))
 
     for prob in problems:
         p = get_problem(prob)
-        fronts: dict[str, list[FrontPoint]] = {}
-        for solver in solvers:
-            pts = [
-                FrontPoint(r["x"], r["F"])
-                for r in rows
-                if r["problem"] == prob and r["solver"] == solver
-            ]
-            fronts[solver] = nondominated_filter(pts)
+        fronts = {
+            solver: nondominated_filter([FrontPoint(r["x"], r["F"]) for r in groups[prob, solver]])
+            for solver in solvers
+        }
         slug = slugify(prob)
-        with (out / f"front_{slug}.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["solver"] + [f"x{j}" for j in range(p.n)] + [f"F{j}" for j in range(p.m)])
-            for solver in solvers:
-                for pt in fronts[solver]:
-                    w.writerow([solver] + [_fmt(float(v)) for v in pt.x] + [_fmt(float(v)) for v in pt.F])
+        columns = [("solver", itemgetter(0))]
+        columns += _vector("x", lambda sp: sp[1].x, p.n) + _vector("F", lambda sp: sp[1].F, p.m)
+        points = [(solver, pt) for solver in solvers for pt in fronts[solver]]
+        _write_csv(out / f"front_{slug}.csv", columns, points)
         emit_svg_scatter(fronts, out / f"front_{slug}.svg", title=prob)
 
     manifest = {
@@ -209,26 +200,23 @@ def run_benchmark(cfg: BenchConfig) -> Path:
         "parallel": cfg.parallel,
         "files": sorted(f.name for f in out.iterdir() if f.is_file() and f.name != "manifest.json"),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest)
     return out
 
 
-def summarize(rows: list[dict]) -> list[SummaryRow]:
-    keys = sorted({(r["problem"], r["solver"]) for r in rows})
-    out = []
-    for prob, solver in keys:
-        grp = [r for r in rows if r["problem"] == prob and r["solver"] == solver]
-        out.append(
-            SummaryRow(
-                problem=prob,
-                solver=solver,
-                avg_time_s=float(np.mean([r["time_s"] for r in grp])),
-                avg_iter=float(np.mean([r["iters"] for r in grp])),
-                avg_feval=float(np.mean([r["fevals"] for r in grp])),
-                converged_fraction=float(np.mean([r["status"] == "Converged" for r in grp])),
-            )
+def summarize(groups: dict[tuple[str, str], list[dict]]) -> list[SummaryRow]:
+    """Averages of each (problem, solver) group of run rows."""
+    return [
+        SummaryRow(
+            problem=prob,
+            solver=solver,
+            avg_time_s=float(np.mean([r["time_s"] for r in grp])),
+            avg_iter=float(np.mean([r["iters"] for r in grp])),
+            avg_feval=float(np.mean([r["fevals"] for r in grp])),
+            converged_fraction=float(np.mean([r["status"] == "Converged" for r in grp])),
         )
-    return out
+        for (prob, solver), grp in groups.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +274,7 @@ def run_rate_experiment(
         run = solve(p, x0, sc)
         series = merit_series_for_run(p, run.trace, ref)
         fname = f"rate_{slug}_sigma{s:g}.csv"
-        with (out / fname).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "merit"])
-            for k, v in series:
-                w.writerow([k, _fmt(v)])
+        _write_csv(out / fname, [("k", itemgetter(0)), ("merit", itemgetter(1))], series)
         series_files.append(fname)
         try:
             fit = fit_rate(series, k_lo, min(k_hi, iters))
@@ -308,7 +292,7 @@ def run_rate_experiment(
         "series_files": series_files,
         "slopes": slopes,
     }
-    (out / f"rate_{slug}_slopes.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / f"rate_{slug}_slopes.json", manifest)
     return out
 
 

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .bench import PROTOCOL_PARAMS, BenchConfig, run_benchmark, run_rate_experiment
+from .bench import BOTH, PROTOCOL_PARAMS, SOLVERS, BenchConfig, run_benchmark, run_rate_experiment
 from .errors import InvalidInputError, InvalidParameterError
 from .problems import registry, sample_start
 from .smoothing import (
@@ -41,12 +41,13 @@ EXIT_IO = 3
 RATE_PARAMS = ("mu0", "L0", "eta")
 
 
-def _add_solver_flags(sp: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
-    defaults = SolverConfig()
+def _add_shared_flags(sp: argparse.ArgumentParser, names: tuple[str, ...], defaults: BenchConfig) -> None:
+    """--seed, a flag for each named solver parameter and --out, with the defaults' values."""
+    sp.add_argument("--seed", type=int, default=defaults.base_seed)
     for name in names:
-        value = getattr(defaults, name)
+        value = getattr(defaults.params, name)
         sp.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
-    sp.add_argument("--out", default="results")
+    sp.add_argument("--out", default=defaults.out_dir)
 
 
 def _solver_config(args, names: tuple[str, ...]) -> SolverConfig:
@@ -54,22 +55,23 @@ def _solver_config(args, names: tuple[str, ...]) -> SolverConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = BenchConfig()
     ap = argparse.ArgumentParser(prog="bench", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="seeded multi-start benchmark")
-    run.add_argument("--problems", default="all", help="comma list of names or 1-based indices, or 'all'")
-    run.add_argument("--runs", type=int, default=200)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--solver", choices=["sapgm", "baseline", "both"], default="both")
-    run.add_argument("--parallel", type=int, default=1)
-    _add_solver_flags(run, PROTOCOL_PARAMS)
+    run.add_argument(
+        "--problems", default=",".join(defaults.problems), help="comma list of names or 1-based indices, or 'all'"
+    )
+    run.add_argument("--runs", type=int, default=defaults.runs)
+    run.add_argument("--solver", choices=(*SOLVERS, BOTH), default=defaults.solver)
+    run.add_argument("--parallel", type=int, default=defaults.parallel)
+    _add_shared_flags(run, PROTOCOL_PARAMS, defaults)
 
     rate = sub.add_parser("rate", help="merit decay vs sigma")
     rate.add_argument("--problem", required=True)
     rate.add_argument("--sigmas", default="0.5,1.0,1.5", help="comma list in (0, 2)")
-    rate.add_argument("--seed", type=int, default=42)
-    _add_solver_flags(rate, RATE_PARAMS)
+    _add_shared_flags(rate, RATE_PARAMS, defaults)
 
     ver = sub.add_parser("verify", help="smoothing and subproblem property report")
     ver.add_argument("--samples", type=int, default=1000)

@@ -99,7 +99,7 @@ def _check_int(value, name: str, least: int) -> None:
 def _point(p: ProblemSpec, x: Sequence[float]) -> list[float]:
     """x as a list of p.n finite floats; InvalidInputError naming the problem otherwise."""
     try:
-        return _as_point(x, p.n, finite=True)
+        return _as_point(x, p.n)
     except InvalidInputError as e:
         raise InvalidInputError(f"{p.name}: {e}") from None
 

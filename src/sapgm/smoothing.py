@@ -191,11 +191,18 @@ class Affine(Expr):
         return _BoxStats(vmin, vmax, float(np.linalg.norm(self.w)), 0.0)
 
 
+def _node(x) -> Expr:
+    """x, once it is known to be an expression node (UnsupportedAtomError if not)."""
+    if not isinstance(x, Expr):
+        raise UnsupportedAtomError(f"not an expression node: {type(x).__name__}")
+    return x
+
+
 class _Unary(Expr):
     own_kappa = 0.0  # the node's own smoothing error per unit of mu
 
     def __init__(self, child: Expr):
-        self.child = child
+        self.child = _node(child)
         self.kappa = self.own_kappa + child.kappa
 
 
@@ -251,8 +258,11 @@ class Scale(Expr):
     """c * child"""
 
     def __init__(self, c: float, child: Expr):
-        self.c = float(c)
-        self.child = child
+        try:
+            self.c = float(c)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"Scale needs a number c, got {c!r}") from None
+        self.child = _node(child)
         self.kappa = abs(self.c) * child.kappa
 
     def code(self, v, a, args, bind):
@@ -272,7 +282,7 @@ class Sum(Expr):
     def __init__(self, children: Sequence[Expr]):
         if not children:
             raise InvalidInputError("Sum needs at least one child")
-        self.children = tuple(children)
+        self.children = tuple(map(_node, children))
         self.kappa = sum(c.kappa for c in self.children)
 
     def code(self, v, a, args, bind):
@@ -325,8 +335,8 @@ class Max2(Expr):
     """max(a, b), smoothed as (a + b + sqrt((a-b)^2 + 4 mu^2)) / 2."""
 
     def __init__(self, a: Expr, b: Expr):
-        self.a = a
-        self.b = b
+        self.a = _node(a)
+        self.b = _node(b)
         self.kappa = 1.0 + a.kappa + b.kappa
 
     def code(self, v, a, args, bind):
@@ -350,7 +360,7 @@ class MaxList(Expr):
     def __init__(self, children: Sequence[Expr]):
         if not children:
             raise InvalidInputError("MaxList needs at least one child")
-        self.children = tuple(children)
+        self.children = tuple(map(_node, children))
         self.kappa = math.log(len(self.children)) + sum(c.kappa for c in self.children)
 
     def code(self, v, a, args, bind):
@@ -526,20 +536,20 @@ class SmoothSurrogate:
         return self._value(_as_point(x, self.n), 0.0)
 
 
-def _as_point(x, n: int, finite: bool = False) -> list[float]:
-    """x as a list of n floats; InvalidInputError unless x is a point of R^n,
-    and with ``finite`` also unless every coordinate is finite.
+def _as_point(x, n: int) -> list[float]:
+    """x as a list of n floats; InvalidInputError unless x is a point of R^n
+    whose every coordinate is finite.
 
-    A list whose entries sum to a float (a finite one with ``finite``) is
-    taken as it is, so the solver's float lists pass with one sum() and no
-    copy; anything else goes through NumPy and must have shape (n,).
+    A list whose entries sum to a finite float is taken as it is, so the
+    solver's float lists pass with one sum() and no copy; anything else goes
+    through NumPy and must have shape (n,).
     """
     if type(x) is list and len(x) == n:
         try:
             s = sum(x)
         except (TypeError, OverflowError):  # an entry that is no number, or an int too large
             s = None
-        if type(s) is float and (s - s == 0.0 or not finite):  # s - s is nan for inf and nan
+        if type(s) is float and s - s == 0.0:  # s - s is nan for inf and nan
             return x
     try:
         arr = np.asarray(x, dtype=float)
@@ -552,7 +562,7 @@ def _as_point(x, n: int, finite: bool = False) -> list[float]:
             shape = (len(x),)
         what = " that does not hold numbers" if arr is None and shape == (n,) else ""
         raise InvalidInputError(f"expected a point of dimension {n}, got shape {shape}{what}")
-    if finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"expected a finite point, got {arr.tolist()}")
     return arr.tolist()
 
@@ -562,9 +572,7 @@ def compose_surrogate(
 ) -> SmoothSurrogate:
     """Build a surrogate from an expression tree: ``SmoothSurrogate(expr, box)``
     once expr is known to be an expression node (UnsupportedAtomError if not)."""
-    if not isinstance(expr, Expr):
-        raise UnsupportedAtomError(f"not an expression node: {type(expr).__name__}")
-    return SmoothSurrogate(expr, box)
+    return SmoothSurrogate(_node(expr), box)
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,18 @@ def mu_schedule(k: int, mu0: float, sigma: float) -> float:
 def momentum_update(
     t_k: float, mu_k: float, mu_next: float, L_k: float, L_next: float
 ) -> tuple[float, float]:
-    """One step of the coupled t/theta recurrence."""
-    ratio = (mu_k * L_next) / (mu_next * L_k)
-    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * t_k * t_k))
+    """One step of the coupled t/theta recurrence; InvalidParameterError when
+    the arguments give no finite step (a zero or nan mu or L, or a negative
+    one that takes the root's argument below zero)."""
+    try:
+        ratio = (mu_k * L_next) / (mu_next * L_k)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * t_k * t_k))
+    except (ZeroDivisionError, ValueError):  # ValueError: the root of a negative number
+        t_next = math.nan
+    if not t_next < math.inf:  # nan as well
+        raise InvalidParameterError(
+            f"no finite momentum step from t_k={t_k}, mu_k={mu_k}, mu_next={mu_next}, L_k={L_k}, L_next={L_next}"
+        )
     return t_next, (t_k - 1.0) / t_next
 
 

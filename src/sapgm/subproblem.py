@@ -27,9 +27,9 @@ makes the primal minimizer unique, so the duality gap, the KKT residual and
 the complementarity violation certify the solution; solve_subproblem
 returns all three with it.
 
-All g_i are required to be the identical shared term; distinct g_i would
-break the closed-form inner step and are rejected at ProblemSpec
-construction.
+All g_i are the one shared term: ProblemSpec holds a single g_kind, so
+distinct g_i, which would break the closed-form inner step, cannot be
+stated.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def _solve_pair(core: _Core, lam0):
     else:
         ti, hi = max((t, h) for t, h in zip(ts, hs) if h > 0.0)
         tj, hj = min((t, h) for t, h in zip(ts, hs) if h <= 0.0)
-        t = ti + (tj - ti) * hi / (hi - hj)
+        t = min(ti + (tj - ti) * hi / (hi - hj), tj)  # rounding can land one ulp past tj
     lam = [t, 1.0 - t]
     return lam, 1, core.inner(lam)
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from sapgm.bench import (
+    PROTOCOL_PARAMS,
+    SOLVERS,
     BenchConfig,
     _ticks,
     emit_svg_scatter,
@@ -15,7 +18,7 @@ from sapgm.bench import (
     run_rate_experiment,
     slugify,
 )
-from sapgm.cli import main
+from sapgm.cli import RATE_PARAMS, build_parser, main
 from sapgm.errors import InvalidParameterError
 from sapgm.metrics import FrontPoint, nondominated_filter
 from sapgm.problems import eval_true, get_problem
@@ -232,6 +235,29 @@ def test_rate_empty_sigma_list_is_noop(tmp_path, caplog):
     out = tmp_path / "rate"
     run_rate_experiment("JOS1", [], BenchConfig(out_dir=out), iters=10)
     assert out.is_dir() and not any(out.iterdir())
+
+
+# ------------------------------------------------------------------ defaults
+
+
+def _flag(command, dest):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return next(a for a in sub._actions if a.dest == dest)
+
+
+def test_cli_defaults_are_the_bench_config_defaults():
+    d = BenchConfig()
+    run = build_parser().parse_args(["run"])
+    assert run.problems.split(",") == list(d.problems)
+    assert (run.runs, run.seed, run.solver, run.parallel, run.out) == (
+        d.runs, d.base_seed, d.solver, d.parallel, d.out_dir
+    )
+    assert {k: getattr(run, k) for k in PROTOCOL_PARAMS} == {k: getattr(d.params, k) for k in PROTOCOL_PARAMS}
+    rate = build_parser().parse_args(["rate", "--problem", "JOS1"])
+    assert (rate.seed, rate.out) == (d.base_seed, d.out_dir)
+    assert {k: getattr(rate, k) for k in RATE_PARAMS} == {k: getattr(d.params, k) for k in RATE_PARAMS}
+    assert list(_flag("run", "solver").choices) == [*SOLVERS, "both"]
 
 
 # ------------------------------------------------------------------ exit codes

@@ -279,16 +279,28 @@ def ExpDiff():
 constructors = pytest.mark.parametrize("build", [compose_surrogate, SmoothSurrogate])
 
 
+class Mystery(Expr):
+    kappa = 0.0
+
+    def code(self, v, a, args, bind):  # pragma: no cover - never reached
+        return f"{v} = 0.0", []
+
+
 @constructors
-def test_compose_rejects_unknown_atom(build):
-    class Mystery(Expr):
-        kappa = 0.0
-
-        def code(self, v, a, args, bind):  # pragma: no cover - never reached
-            return f"{v} = 0.0", []
-
-    with pytest.raises(UnsupportedAtomError, match="Mystery"):
-        build(Mystery(), None)
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        pytest.param(Mystery, "unsupported atom: Mystery", id="unknown-node-type"),
+        # each raised a bare AttributeError: 'float' object has no attribute 'kappa'
+        pytest.param(lambda: Sum([1.0]), "not an expression node: float", id="sum-of-a-float"),
+        pytest.param(lambda: Square(1.0), "not an expression node: float", id="square-of-a-float"),
+        pytest.param(lambda: Max2(Affine([1.0]), "x"), "not an expression node: str", id="max2-of-a-string"),
+    ],
+)
+def test_compose_rejects_unknown_atom(build, make, match):
+    # a node rejects a child that is no node, before either constructor sees the tree
+    with pytest.raises(UnsupportedAtomError, match=match):
+        build(make(), None)
 
 
 @constructors
@@ -343,11 +355,13 @@ def test_compose_rejects_a_box_of_another_size(build):
         pytest.param(lambda: Affine([[1.0, 0.0], [0.0, 1.0]]), id="2-D-weights"),
         pytest.param(lambda: Affine([1.0, math.nan]), id="nan-weight"),
         pytest.param(lambda: Affine([1.0, "a"]), id="weight-that-is-no-number"),
+        # a bare ValueError
+        pytest.param(lambda: Scale("a", Affine([1.0])), id="scale-factor-that-is-no-number"),
     ],
 )
 def test_compose_rejects_a_leaf_that_is_not_a_finite_vector(build, make):
-    # the leaf rejects itself, before either constructor sees the tree
-    with pytest.raises(InvalidInputError, match="Affine needs a nonempty vector w of finite numbers"):
+    # the node rejects itself, before either constructor sees the tree
+    with pytest.raises(InvalidInputError, match="Affine needs a nonempty vector w of finite numbers|Scale needs a number c"):
         build(make(), None)
 
 
@@ -422,12 +436,14 @@ def test_surrogate_eval_rejects_nonpositive_mu():
 @pytest.mark.parametrize(
     "x",
     # a nested list and a list that holds a non-number have length n = 2,
-    # so the float-list fast path must not take them
-    [[1.0, 2.0, 3.0], [1.0], np.ones(4), np.ones((2, 1)), np.ones((1, 2)), 3.0, [[1.0], [2.0]], [1.0, "a"]],
+    # so the float-list fast path must not take them; a point with an inf
+    # gave (inf, [nan]) and one with a nan gave nan, both without a word
+    [[1.0, 2.0, 3.0], [1.0], np.ones(4), np.ones((2, 1)), np.ones((1, 2)), 3.0, [[1.0], [2.0]], [1.0, "a"]]
+    + [[math.inf, 0.0], [math.nan, 0.0]],
 )
 def test_surrogate_rejects_a_point_of_another_dimension(x):
     s = get_problem("JOS1").smooth_parts[0]  # n = 2
-    msg = r"expected a point of dimension 2, got shape \([\d, ]*\)"
+    msg = r"expected a (point of dimension 2, got shape \([\d, ]*\)|finite point, got \[(inf|nan), 0\.0\])"
     for evaluate in (lambda: s.eval(x, 0.5), lambda: s.eval(x, 0.5, jac=False), lambda: s.true_eval(x)):
         with pytest.raises(InvalidInputError, match=msg):
             evaluate()

@@ -52,6 +52,23 @@ def test_momentum_first_step():
     assert th1 == 0.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a bare ZeroDivisionError
+        pytest.param((1.0, 1.0, 1.0, 0.0, 1.0), id="L_k=0"),
+        pytest.param((1.0, 1.0, 0.0, 1.0, 1.0), id="mu_next=0"),
+        # ValueError: math domain error
+        pytest.param((1.0, 1.0, 1.0, -1.0, 1.0), id="L_k=-1"),
+        # (nan, nan) without a word
+        pytest.param((1.0, 1.0, 1.0, math.nan, 1.0), id="L_k=nan"),
+    ],
+)
+def test_momentum_rejects_arguments_that_give_no_finite_step(args):
+    with pytest.raises(InvalidParameterError, match="no finite momentum step"):
+        momentum_update(*args)
+
+
 def test_momentum_identity_single_step():
     rng = np.random.default_rng(0)
     for _ in range(200):

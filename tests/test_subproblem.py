@@ -479,6 +479,19 @@ def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c, g_kind):
     assert np.isnan(lam).all()  # no weight is picked from a non-finite derivative
 
 
+@pytest.mark.parametrize(
+    "core",
+    [
+        # the interpolated root landed one ulp past its bracket: lam = (1 + 2.2e-16, -2.2e-16)
+        pytest.param(_Core([9.957086492446983], [[-1.0], [2.0]], [-3e-245, 0.0], 2.0, GKind.SCALED_L1), id="scaled-l1"),
+        pytest.param(_Core([0.0], [[0.0], [6.2141445651958875]], [0.0, 1e-300], 2.0, GKind.ZERO), id="zero"),
+    ],
+)
+def test_exact_path_weight_stays_on_the_simplex(core):
+    lam = check_exact_against_ascent(core, np.array([1e-9, 1.0 - 1e-9]))
+    np.testing.assert_array_equal(lam, [1.0, 0.0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 4),
@@ -490,6 +503,11 @@ def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c, g_kind):
 # z rests inside the soft-threshold band for every weight, so the dual is
 # linear with a slope of 1.2e-8: the ascent's step must grow far past 1/curv
 @example(n=1, g_kind=GKind.SCALED_L1, data=[0.0, 1.0] + [0.0] * 11 + [-1.1950395177352375e-08], ell=0.125, t0=0.0)
+# the interpolated root landed one ulp past t = 1, off the simplex
+@example(
+    n=1, g_kind=GKind.SCALED_L1, data=[-1.0, 2.0] + [0.0] * 6 + [9.957086492446983, 0.0, 0.0, 0.0, -3e-245, 0.0],
+    ell=2.0, t0=1e-9,
+)
 def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
     G = np.array(data[: 2 * n]).reshape(2, n)
     y = np.array(data[8 : 8 + n])
