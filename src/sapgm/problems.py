@@ -150,21 +150,27 @@ def eval_smooth(
 
     The values come back as a list of m floats and the Jacobian as m rows of
     n floats; with ``jac`` false the Jacobian is not formed and None is
-    returned in its place.  Raises InvalidParameterError unless mu is finite
-    and positive, and InvalidInputError when x is not a finite point of R^n
-    or a component value overflows or is not finite.
+    returned in its place.  Raises InvalidInputError naming the problem when
+    x is not a finite point of R^n, then InvalidParameterError unless mu is
+    finite and positive, and InvalidInputError naming the problem and x when
+    a component value overflows or is not finite.  The point and mu are
+    checked once, by the first component's ``SmoothSurrogate.eval``;
+    ``_point`` runs only on an error path, to report a bad point before a
+    bad mu and to name x as a float list.
     """
-    x = _point(p, x)
-    if not 0.0 < mu < math.inf:
-        raise InvalidParameterError(f"mu must be finite and positive, got {mu}")
     values, rows = [], []
     for i, s in enumerate(p.smooth_parts):
         try:
             v, g = s.eval(x, mu, jac)
+        except InvalidInputError as e:  # x is not a finite point of R^n
+            raise InvalidInputError(f"{p.name}: {e}") from None
+        except InvalidParameterError:  # mu; the surrogate checks it before x
+            _point(p, x)
+            raise
         except OverflowError as e:
-            raise _not_finite(p, x, i, "overflows") from e
+            raise _not_finite(p, _point(p, x), i, "overflows") from e
         if not math.isfinite(v):
-            raise _not_finite(p, x, i, f"is {v}")
+            raise _not_finite(p, _point(p, x), i, f"is {v}")
         values.append(v)
         rows.append(g)
     return values, rows if jac else None

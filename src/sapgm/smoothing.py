@@ -198,6 +198,21 @@ def _node(x) -> Expr:
     return x
 
 
+def _nodes(children, owner: str) -> tuple[Expr, ...]:
+    """children as a nonempty tuple of expression nodes: UnsupportedAtomError
+    unless they are a sequence of nodes, InvalidInputError if there are none."""
+    try:
+        it = iter(children)
+    except TypeError:
+        raise UnsupportedAtomError(
+            f"{owner} needs a list of expression nodes, got {type(children).__name__}"
+        ) from None
+    nodes = tuple(map(_node, it))
+    if not nodes:
+        raise InvalidInputError(f"{owner} needs at least one child")
+    return nodes
+
+
 class _Unary(Expr):
     own_kappa = 0.0  # the node's own smoothing error per unit of mu
 
@@ -280,9 +295,7 @@ class Sum(Expr):
     """child_1 + ... + child_k"""
 
     def __init__(self, children: Sequence[Expr]):
-        if not children:
-            raise InvalidInputError("Sum needs at least one child")
-        self.children = tuple(map(_node, children))
+        self.children = _nodes(children, "Sum")
         self.kappa = sum(c.kappa for c in self.children)
 
     def code(self, v, a, args, bind):
@@ -358,9 +371,7 @@ class MaxList(Expr):
     """k-term max, smoothed by log-sum-exp (kappa contribution log k)."""
 
     def __init__(self, children: Sequence[Expr]):
-        if not children:
-            raise InvalidInputError("MaxList needs at least one child")
-        self.children = tuple(map(_node, children))
+        self.children = _nodes(children, "MaxList")
         self.kappa = math.log(len(self.children)) + sum(c.kappa for c in self.children)
 
     def code(self, v, a, args, bind):

@@ -15,14 +15,18 @@ Per iteration k (starting at 0, with y_0 = x_0 and t_0 = 1):
    y_{k+1} = x_{k+1} + theta_{k+1} (x_{k+1} - x_k).
 
 The non-accelerated baseline runs the identical loop with theta forced to 0.
-The run's state (x, y, t, mu, L and the feval tally, 2 + trials per
-iteration) lives in locals of one solve call, so concurrent solves on a
-shared problem spec are safe.  x0 goes through the problem's point check
-once; from there x, y, each accepted z and the smoothed values are float
-lists, as the kernels take and return them, and only the trace and the
-result hold arrays.  g is read at points that have passed the check without
-checking them again, and the descent test reads its terms from the prox
-step that formed z: one comparison per objective.
+The run's state (x, y, t, mu, L and the feval tally) lives in locals of one
+solve call, so concurrent solves on a shared problem spec are safe.  The
+tally counts the method's oracle values, 2 + trials per iteration: f and
+its Jacobian at y, f at x and f at each trial.  Where y equals x (theta =
+0: every baseline iteration, and SAPGM's k = 0 and 1) one eval_smooth call
+gives f at both, so the tally stays 2 + trials while the calls drop by one.
+x0 goes through the problem's point check once; from there x, y, each
+accepted z and the smoothed values are float lists, as the kernels take and
+return them, and only the trace and the result hold arrays.  g is read at
+points that have passed the check without checking them again, and the
+descent test reads its terms from the prox step that formed z: one
+comparison per objective.
 The boundedness diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}),
 which backtrack_step already computed.
 """
@@ -128,15 +132,15 @@ def mu_schedule(k: int, mu0: float, sigma: float) -> float:
 def momentum_update(
     t_k: float, mu_k: float, mu_next: float, L_k: float, L_next: float
 ) -> tuple[float, float]:
-    """One step of the coupled t/theta recurrence; InvalidParameterError when
-    the arguments give no finite step (a zero or nan mu or L, or a negative
-    one that takes the root's argument below zero)."""
+    """One step of the coupled t/theta recurrence; InvalidParameterError unless
+    every mu and L is positive and the step is finite."""
     try:
         ratio = (mu_k * L_next) / (mu_next * L_k)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * t_k * t_k))
     except (ZeroDivisionError, ValueError):  # ValueError: the root of a negative number
         t_next = math.nan
-    if not t_next < math.inf:  # nan as well
+    # t_next fails for nan as well; a negative mu or L can still give a finite step
+    if not (t_next < math.inf and mu_k > 0.0 < mu_next and L_k > 0.0 < L_next):
         raise InvalidParameterError(
             f"no finite momentum step from t_k={t_k}, mu_k={mu_k}, mu_next={mu_next}, L_k={L_k}, L_next={L_next}"
         )
@@ -150,13 +154,21 @@ def backtrack_step(
 
     `mu` is already decayed for this iteration.  Returns the accepted
     candidate z, the accepted L, the trial count and f(z, mu), with z and
-    f(z, mu) as float lists for any x and y eval_smooth accepts; the step
-    spends 2 + trials smooth evaluations, and only the one at y forms a
-    Jacobian.
+    f(z, mu) as float lists for any x and y eval_smooth accepts.  x and y
+    are made float lists once, by the point check.  The step spends 2 +
+    trials smooth evaluations: f and the Jacobian at y (the one call that
+    forms a Jacobian), f at x and f at each trial.  When x equals y by value
+    (-0.0 equals 0.0), f at x is read from the call at y: the values agree
+    up to the sign of a zero, each Affine leaf line ending in ``+ c``, and
+    the offsets c_i = f_i(y) - (f_i(x) + g(x)) add g(x) >= +0.0, which
+    clears that sign.
     """
+    y = _point(p, y)
     evals_y = eval_smooth(p, y, mu)
+    x = _point(p, x)
+    evals_x = evals_y if x == y else eval_smooth(p, x, mu, jac=False)
     L_trial = cfg.L0
-    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L_trial / mu)
+    core = _core_from_evals(p, x, y, evals_y, evals_x, L_trial / mu)
     vals_y = evals_y[0]
     m = len(vals_y)
     lam0 = [1.0 / m] * m

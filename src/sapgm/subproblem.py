@@ -12,17 +12,21 @@ the max over the unit simplex gives, for weights lam,
 whose inner minimum is a single prox step, _Core.inner.  q is concave.  For
 m = 2 it is maximized exactly: with lam = (t, 1 - t) its derivative in t is
 comp_1 - comp_2, which does not increase and is piecewise linear with a kink
-wherever a soft-threshold coordinate of the prox switches, so one pass over
-the kinks brackets its root on a linear piece.  Other m use projected
+wherever a soft-threshold coordinate of the prox switches.  The search
+evaluates it at the start weight, 0 and 1 first, which settles a flat dual
+and the vertices; only when those bracket the root does it evaluate the
+kinks strictly inside the bracket, each narrowing it, and it interpolates
+the root on the last bracket's linear piece.  Other m use projected
 gradient ascent with a backtracking step.  Both paths, the prox step and
 the certificates run on Python floats, since at these sizes a NumPy call
 costs more than its arithmetic; only the ascent's curvature bound takes a
 matrix norm, once per solve.  For the same reason the per-call overhead of
 the m = 2 path is kept low: the prox step fills z, z - y and g(z) in one
-loop, the kink search builds its coordinates and kinks in another, both
-with the soft threshold written inline, and a core's finiteness check is
-one sum.  Only the prox step forms z - y, ||z - y||^2 and <g_i, z - y>;
-every consumer of a solve reads them from its last step.  Strong convexity
+loop with the soft threshold written inline, the kink search forms its
+coordinates once and evaluates h in one local loop, and a core's
+finiteness check is one sum.  Only the prox step forms z - y,
+||z - y||^2 and <g_i, z - y>; every consumer of a solve reads them from
+its last step.  Strong convexity
 makes the primal minimizer unique, so the duality gap, the KKT residual and
 the complementarity violation certify the solution; solve_subproblem
 returns all three with it.
@@ -189,12 +193,17 @@ def _solve_pair(core: _Core, lam0):
     h(t) = <d, z(t) - y> + c_1 - c_2 is the dual derivative.  The prox is
     monotone, so h does not increase; it is linear between the kinks
     t = (a_j -+ thr) ell / d_j where a soft-threshold coordinate switches.
-    h is evaluated at 0, 1, the start weight and every kink inside (0, 1)
-    (one outside, or of a coordinate constant in t, would land on 0 or 1),
-    and its root is interpolated between the last point where h > 0 and the
-    first where h <= 0.  A start weight where h vanishes (a flat dual) is
-    kept, as the ascent keeps it; a non-finite h gives t = nan and so a
-    non-finite gap.  Returns (lam, 1, the prox step at lam).
+    h is evaluated at the start weight t0, 0 and 1 first.  A non-finite h
+    there gives t = nan and so a non-finite gap (h is finite between two
+    finite ends); a start weight where h vanishes (a flat dual) is kept, as
+    the ascent keeps it; h(0) <= 0 gives t = 0 and h(1) >= 0 gives t = 1.
+    Otherwise the last point where h > 0 and the first where h <= 0 bracket
+    the root, and only the kinks strictly inside the bracket are evaluated,
+    each narrowing it (a kink outside (0, 1), or of a coordinate constant in
+    t, is never inside).  Every step of h rounds monotonically, so the
+    computed h does not increase either, and the bracket ends are the ones a
+    scan of h over every kink picks.  The root is interpolated on the
+    bracket's linear piece.  Returns (lam, 1, the prox step at lam).
     """
     ell = core.ell
     g1, g2 = core.G
@@ -202,25 +211,16 @@ def _solve_pair(core: _Core, lam0):
     l0, l1 = float(lam0[0]), float(lam0[1])
     # projection onto the simplex; a weight already on it stays as it is
     t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
-    ts = [0.0, 1.0, t0]
     scaled = core.g_kind is GKind.SCALED_L1
-    tau = 0.0  # the prox threshold; 0 makes the soft threshold the identity on h
-    if scaled:
-        thr = 1.0 / (ell * core.n)
-        tau = 1.0 / ell / core.n
+    tau = 1.0 / ell / core.n if scaled else 0.0  # 0 makes the soft threshold the identity on h
     coords = []  # (a_j, d_j / ell, y_j, d_j)
     for yj, u, v in zip(core.y, g1, g2):
         dj = u - v
-        aj = yj - v / ell
-        coords.append((aj, dj / ell, yj, dj))
-        if scaled and dj:
-            for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
-                if 0.0 < k < 1.0:
-                    ts.append(k)
+        coords.append((yj - v / ell, dj / ell, yj, dj))
     dc = c1 - c2
-    hs = []
-    for t in ts:
-        h = 0.0
+
+    def h(t):
+        s = 0.0
         for aj, sj, yj, dj in coords:
             u = aj - t * sj  # soft threshold as in _Core.inner
             if u > tau:
@@ -229,19 +229,32 @@ def _solve_pair(core: _Core, lam0):
                 u += tau
             else:
                 u = 0.0 if u >= 0.0 else 0.0 * u
-            h += (u - yj) * dj
-        hs.append(h + dc)
-    if not all(map(math.isfinite, hs)):
+            s += (u - yj) * dj
+        return s + dc
+
+    ht, h0, h1 = h(t0), h(0.0), h(1.0)
+    if not (math.isfinite(ht) and math.isfinite(h0) and math.isfinite(h1)):
         t = math.nan
-    elif hs[2] == 0.0:
+    elif ht == 0.0:
         t = t0
-    elif hs[0] <= 0.0:
+    elif h0 <= 0.0:
         t = 0.0
-    elif hs[1] >= 0.0:
+    elif h1 >= 0.0:
         t = 1.0
     else:
-        ti, hi = max((t, h) for t, h in zip(ts, hs) if h > 0.0)
-        tj, hj = min((t, h) for t, h in zip(ts, hs) if h <= 0.0)
+        # t0 is an end of the bracket; at 0 or 1 it carries that end's h
+        ti, hi, tj, hj = (t0, ht, 1.0, h1) if ht > 0.0 else (0.0, h0, t0, ht)
+        if scaled:
+            thr = 1.0 / (ell * core.n)
+            for aj, _, _, dj in coords:
+                if dj:
+                    for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
+                        if ti < k < tj:
+                            hk = h(k)
+                            if hk > 0.0:
+                                ti, hi = k, hk
+                            else:
+                                tj, hj = k, hk
         t = min(ti + (tj - ti) * hi / (hi - hj), tj)  # rounding can land one ulp past tj
     lam = [t, 1.0 - t]
     return lam, 1, core.inner(lam)
@@ -311,14 +324,12 @@ def _ascend(core: _Core, lam0, tol: float, max_inner: int):
 def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Core:
     """Core at expansion point y from eval_smooth's float lists at y and at x.
 
-    x and y must be points that eval_smooth has accepted; _point makes any
-    of them (an array, NumPy scalars) a list of Python floats, so z is one.
+    x and y must be float lists that _point returned, so z is one too.
     Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or
     offsets c that are not finite raise InvalidInputError.
     """
     vals_y, G = evals_y
     vals_x, _ = evals_x
-    x, y = _point(p, x), _point(p, y)
     gx = _g(p, x)
     c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
     core = _Core(y, G, c, ell, p.g_kind)
@@ -336,8 +347,10 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
 
 def _build_core(inp: SubproblemInput) -> _Core:
     p = inp.problem
-    evals_y = eval_smooth(p, inp.y, inp.mu)
-    return _core_from_evals(p, inp.x, inp.y, evals_y, eval_smooth(p, inp.x, inp.mu, jac=False), inp.ell)
+    y = _point(p, inp.y)
+    evals_y = eval_smooth(p, y, inp.mu)
+    x = _point(p, inp.x)
+    return _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, inp.mu, jac=False), inp.ell)
 
 
 def solve_subproblem(

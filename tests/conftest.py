@@ -7,7 +7,9 @@ the atoms without the compiled kernel.  The subproblem references work on
 NumPy arrays where sapgm.subproblem works on float lists: prox_g and
 project_simplex, the prox step inner_reference, the certificates
 kkt_residual_reference and complementarity_reference, and
-solve_pair_reference, the m = 2 kink search.
+solve_pair_reference, the m = 2 kink search.  solve_pair_full_scan is the
+float kink search that evaluates h at every kink, kept to pin the bits of
+the one that evaluates it only inside the bracket.
 """
 from __future__ import annotations
 
@@ -173,6 +175,75 @@ def solve_pair_reference(core, lam0):
         z, comp, dual, quad = inner_reference(core, lam)
         theta = float(comp.max()) + quad
     return z, lam, theta, theta - dual, 1
+
+
+def solve_pair_full_scan(core, lam0):
+    """The m = 2 float kink search that evaluates h at 0, 1, the start weight
+    and every kink in (0, 1).  sapgm.subproblem._solve_pair evaluates h only
+    at the kinks inside its bracket, and must give the same bits.
+
+    Exact dual maximizer for m = 2 over lam = (t, 1 - t).
+
+    z(t) = prox(a - t d / ell) with d = g_1 - g_2 and a = y - g_2 / ell, and
+    h(t) = <d, z(t) - y> + c_1 - c_2 is the dual derivative.  The prox is
+    monotone, so h does not increase; it is linear between the kinks
+    t = (a_j -+ thr) ell / d_j where a soft-threshold coordinate switches.
+    h is evaluated at 0, 1, the start weight and every kink inside (0, 1)
+    (one outside, or of a coordinate constant in t, would land on 0 or 1),
+    and its root is interpolated between the last point where h > 0 and the
+    first where h <= 0.  A start weight where h vanishes (a flat dual) is
+    kept, as the ascent keeps it; a non-finite h gives t = nan and so a
+    non-finite gap.  Returns (lam, 1, the prox step at lam).
+    """
+    ell = core.ell
+    g1, g2 = core.G
+    c1, c2 = core.c
+    l0, l1 = float(lam0[0]), float(lam0[1])
+    # projection onto the simplex; a weight already on it stays as it is
+    t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
+    ts = [0.0, 1.0, t0]
+    scaled = core.g_kind is GKind.SCALED_L1
+    tau = 0.0  # the prox threshold; 0 makes the soft threshold the identity on h
+    if scaled:
+        thr = 1.0 / (ell * core.n)
+        tau = 1.0 / ell / core.n
+    coords = []  # (a_j, d_j / ell, y_j, d_j)
+    for yj, u, v in zip(core.y, g1, g2):
+        dj = u - v
+        aj = yj - v / ell
+        coords.append((aj, dj / ell, yj, dj))
+        if scaled and dj:
+            for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
+                if 0.0 < k < 1.0:
+                    ts.append(k)
+    dc = c1 - c2
+    hs = []
+    for t in ts:
+        h = 0.0
+        for aj, sj, yj, dj in coords:
+            u = aj - t * sj  # soft threshold as in _Core.inner
+            if u > tau:
+                u -= tau
+            elif u < -tau:
+                u += tau
+            else:
+                u = 0.0 if u >= 0.0 else 0.0 * u
+            h += (u - yj) * dj
+        hs.append(h + dc)
+    if not all(map(math.isfinite, hs)):
+        t = math.nan
+    elif hs[2] == 0.0:
+        t = t0
+    elif hs[0] <= 0.0:
+        t = 0.0
+    elif hs[1] >= 0.0:
+        t = 1.0
+    else:
+        ti, hi = max((t, h) for t, h in zip(ts, hs) if h > 0.0)
+        tj, hj = min((t, h) for t, h in zip(ts, hs) if h <= 0.0)
+        t = min(ti + (tj - ti) * hi / (hi - hj), tj)  # rounding can land one ulp past tj
+    lam = [t, 1.0 - t]
+    return lam, 1, core.inner(lam)
 
 
 def build_problem(name, exprs, g_kind, lower, upper, cert_pad=5.0):

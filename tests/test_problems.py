@@ -163,6 +163,51 @@ def test_eval_smooth_rejects_a_mu_outside_the_positive_reals(name):
 
 
 
+_BAD_POINTS = [
+    pytest.param([[1.0, 2.0], 3.0], "expected a point of dimension 2, got shape (2,) that does not hold numbers", id="ragged"),
+    pytest.param(["a", "b"], "expected a point of dimension 2, got shape (2,) that does not hold numbers", id="string"),
+    pytest.param([math.nan, 0.0], "expected a finite point, got [nan, 0.0]", id="nan"),
+    pytest.param([0.0, 1.0, 2.0], "expected a point of dimension 2, got shape (3,)", id="length"),
+]
+_BAD_MUS = [0.0, -1.0, math.nan, math.inf]
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("jac", [True, False])
+@pytest.mark.parametrize("x, message", _BAD_POINTS)
+def test_eval_smooth_reports_a_bad_point_first(x, message, jac):
+    # the point is reported, with the problem's name, whatever mu is
+    p = get_problem("JOS1")
+    for mu in [0.5] + _BAD_MUS:
+        assert _raised(lambda: eval_smooth(p, x, mu, jac)) == (InvalidInputError, f"JOS1: {message}")
+
+
+@pytest.mark.parametrize("jac", [True, False])
+@pytest.mark.parametrize("mu", _BAD_MUS)
+def test_eval_smooth_reports_a_bad_mu_at_a_good_point(mu, jac):
+    p = get_problem("JOS1")
+    for x in ([0.5, 0.5], np.array([0.5, 0.5])):
+        assert _raised(lambda: eval_smooth(p, x, mu, jac)) == (
+            InvalidParameterError,
+            f"mu must be finite and positive, got {mu}",
+        )
+
+
+def test_eval_smooth_names_a_component_at_the_point_as_a_float_list():
+    p = get_problem("BK1")
+    for x in ([1e200, 0.0], np.array([1e200, 0.0]), [np.float64(1e200), np.float64(0.0)]):
+        for jac in (True, False):
+            assert _raised(lambda: eval_smooth(p, x, 0.5, jac)) == (
+                InvalidInputError,
+                "BK1: component 1 at x = [1e+200, 0.0] is inf",
+            )
+
+
 @pytest.mark.parametrize(
     "lower, upper",
     [

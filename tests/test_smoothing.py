@@ -295,6 +295,13 @@ class Mystery(Expr):
         pytest.param(lambda: Sum([1.0]), "not an expression node: float", id="sum-of-a-float"),
         pytest.param(lambda: Square(1.0), "not an expression node: float", id="square-of-a-float"),
         pytest.param(lambda: Max2(Affine([1.0]), "x"), "not an expression node: str", id="max2-of-a-string"),
+        # each raised a bare TypeError: '<type>' object is not iterable
+        pytest.param(lambda: Sum(1.0), "Sum needs a list of expression nodes, got float", id="sum-of-a-bare-float"),
+        pytest.param(
+            lambda: MaxList(Affine([1.0])),
+            "MaxList needs a list of expression nodes, got Affine",
+            id="maxlist-of-a-bare-node",
+        ),
     ],
 )
 def test_compose_rejects_unknown_atom(build, make, match):

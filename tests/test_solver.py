@@ -5,7 +5,7 @@ import pytest
 
 from conftest import build_problem
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
-from sapgm.problems import GKind, eval_smooth, get_problem, registry, sample_start
+from sapgm.problems import GKind, _point, eval_smooth, get_problem, registry, sample_start
 from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
 from sapgm.subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
 from sapgm.solver import (
@@ -62,6 +62,13 @@ def test_momentum_first_step():
         pytest.param((1.0, 1.0, 1.0, -1.0, 1.0), id="L_k=-1"),
         # (nan, nan) without a word
         pytest.param((1.0, 1.0, 1.0, math.nan, 1.0), id="L_k=nan"),
+        # a finite step from a negative mu or L: (0.990, -0.909) for L_k = -1 at t_k = 0.1
+        pytest.param((0.1, 1.0, 1.0, -1.0, 1.0), id="t_k=0.1,L_k=-1"),
+        pytest.param((0.1, 1.0, 1.0, 1.0, -1.0), id="L_next=-1"),
+        pytest.param((0.1, -1.0, 1.0, 1.0, 1.0), id="mu_k=-1"),
+        pytest.param((0.1, 1.0, -1.0, 1.0, 1.0), id="mu_next=-1"),
+        pytest.param((1.0, -1.0, -1.0, 1.0, 1.0), id="both-mu=-1"),
+        pytest.param((1.0, 1.0, 1.0, -1.0, -1.0), id="both-L=-1"),
     ],
 )
 def test_momentum_rejects_arguments_that_give_no_finite_step(args):
@@ -125,8 +132,9 @@ def test_backtrack_inflation_count_on_stiff_quadratic():
 
 def descent_test_numpy(p, x, y, mu, L):
     """The trial at L, and the descent test on it in NumPy: (z, lhs, rhs + slack)."""
-    evals_y = eval_smooth(p, y, mu)
-    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L / mu)
+    xs, ys = _point(p, x), _point(p, y)
+    evals_y = eval_smooth(p, ys, mu)
+    core = _core_from_evals(p, xs, ys, evals_y, eval_smooth(p, xs, mu, jac=False), L / mu)
     z = _solve_core(core, np.full(p.m, 1.0 / p.m), DEFAULT_TOL, DEFAULT_MAX_INNER)[0]
     vals_y, grads_y = np.asarray(evals_y[0]), np.asarray(evals_y[1])
     vals_z = np.asarray(eval_smooth(p, z, mu)[0])
@@ -170,6 +178,78 @@ def test_backtrack_postcondition_replay():
                     assert lhs > bound
     # BK1's Hessian 2 I needs an inflation at mu_1 = 1; JOS1's I never does
     assert rejected["JOS1"] == 0 and all(rejected[name] > 0 for name in rejected if name != "JOS1"), rejected
+
+
+def backtrack_two_evaluations(p, x, y, mu, cfg):
+    """backtrack_step with f evaluated at x and at y in separate calls, whatever x and y are."""
+    x, y = _point(p, x), _point(p, y)
+    evals_y = eval_smooth(p, y, mu)
+    L = cfg.L0
+    core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L / mu)
+    for trial in range(1, 62):
+        z, _, _, _, _, dots, quad, _ = _solve_core(core, [1.0 / p.m] * p.m, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        vals_z, _ = eval_smooth(p, z, mu, jac=False)
+        bound = quad + (1e-9 * max(1.0, quad) + 1e-12)
+        if all(fz - fy - dot <= bound for fz, fy, dot in zip(vals_z, evals_y[0], dots)):
+            return z, L, trial, vals_z
+        L *= cfg.eta
+        core.ell = L / mu
+    raise AssertionError("no trial accepted")
+
+
+def bits(step):
+    z, L, trials, vals_z = step
+    return [v.hex() for v in z], L.hex(), trials, [v.hex() for v in vals_z]
+
+
+def signed_zero_problem():
+    # a leaf whose offset is -0.0, and g = 0: f_1 is -0.0 at (-0.0, 0.5) and
+    # 0.0 at (0.0, 0.5)
+    f1 = Affine([1.0, 0.0], -0.0)
+    f2 = Sum([Square(Affine([0.0, 1.0], -0.5)), Scale(-1.0, Affine([1.0, 1.0]))])
+    return build_problem("signed_zero", [f1, f2], GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("p", registry() + [signed_zero_problem()], ids=lambda p: p.name)
+def test_a_step_whose_x_equals_y_evaluates_f_there_once(p, monkeypatch):
+    import sapgm.solver
+
+    calls = []
+    inner = sapgm.solver.eval_smooth
+
+    def counted(p, x, mu, jac=True):
+        calls.append(jac)
+        return inner(p, x, mu, jac)
+
+    cfg = SolverConfig()
+    if p.name == "signed_zero":
+        assert eval_smooth(p, [-0.0, 0.5], 1.0)[0][0].hex() != eval_smooth(p, [0.0, 0.5], 1.0)[0][0].hex()
+    for x in (sample_start(p, 0).tolist(), [-0.0, 0.5], [0.0, -0.0]):
+        flipped = [0.0 if v == 0.0 else v for v in x]  # -0.0 becomes 0.0
+        for y in (
+            x,
+            list(x),
+            flipped,
+            np.array(x),
+            [np.float64(v) for v in x],
+        ):
+            for mu in (1.0, 0.05):
+                expected = bits(backtrack_two_evaluations(p, x, y, mu, cfg))
+                monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
+                calls.clear()
+                got = bits(backtrack_step(p, x, y, mu, cfg))
+                monkeypatch.undo()
+                assert got == expected, (x, y, mu)
+                # one call at y with the Jacobian, then one per trial
+                assert calls == [True] + [False] * got[2]
+        # a y that differs from x in one coordinate still evaluates f at x
+        y = [x[0] + 1e-3, x[1]]
+        monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
+        calls.clear()
+        got = bits(backtrack_step(p, x, y, 0.05, cfg))
+        monkeypatch.undo()
+        assert got == bits(backtrack_two_evaluations(p, x, y, 0.05, cfg))
+        assert calls == [True, False] + [False] * got[2]
 
 
 def test_backtrack_diverging_lipschitz_guard():
@@ -262,26 +342,41 @@ def test_nonfinite_jacobian_raises_the_typed_error_at_its_point():
 
 @pytest.mark.parametrize("record_trace", [False, True])
 def test_fevals_count_every_smooth_evaluation_but_the_bound(record_trace, monkeypatch):
-    # one uncounted evaluation at x0 sets the boundedness bound; every other
-    # eval_smooth call of a run is one feval
+    # fevals counts the method's oracle values, 2 + trials per iteration: f
+    # and its Jacobian at y, f at x and f at each trial.  One uncounted
+    # evaluation at x0 sets the boundedness bound, and a step whose x equals
+    # y reads f(x) from the evaluation at y; every other eval_smooth call of
+    # a run is one feval
     import sapgm.solver
 
     calls = 0
     inner = sapgm.solver.eval_smooth
+    step = sapgm.solver.backtrack_step
+    steps = []  # (x == y, trials) per backtracking step
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return inner(*args, **kwargs)
 
+    def recorded(p, x, y, mu, cfg):
+        out = step(p, x, y, mu, cfg)
+        steps.append((list(x) == list(y), out[2]))
+        return out
+
     monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
+    monkeypatch.setattr(sapgm.solver, "backtrack_step", recorded)
     cfg = SolverConfig(record_trace=record_trace)
     for p in registry():
         for run in (solve, solve_baseline):
             for seed in range(3):
-                calls = 0
+                calls, steps = 0, []
                 res = run(p, sample_start(p, seed), cfg)
-                assert calls == res.fevals + 1, (p.name, run.__name__, seed)
+                at_y = sum(same for same, _ in steps)
+                assert res.fevals == sum(2 + trials for _, trials in steps), (p.name, run.__name__, seed)
+                assert calls == res.fevals + 1 - at_y, (p.name, run.__name__, seed)
+                # theta = 0 on every baseline step, and on SAPGM's steps k = 0 and 1
+                assert at_y == res.iterations if run is solve_baseline else at_y >= min(2, res.iterations)
 
 
 @pytest.mark.parametrize("record_trace", [False, True])

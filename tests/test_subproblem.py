@@ -14,6 +14,7 @@ from conftest import (
     kkt_residual_reference,
     project_simplex,
     prox_g,
+    solve_pair_full_scan,
     solve_pair_reference,
     subproblem_objective,
 )
@@ -564,15 +565,15 @@ def pair_cores(draw):
     return _Core(y, G, c, ell, draw(st.sampled_from(list(GKind))))
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    core=pair_cores(),
+START_WEIGHTS = st.one_of(
     # weights on the simplex, and off it: the search projects them first
-    lam0=st.one_of(
-        st.floats(0.0, 1.0).map(lambda t: np.array([t, 1.0 - t])),
-        st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array),
-    ),
+    st.floats(0.0, 1.0).map(lambda t: np.array([t, 1.0 - t])),
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array),
 )
+
+
+@settings(max_examples=500, deadline=None)
+@given(core=pair_cores(), lam0=START_WEIGHTS)
 def test_float_pair_search_matches_the_numpy_reference(core, lam0):
     z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
     z_ref, lam_ref, theta_ref, gap_ref, _ = solve_pair_reference(core, lam0)
@@ -582,6 +583,19 @@ def test_float_pair_search_matches_the_numpy_reference(core, lam0):
     assert all(close(a, b, z_scale) for a, b in zip(z, z_ref.tolist()))
     # the gap is theta minus the dual value, so it carries their rounding
     assert close(theta, theta_ref, theta_scale) and close(gap, gap_ref, theta_scale)
+
+
+@settings(max_examples=500, deadline=None)
+@given(core=pair_cores(), lam0=START_WEIGHTS)
+def test_pair_search_inside_the_bracket_gives_the_full_scan_bits(core, lam0):
+    # h does not increase in floating point, so the kinks outside the bracket
+    # cannot move its ends: lam, z and the gap keep every bit
+    z, lam, _, gap = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:4]
+    lam_ref, _, (z_ref, comp, dual, quad, _) = solve_pair_full_scan(core, lam0)
+    gap_ref = max(comp) + quad - dual
+    assert [v.hex() for v in lam] == [v.hex() for v in lam_ref]
+    assert [v.hex() for v in z] == [v.hex() for v in z_ref]
+    assert gap.hex() == gap_ref.hex()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
