@@ -66,6 +66,8 @@ class BenchConfig:  # the `bench` flags take their defaults from these
     parallel: int = 1
 
     def __post_init__(self):
+        if isinstance(self.problems, str):  # it would be read one character at a time
+            raise InvalidParameterError(f"problems must be a list of names or indices, got {self.problems!r}")
         _check_int(self.runs, "runs", 1)
         _check_int(self.base_seed, "base_seed", 0)  # NumPy seeds are nonnegative
         _check_int(self.parallel, "parallel", 1)

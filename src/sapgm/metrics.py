@@ -63,18 +63,18 @@ def merit_against_values(Fx: Sequence[float], ref_F: np.ndarray) -> float:
     return float(np.min(Fx[None, :] - ref_F, axis=1).max())
 
 
-def nondominated_mask(F: np.ndarray, slack: float = DOMINANCE_SLACK) -> np.ndarray:
+def nondominated_mask(F: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not dominated by any other row.
 
-    Row q dominates row p when F[q] <= F[p] + slack everywhere and
-    F[q] < F[p] - slack somewhere.
+    Row q dominates row p when F[q] <= F[p] + DOMINANCE_SLACK everywhere
+    and F[q] < F[p] - DOMINANCE_SLACK somewhere.
     """
     F = np.asarray(F, float)
     n = F.shape[0]
     keep = np.ones(n, dtype=bool)
     for i in range(n):
-        le = np.all(F <= F[i] + slack, axis=1)
-        lt = np.any(F < F[i] - slack, axis=1)
+        le = np.all(F <= F[i] + DOMINANCE_SLACK, axis=1)
+        lt = np.any(F < F[i] - DOMINANCE_SLACK, axis=1)
         if np.any(le & lt):
             keep[i] = False
     return keep

@@ -49,8 +49,9 @@ __all__ = [
 
 
 class GKind(enum.Enum):
+    """The nonsmooth term g: only (1/n) ||x||_1, which specs such as perfbench's wide_m3 name."""
+
     SCALED_L1 = "scaled_l1"  # g(x) = (1/n) ||x||_1
-    ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,8 @@ class ProblemSpec:
     upper: np.ndarray
 
     def __post_init__(self):
+        if self.g_kind is not GKind.SCALED_L1:
+            raise InvalidParameterError(f"g_kind must be GKind.SCALED_L1, got {self.g_kind!r}")
         if self.m < 2:
             raise InvalidParameterError("need at least two objectives")
         if len(self.smooth_parts) != self.m:
@@ -106,16 +109,14 @@ def _point(p: ProblemSpec, x: Sequence[float]) -> list[float]:
 
 def _g(p: ProblemSpec, x: list[float]) -> float:
     """Shared nonsmooth term at a point that has already passed _point."""
-    if p.g_kind is GKind.SCALED_L1:
-        s = 0.0
-        for v in x:
-            s += abs(v)
-        return s / p.n
-    return 0.0
+    s = 0.0
+    for v in x:
+        s += abs(v)
+    return s / p.n
 
 
 def eval_g(p: ProblemSpec, x: Sequence[float]) -> float:
-    """Shared nonsmooth term: (1/n) ||x||_1 or 0."""
+    """Shared nonsmooth term: (1/n) ||x||_1."""
     return _g(p, _point(p, x))
 
 
@@ -324,14 +325,17 @@ def registry() -> list[ProblemSpec]:
 
 
 def get_problem(key: str | int) -> ProblemSpec:
-    """Look up a problem by name (case-insensitive) or 1-based table index."""
+    """Look up a problem by name (case-insensitive) or 1-based table index: decimal
+    digits or an integer that operator.index takes (a bool is none); InvalidInputError otherwise."""
     probs = _registry()
-    if isinstance(key, int) or (isinstance(key, str) and key.isdigit()):
-        idx = int(key)
+    idx = int(key) if isinstance(key, str) and key.isdecimal() else key
+    if isinstance(idx, str):
+        for p in probs:
+            if p.name.lower() == idx.lower():
+                return p
+    elif hasattr(idx, "__index__") and not isinstance(idx, bool):
+        idx = operator.index(idx)
         if not 1 <= idx <= len(probs):
             raise InvalidInputError(f"problem index out of range: {key}")
         return probs[idx - 1]
-    for p in probs:
-        if p.name.lower() == str(key).lower():
-            return p
     raise InvalidInputError(f"unknown problem: {key!r}")

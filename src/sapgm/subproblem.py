@@ -31,9 +31,8 @@ makes the primal minimizer unique, so the duality gap, the KKT residual and
 the complementarity violation certify the solution; solve_subproblem
 returns all three with it.
 
-All g_i are the one shared term: ProblemSpec holds a single g_kind, so
-distinct g_i, which would break the closed-form inner step, cannot be
-stated.
+g is the one nonsmooth term (1/n) ||z||_1, shared by every objective, so
+the prox step is always the soft threshold at 1 / (ell n).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .problems import GKind, ProblemSpec, _g, _point, eval_smooth
+from .problems import ProblemSpec, _g, _point, eval_smooth
 
 __all__ = [
     "SubproblemInput",
@@ -100,21 +99,21 @@ def _combine(lam, rows) -> list:
 
 class _Core:
     """The min-max model at one expansion point y: Jacobian rows G, offsets c
-    and the prox weight ell, as float lists (rows of floats for G).
+    and the prox weight ell, as float lists (rows of floats for G); g is
+    (1/n) ||z||_1.
 
     A core serves every trial of a backtracking step, and only ell changes
     between trials.  Its prox step ``inner`` is the one both dual paths and
     the certificates take.
     """
 
-    __slots__ = ("y", "G", "c", "ell", "g_kind", "n")
+    __slots__ = ("y", "G", "c", "ell", "n")
 
-    def __init__(self, y, G, c, ell, g_kind):
+    def __init__(self, y, G, c, ell):
         self.y = _floats(y)
         self.G = _floats(G)
         self.c = _floats(c)
         self.ell = ell
-        self.g_kind = g_kind
         self.n = len(self.y)
 
     def inner(self, lam):
@@ -131,28 +130,24 @@ class _Core:
         rest = tuple(zip(lam[1:], G[1:]))
         z, dz = [], []
         gz = sq = 0.0  # g(z) and ||z - y||^2
-        scaled = self.g_kind is GKind.SCALED_L1
-        if scaled:
-            tau = 1.0 / ell / self.n
+        tau = 1.0 / ell / self.n
         for j, yj in enumerate(self.y):
             vj = l0 * g0[j]  # (G^T lam)_j, summed over i in order
             for li, row in rest:
                 vj += row[j] * li
             u = yj - vj / ell
-            if scaled:
-                if u > tau:
-                    u -= tau
-                elif u < -tau:
-                    u += tau
-                else:
-                    u = 0.0 if u >= 0.0 else 0.0 * u
-                gz += abs(u)
+            if u > tau:
+                u -= tau
+            elif u < -tau:
+                u += tau
+            else:
+                u = 0.0 if u >= 0.0 else 0.0 * u
+            gz += abs(u)
             z.append(u)
             dj = u - yj
             dz.append(dj)
             sq += dj * dj
-        if scaled:
-            gz /= self.n
+        gz /= self.n
         comp, dots = [], []
         dual = 0.0  # lam . comp
         for g, ci, li in zip(G, self.c, lam):
@@ -211,8 +206,7 @@ def _solve_pair(core: _Core, lam0):
     l0, l1 = float(lam0[0]), float(lam0[1])
     # projection onto the simplex; a weight already on it stays as it is
     t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
-    scaled = core.g_kind is GKind.SCALED_L1
-    tau = 1.0 / ell / core.n if scaled else 0.0  # 0 makes the soft threshold the identity on h
+    tau = 1.0 / ell / core.n  # the prox threshold, formed as _Core.inner forms it
     coords = []  # (a_j, d_j / ell, y_j, d_j)
     for yj, u, v in zip(core.y, g1, g2):
         dj = u - v
@@ -244,17 +238,16 @@ def _solve_pair(core: _Core, lam0):
     else:
         # t0 is an end of the bracket; at 0 or 1 it carries that end's h
         ti, hi, tj, hj = (t0, ht, 1.0, h1) if ht > 0.0 else (0.0, h0, t0, ht)
-        if scaled:
-            thr = 1.0 / (ell * core.n)
-            for aj, _, _, dj in coords:
-                if dj:
-                    for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
-                        if ti < k < tj:
-                            hk = h(k)
-                            if hk > 0.0:
-                                ti, hi = k, hk
-                            else:
-                                tj, hj = k, hk
+        thr = 1.0 / (ell * core.n)
+        for aj, _, _, dj in coords:
+            if dj:
+                for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
+                    if ti < k < tj:
+                        hk = h(k)
+                        if hk > 0.0:
+                            ti, hi = k, hk
+                        else:
+                            tj, hj = k, hk
         t = min(ti + (tj - ti) * hi / (hi - hj), tj)  # rounding can land one ulp past tj
     lam = [t, 1.0 - t]
     return lam, 1, core.inner(lam)
@@ -332,7 +325,7 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
     vals_x, _ = evals_x
     gx = _g(p, x)
     c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
-    core = _Core(y, G, c, ell, p.g_kind)
+    core = _Core(y, G, c, ell)
     # 0 * v is 0 for a finite v and nan for inf or nan, so one sum finds either
     s = 0.0
     for v in c:
@@ -387,8 +380,6 @@ def _kkt_residual(core: _Core, z: list, lam: list) -> float:
     """
     ell = core.ell
     d = [vj + ell * (zj - yj) for vj, zj, yj in zip(_combine(lam, core.G), z, core.y)]
-    if core.g_kind is GKind.ZERO:
-        return math.sqrt(_dot(d, d))
     # xi must equal -d for stationarity; clamp it into the subdifferential of
     # g = ||.||_1 / n: {sign(z_j) / n} where z_j != 0, [-1/n, 1/n] where z_j = 0
     w = 1.0 / core.n

@@ -9,7 +9,8 @@ project_simplex, the prox step inner_reference, the certificates
 kkt_residual_reference and complementarity_reference, and
 solve_pair_reference, the m = 2 kink search.  solve_pair_full_scan is the
 float kink search that evaluates h at every kink, kept to pin the bits of
-the one that evaluates it only inside the bracket.
+the one that evaluates it only inside the bracket.  g is (1/n) ||x||_1
+throughout, as in sapgm.
 """
 from __future__ import annotations
 
@@ -77,14 +78,9 @@ def value_grad(expr, x, mu):
     return v, d * gu
 
 
-def prox_g(v, tau, g_kind, n):
-    """argmin_z tau * g(z) + 0.5 ||z - v||^2.
-
-    Soft-thresholding at tau / n for the scaled l1 term, identity for g = 0.
-    """
+def prox_g(v, tau, n):
+    """argmin_z tau * g(z) + 0.5 ||z - v||^2 for g = (1/n) ||.||_1: soft-thresholding at tau / n."""
     v = np.asarray(v, dtype=float)
-    if g_kind is GKind.ZERO:
-        return v.copy()
     return np.sign(v) * np.maximum(np.abs(v) - tau / n, 0.0)
 
 
@@ -107,9 +103,9 @@ def inner_reference(core, lam):
     """The core's prox step for weights lam: (z, brackets comp, dual value, quad)."""
     y, G, c = core_arrays(core)
     lam = np.asarray(lam, dtype=float)
-    z = prox_g(y - G.T @ lam / core.ell, 1.0 / core.ell, core.g_kind, core.n)
+    z = prox_g(y - G.T @ lam / core.ell, 1.0 / core.ell, core.n)
     dz = z - y
-    gz = float(np.abs(z).sum()) / core.n if core.g_kind is GKind.SCALED_L1 else 0.0
+    gz = float(np.abs(z).sum()) / core.n
     comp = G @ dz + c + gz
     quad = 0.5 * core.ell * float(dz @ dz)
     return z, comp, float(lam @ comp) + quad, quad
@@ -120,8 +116,6 @@ def kkt_residual_reference(core, z, lam):
     y, G, _ = core_arrays(core)
     z = np.asarray(z, float)
     d = G.T @ np.asarray(lam, float) + core.ell * (z - y)
-    if core.g_kind is GKind.ZERO:
-        return float(np.linalg.norm(d))
     w = 1.0 / core.n
     hi = np.where(z > 0, w, np.where(z < 0, -w, w))
     lo = np.where(z > 0, w, np.where(z < 0, -w, -w))
@@ -147,15 +141,13 @@ def solve_pair_reference(core, lam0):
     d = G[0] - G[1]
     a = y - G[1] / core.ell
     t0 = min(max(lam0[0] + 0.5 * (1.0 - lam0[0] - lam0[1]), 0.0), 1.0)
-    ts = np.array([0.0, 1.0, t0])
-    if core.g_kind is GKind.SCALED_L1:
-        thr = 1.0 / (core.ell * core.n)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            kinks = np.concatenate((a - thr, a + thr)) * core.ell / np.concatenate((d, d))
-        # a kink outside [0, 1], or of a coordinate constant in t, lands on 0 or 1
-        ts = np.concatenate((ts, np.fmin(np.fmax(kinks, 0.0), 1.0)))
+    thr = 1.0 / (core.ell * core.n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kinks = np.concatenate((a - thr, a + thr)) * core.ell / np.concatenate((d, d))
+    # a kink outside [0, 1], or of a coordinate constant in t, lands on 0 or 1
+    ts = np.concatenate(([0.0, 1.0, t0], np.fmin(np.fmax(kinks, 0.0), 1.0)))
     with np.errstate(invalid="ignore", over="ignore"):
-        Z = prox_g(a - ts[:, None] * (d / core.ell), 1.0 / core.ell, core.g_kind, core.n)
+        Z = prox_g(a - ts[:, None] * (d / core.ell), 1.0 / core.ell, core.n)
         h = (Z - y) @ d + (c[0] - c[1])
     if not np.isfinite(h).all():
         t = np.nan
@@ -202,17 +194,14 @@ def solve_pair_full_scan(core, lam0):
     # projection onto the simplex; a weight already on it stays as it is
     t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
     ts = [0.0, 1.0, t0]
-    scaled = core.g_kind is GKind.SCALED_L1
-    tau = 0.0  # the prox threshold; 0 makes the soft threshold the identity on h
-    if scaled:
-        thr = 1.0 / (ell * core.n)
-        tau = 1.0 / ell / core.n
+    thr = 1.0 / (ell * core.n)
+    tau = 1.0 / ell / core.n  # the prox threshold
     coords = []  # (a_j, d_j / ell, y_j, d_j)
     for yj, u, v in zip(core.y, g1, g2):
         dj = u - v
         aj = yj - v / ell
         coords.append((aj, dj / ell, yj, dj))
-        if scaled and dj:
+        if dj:
             for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
                 if 0.0 < k < 1.0:
                     ts.append(k)
@@ -246,8 +235,8 @@ def solve_pair_full_scan(core, lam0):
     return lam, 1, core.inner(lam)
 
 
-def build_problem(name, exprs, g_kind, lower, upper, cert_pad=5.0):
-    """Assemble a ProblemSpec from expression trees.
+def build_problem(name, exprs, lower, upper, cert_pad=5.0):
+    """Assemble a ProblemSpec from expression trees, with g = (1/n) ||x||_1.
 
     Lipschitz/kappa constants are certified on a box padded beyond the
     start-sampling box so iterates that leave it stay covered.
@@ -262,7 +251,7 @@ def build_problem(name, exprs, g_kind, lower, upper, cert_pad=5.0):
         n=lower.size,
         m=len(parts),
         smooth_parts=parts,
-        g_kind=g_kind,
+        g_kind=GKind.SCALED_L1,
         lower=lower,
         upper=upper,
     )
@@ -400,10 +389,7 @@ def subproblem_objective(inp):
         Z = np.atleast_2d(np.asarray(Z, float))
         dz = Z - inp.y
         bracket = dz @ grads_y.T + offs
-        if p.g_kind is GKind.SCALED_L1:
-            gz = np.abs(Z).sum(axis=1) / p.n
-        else:
-            gz = np.zeros(len(Z))
+        gz = np.abs(Z).sum(axis=1) / p.n
         return bracket.max(axis=1) + gz + 0.5 * inp.ell * (dz**2).sum(axis=1)
 
     return phi

@@ -110,6 +110,11 @@ def test_bench_config_validation():
         dict(base_seed=-1),
         dict(parallel=math.nan),
         dict(parallel=2.0),
+        # a string was read one character at a time: "16" ran BK1 and SP1,
+        # and "all" and "JOS1" failed on their first letter
+        dict(problems="16"),
+        dict(problems="all"),
+        dict(problems="JOS1"),
     ):
         with pytest.raises(InvalidParameterError):
             BenchConfig(**bad)

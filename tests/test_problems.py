@@ -48,6 +48,36 @@ def test_lookup_by_index_and_case():
         get_problem(7)
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["3", 3, "03", np.int64(3), "\u0663"],
+    ids=["digits", "int", "leading-zero", "np-int64", "arabic-indic-digit"],
+)
+def test_an_index_key_is_decimal_digits_or_an_integer(key):
+    # np.int64(3) was an unknown problem, though BenchConfig takes NumPy counts
+    assert get_problem(key).name == "CB3&MF1"
+
+
+@pytest.mark.parametrize(
+    "key, match",
+    [
+        ("\u00b2", "unknown problem: '\u00b2'"),  # isdigit took it and int() raised a bare ValueError
+        (True, "unknown problem: True"),  # was BK1
+        (False, "unknown problem: False"),
+        (np.True_, "unknown problem: np.True_"),
+        (3.0, "unknown problem: 3.0"),
+        (None, "unknown problem: None"),
+        ("0", "problem index out of range: 0"),
+        (np.int64(7), "problem index out of range: 7"),
+    ],
+    ids=["superscript-two", "true", "false", "np-true", "float", "none", "zero", "np-int64-7"],
+)
+def test_a_key_that_is_no_name_and_no_index_raises_the_typed_error(key, match):
+    with pytest.raises(InvalidInputError) as info:
+        get_problem(key)
+    assert str(info.value) == match
+
+
 def test_eval_true_spot_values():
     np.testing.assert_allclose(eval_true(get_problem("JOS1"), [2.0, 2.0]), [6.0, 2.0])
     np.testing.assert_allclose(eval_true(get_problem("BK1"), [0.0, 0.0]), [0.0, 50.0])
@@ -102,14 +132,15 @@ def test_eval_g_values():
     p = get_problem("JOS1")
     assert eval_g(p, [3.0, -1.0]) == pytest.approx(2.0)
     assert eval_g(p, [0.0, 0.0]) == 0.0
-    zp = build_problem(
-        "plainquad",
-        [Sum([Square(Affine([1.0, 0.0]))]), Sum([Square(Affine([0.0, 1.0]))])],
-        GKind.ZERO,
-        [-1.0, -1.0],
-        [1.0, 1.0],
-    )
-    assert eval_g(zp, [3.0, -1.0]) == 0.0
+
+
+@pytest.mark.parametrize("g_kind", ["scaled_l1", None], ids=["the-enum-value", "none"])
+def test_problem_spec_rejects_a_g_kind_other_than_the_scaled_l1_enum(g_kind):
+    # "scaled_l1" was accepted; eval_g then gave 0.0 and the KKT residual
+    # used the l1 subdifferential
+    jos1 = get_problem("JOS1")
+    with pytest.raises(InvalidParameterError, match="g_kind must be GKind.SCALED_L1"):
+        ProblemSpec("JOS1x", 2, 2, jos1.smooth_parts, g_kind, jos1.lower, jos1.upper)
 
 
 @pytest.mark.parametrize(
@@ -244,7 +275,7 @@ def test_bad_evaluations_raise_one_typed_error(name, x, what):
 def test_nan_component_raises_the_typed_error():
     # x1^2 - x1^2 is inf - inf at x1 = 1e200
     zero = Sum([Square(Affine([1.0, 0.0])), Scale(-1.0, Square(Affine([1.0, 0.0])))])
-    p = build_problem("cancel", [Square(Affine([0.0, 1.0])), zero], GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+    p = build_problem("cancel", [Square(Affine([0.0, 1.0])), zero], [-1.0, -1.0], [1.0, 1.0])
     for call in (lambda: eval_true(p, [1e200, 0.0]), lambda: eval_smooth(p, [1e200, 0.0], 0.5)):
         with pytest.raises(InvalidInputError, match=re.escape("cancel: component 2 at x = [1e+200, 0.0] is nan")):
             call()

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import build_problem
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
-from sapgm.problems import GKind, _point, eval_smooth, get_problem, registry, sample_start
+from sapgm.problems import _point, eval_smooth, get_problem, registry, sample_start
 from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
 from sapgm.subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
 from sapgm.solver import (
@@ -18,7 +18,7 @@ from sapgm.solver import (
 )
 
 
-def duplicated_quadratic(g_kind=GKind.ZERO, hessian_scale=0.5):
+def duplicated_quadratic(hessian_scale=0.5):
     # m = 2 copies of the same strongly convex quadratic
     f = Scale(
         hessian_scale,
@@ -28,13 +28,13 @@ def duplicated_quadratic(g_kind=GKind.ZERO, hessian_scale=0.5):
         hessian_scale,
         Sum([Square(Affine([1.0, 0.0], -1.0)), Square(Affine([0.0, 1.0], 0.5))]),
     )
-    return build_problem("dupquad", [f, g], g_kind, [-2.0, -2.0], [2.0, 2.0])
+    return build_problem("dupquad", [f, g], [-2.0, -2.0], [2.0, 2.0])
 
 
 def distinct_quadratics():
     f1 = Scale(0.5, Sum([Square(Affine([1.0, 0.0], -1.0)), Square(Affine([0.0, 1.0]))]))
     f2 = Scale(0.5, Sum([Square(Affine([1.0, 0.0], 1.0)), Square(Affine([0.0, 1.0], -1.0))]))
-    return build_problem("twoquad", [f1, f2], GKind.ZERO, [-3.0, -3.0], [3.0, 3.0])
+    return build_problem("twoquad", [f1, f2], [-3.0, -3.0], [3.0, 3.0])
 
 
 # ------------------------------------------------------------------ schedules
@@ -203,11 +203,11 @@ def bits(step):
 
 
 def signed_zero_problem():
-    # a leaf whose offset is -0.0, and g = 0: f_1 is -0.0 at (-0.0, 0.5) and
-    # 0.0 at (0.0, 0.5)
+    # a leaf whose offset is -0.0: f_1 is -0.0 at (-0.0, 0.5) and 0.0 at
+    # (0.0, 0.5)
     f1 = Affine([1.0, 0.0], -0.0)
     f2 = Sum([Square(Affine([0.0, 1.0], -0.5)), Scale(-1.0, Affine([1.0, 1.0]))])
-    return build_problem("signed_zero", [f1, f2], GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+    return build_problem("signed_zero", [f1, f2], [-1.0, -1.0], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("p", registry() + [signed_zero_problem()], ids=lambda p: p.name)
@@ -256,7 +256,7 @@ def test_backtrack_diverging_lipschitz_guard():
     # curvature ~ 2500 e^{100} at the start point: no admissible L within
     # 60 doublings of L0
     steep = Exp(Affine([50.0, 0.0]))
-    p = build_problem("steep", [steep, steep], GKind.ZERO, [-2.0, -2.0], [2.0, 2.0], cert_pad=0.0)
+    p = build_problem("steep", [steep, steep], [-2.0, -2.0], [2.0, 2.0], cert_pad=0.0)
     x0 = np.array([1.0, 0.0])
     with pytest.raises(DivergingLipschitzError):
         backtrack_step(p, x0, x0, 1.0, SolverConfig())
@@ -330,7 +330,7 @@ def test_overflowing_start_raises_the_typed_error():
 def test_nonfinite_jacobian_raises_the_typed_error_at_its_point():
     # exp(50 x1) is finite at x1 = 14.19, but its derivative 50 exp(50 x1) is inf
     steep = [Exp(Affine([50.0, 0.0])), Square(Affine([0.0, 1.0]))]
-    p = build_problem("steep_exp", steep, GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+    p = build_problem("steep_exp", steep, [-1.0, -1.0], [1.0, 1.0])
     x0 = np.array([14.19, 0.0])
     with np.errstate(over="ignore"):
         vals, jac = eval_smooth(p, x0, 1.0)
@@ -394,8 +394,8 @@ def test_boundedness_warning_fires_once_from_the_accepted_values(record_trace, m
 
 
 def test_fixed_point_start_converges_at_mu_gate():
-    p = duplicated_quadratic(GKind.ZERO)
-    x_star = np.array([1.0, -0.5])  # minimizer of both copies
+    p = duplicated_quadratic()
+    x_star = np.array([0.5, 0.0])  # common minimizer of both copies plus g
     res = solve(p, x_star, SolverConfig(record_trace=True))
     assert res.status == "Converged"
     assert np.linalg.norm(res.final_x - x_star) <= 1e-9

@@ -19,7 +19,7 @@ from conftest import (
     subproblem_objective,
 )
 from sapgm.errors import InvalidInputError, InvalidParameterError
-from sapgm.problems import GKind, eval_smooth, get_problem
+from sapgm.problems import eval_smooth, get_problem
 from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum
 from sapgm.subproblem import (
     DEFAULT_MAX_INNER,
@@ -37,40 +37,38 @@ from sapgm.subproblem import (
 )
 
 
-def quad_pair(g_kind=GKind.ZERO):
+def quad_pair():
     # two distinct convex quadratics on R^2
     f1 = Sum([Square(Affine([1.0, 0.0])), Square(Affine([0.0, 1.0], -1.0))])
     f2 = Sum([Square(Affine([1.0, 0.0], 1.0)), Square(Affine([0.0, 1.0]))])
-    return build_problem("quadpair", [f1, f2], g_kind, [-3.0, -3.0], [3.0, 3.0])
+    return build_problem("quadpair", [f1, f2], [-3.0, -3.0], [3.0, 3.0])
 
 
-def triple(g_kind=GKind.ZERO):
+def triple():
     # three quadratics centred on a triangle: m = 3 takes the ascent path
     centres = [(1.0, 0.0), (-0.5, 1.0), (-0.5, -1.0)]
     exprs = [
         Sum([Square(Affine([1.0, 0.0], -a)), Square(Affine([0.0, 1.0], -b))]) for a, b in centres
     ]
-    return build_problem("triple", exprs, g_kind, [-3.0, -3.0], [3.0, 3.0])
+    return build_problem("triple", exprs, [-3.0, -3.0], [3.0, 3.0])
 
 
-def twin_pair(g_kind=GKind.ZERO):
+def twin_pair():
     # identical objectives: the dual is flat and any lambda gives the
     # single-objective answer
     f = Sum([Square(Affine([1.0, 0.0], -1.0)), Square(Affine([0.0, 1.0], 2.0))])
     g = Sum([Square(Affine([1.0, 0.0], -1.0)), Square(Affine([0.0, 1.0], 2.0))])
-    return build_problem("twins", [f, g], g_kind, [-3.0, -3.0], [3.0, 3.0])
+    return build_problem("twins", [f, g], [-3.0, -3.0], [3.0, 3.0])
 
 
 # ------------------------------------------------------------------ prox / proj
 
 
 def test_prox_soft_threshold():
-    out = prox_g(np.array([1.2]), 0.5, GKind.SCALED_L1, n=1)
+    out = prox_g(np.array([1.2]), 0.5, n=1)
     assert out[0] == pytest.approx(0.7)
-    out = prox_g(np.array([0.3, -0.3]), 1.0, GKind.SCALED_L1, n=2)
+    out = prox_g(np.array([0.3, -0.3]), 1.0, n=2)
     np.testing.assert_allclose(out, [0.0, 0.0])
-    v = np.array([2.0, -1.5, 0.1])
-    np.testing.assert_array_equal(prox_g(v, 0.7, GKind.ZERO, 3), v)
 
 
 def test_prox_is_argmin():
@@ -78,7 +76,7 @@ def test_prox_is_argmin():
     for _ in range(50):
         v = rng.normal(size=2)
         tau = float(rng.uniform(0.1, 2.0))
-        z = prox_g(v, tau, GKind.SCALED_L1, n=2)
+        z = prox_g(v, tau, n=2)
         obj = lambda w: tau * np.abs(w).sum() / 2 + 0.5 * np.sum((w - v) ** 2)
         base = obj(z)
         for _ in range(20):
@@ -113,29 +111,23 @@ def test_project_simplex_minimal_distance():
 
 
 def test_core_inner_degenerate_weight_is_gradient_step():
-    # lambda concentrated on one objective with g = 0 reduces to a plain
-    # gradient step on that objective
-    p = quad_pair(GKind.ZERO)
+    # lambda concentrated on one objective reduces to a proximal gradient
+    # step on that objective
+    p = quad_pair()
     y = np.array([0.7, -0.4])
     mu, ell = 0.5, 2.0
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
     grads = np.asarray(eval_smooth(p, y, mu)[1])
     z, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))[:4]
-    np.testing.assert_allclose(z, y - grads[0] / ell, atol=1e-12)
+    np.testing.assert_allclose(z, prox_g(y - grads[0] / ell, 1.0 / ell, p.n), atol=1e-12)
 
 
-def test_core_inner_zero_gradients_fixed_point():
-    flat = build_problem(
-        "flat",
-        [Affine([0.0, 0.0], 1.0), Affine([0.0, 0.0], 2.0)],
-        GKind.ZERO,
-        [-1.0, -1.0],
-        [1.0, 1.0],
-    )
+def test_core_inner_zero_gradients_is_the_prox_of_y():
+    flat = build_problem("flat", [Affine([0.0, 0.0], 1.0), Affine([0.0, 0.0], 2.0)], [-1.0, -1.0], [1.0, 1.0])
     y = np.array([0.3, -0.8])
     inp = SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=1.0, problem=flat)
     z, _, _, _ = _build_core(inp).inner(np.array([0.5, 0.5]))[:4]
-    np.testing.assert_array_equal(z, y)
+    np.testing.assert_array_equal(z, prox_g(y, 1.0, flat.n))
 
 
 def test_core_inner_matches_grid_oracle_on_jos1():
@@ -163,7 +155,7 @@ def test_core_inner_matches_grid_oracle_on_jos1():
 
 def test_nonfinite_jacobian_or_offsets_rejected_when_the_core_is_built():
     steep = [Exp(Affine([50.0, 0.0])), Square(Affine([0.0, 1.0]))]
-    p = build_problem("steep_exp", steep, GKind.ZERO, [-1.0, -1.0], [1.0, 1.0])
+    p = build_problem("steep_exp", steep, [-1.0, -1.0], [1.0, 1.0])
     y = np.array([14.19, 0.0])
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match=r"14\.19"):
         solve_subproblem(SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=1.0, problem=p))
@@ -215,7 +207,7 @@ def test_start_weights_must_be_m_finite_numbers():
 
 
 def test_identical_objectives_symmetric_lambda():
-    p = twin_pair(GKind.SCALED_L1)
+    p = twin_pair()
     y = np.array([0.5, -1.0])
     inp = SubproblemInput(x=y.copy(), y=y, mu=0.3, ell=3.0, problem=p)
     sol = solve_subproblem(inp)
@@ -227,7 +219,6 @@ def test_identical_objectives_symmetric_lambda():
 
 def random_instance(seed):
     rng = np.random.default_rng(seed)
-    g_kind = GKind.SCALED_L1 if seed % 2 else GKind.ZERO
     exprs = []
     for _ in range(2):
         w1, w2 = rng.uniform(0.3, 2.0, 2)
@@ -239,7 +230,7 @@ def random_instance(seed):
         if rng.random() < 0.5:
             terms.append(Scale(rng.uniform(0.2, 1.5), Abs(Affine(rng.uniform(-1, 1, 2)))))
         exprs.append(Sum(terms))
-    p = build_problem(f"rand{seed}", exprs, g_kind, [-3.0, -3.0], [3.0, 3.0])
+    p = build_problem(f"rand{seed}", exprs, [-3.0, -3.0], [3.0, 3.0])
     y = rng.uniform(-2.0, 2.0, 2)
     x = rng.uniform(-2.0, 2.0, 2)
     mu = float(rng.uniform(0.05, 1.0))
@@ -296,7 +287,7 @@ def test_kkt_residual_small_at_solution():
 
 
 def test_kkt_residual_zero_gradient_instance():
-    p = quad_pair(GKind.ZERO)
+    p = quad_pair()
     y = np.array([-0.2, 0.9])
     inp = SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=4.0, problem=p)
     sol = solve_subproblem(inp, tol=1e-14)
@@ -304,37 +295,39 @@ def test_kkt_residual_zero_gradient_instance():
 
 
 def test_kkt_residual_scales_with_perturbation():
-    p = quad_pair(GKind.ZERO)
+    p = quad_pair()
     y = np.array([0.4, 0.1])
     inp = SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=2.5, problem=p)
     sol = solve_subproblem(inp)
+    # z = (-0.0, 0.5) at lam = (0.85, 0.15): moving the nonzero coordinate
+    # keeps the sign of g's subgradient, so only ell (z - y) changes
+    assert sol.z[0] == 0.0 and sol.z[1] == pytest.approx(0.5)
     z_pert = sol.z.copy()
-    z_pert[0] += 0.1
+    z_pert[1] += 0.1
     res = _kkt_residual(_build_core(inp), z_pert.tolist(), sol.lam.tolist())
     assert res == pytest.approx(inp.ell * 0.1, rel=0.05)
 
 
-def triple_instance(g_kind, y):
+def triple_instance(y):
     y = np.asarray(y, float)
-    return SubproblemInput(x=y + 0.3, y=y, mu=0.5, ell=1.5, problem=triple(g_kind))
+    return SubproblemInput(x=y + 0.3, y=y, mu=0.5, ell=1.5, problem=triple())
 
 
 def test_inner_budget_exhaustion_flagged():
     # the dual ascent (m = 3) needs more than one step on these instances;
     # m = 2 is solved exactly and has no budget
     flagged = False
-    for g_kind in GKind:
-        for y in ([0.2, 0.1], [1.5, -0.7], [-0.4, 2.0]):
-            sol = solve_subproblem(triple_instance(g_kind, y), tol=1e-16, max_inner=1)
-            if not sol.converged:
-                flagged = True
-                assert sol.gap > 1e-16
+    for y in ([0.2, 0.1], [1.5, -0.7], [-0.4, 2.0]):
+        sol = solve_subproblem(triple_instance(y), tol=1e-16, max_inner=1)
+        if not sol.converged:
+            flagged = True
+            assert sol.gap > 1e-16
     assert flagged
 
 
 def test_complementarity_is_the_largest_weight_on_an_inactive_component():
     # one ascent step leaves weight on the two brackets below the first
-    inp = triple_instance(GKind.SCALED_L1, [0.2, 0.1])
+    inp = triple_instance([0.2, 0.1])
     early = solve_subproblem(inp, tol=1e-16, max_inner=1)
     comp = np.array(_build_core(inp).inner(early.lam.tolist())[1])
     assert comp.argmax() == 0 and comp[0] - comp[1:].max() > 0.5
@@ -345,10 +338,9 @@ def test_complementarity_is_the_largest_weight_on_an_inactive_component():
 # ------------------------------------------------------- m = 3: the ascent path
 
 
-@pytest.mark.parametrize("g_kind", list(GKind))
-def test_three_objectives_match_grid_oracle(g_kind):
+def test_three_objectives_match_grid_oracle():
     for y in ([0.2, 0.1], [1.5, -0.7], [-0.4, 2.0]):
-        inp = triple_instance(g_kind, y)
+        inp = triple_instance(y)
         sol = solve_subproblem(inp)
         assert sol.lam.size == 3 and sol.converged and sol.gap <= DEFAULT_TOL
         assert sol.kkt_residual <= 1e-6
@@ -366,23 +358,22 @@ def test_three_objectives_match_grid_oracle(g_kind):
 
 @pytest.mark.parametrize("spread", [0.0, 1e-160])
 @pytest.mark.parametrize("c", [[1.0, 0.0, 0.0], [0.0, -1.0, 0.5]])
-@pytest.mark.parametrize("g_kind", list(GKind))
-def test_ascent_on_coinciding_gradients_takes_the_best_vertex(spread, c, g_kind):
+def test_ascent_on_coinciding_gradients_takes_the_best_vertex(spread, c):
     # ||g_i - g_j|| = spread: the dual is linear in lam, and 1 / curvature
     # (>= 1e300) is no step the simplex projection survives
     G = np.ones((3, 2))
     G[:, 0] = 0.0
     G[1, 0] = spread
     c = np.array(c)
-    core = _Core(np.zeros(2), G, c, 1.0, g_kind)
+    core = _Core(np.zeros(2), G, c, 1.0)
     for lam0 in (np.full(3, 1.0 / 3.0), np.array([0.0, 0.0, 1.0])):
         z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
         np.testing.assert_array_equal(lam, np.eye(3)[c.argmax()])
         assert 0.0 <= gap <= DEFAULT_TOL and steps == 1
         # z is the prox of y - g / ell, whatever the weights
         z = np.array(z)
-        np.testing.assert_array_equal(z, prox_g(-G[0], 1.0, g_kind, 2))
-        gz = np.abs(z).sum() / 2 if g_kind is GKind.SCALED_L1 else 0.0
+        np.testing.assert_array_equal(z, prox_g(-G[0], 1.0, 2))
+        gz = np.abs(z).sum() / 2
         assert theta == pytest.approx(G[0] @ z + c.max() + gz + 0.5 * z @ z, abs=1e-15)
 
 
@@ -435,28 +426,26 @@ def test_exact_path_crosses_soft_threshold_kinks():
     for _ in range(40):
         G = rng.uniform(-2.0, 2.0, (2, 2))
         G[1] = -G[0] + rng.normal(scale=0.3, size=2)
-        core = _Core(rng.uniform(-0.2, 0.2, 2), G, rng.normal(scale=0.3, size=2), 2.0, GKind.SCALED_L1)
+        core = _Core(rng.uniform(-0.2, 0.2, 2), G, rng.normal(scale=0.3, size=2), 2.0)
         lam = check_exact_against_ascent(core)
         crossed += kinks_inside(core) >= 2
         interior += 0.0 < lam[0] < 1.0
     assert crossed >= 20 and interior >= 20
 
 
-@pytest.mark.parametrize("g_kind", list(GKind))
-def test_exact_path_endpoints(g_kind):
+def test_exact_path_endpoints():
     G = np.array([[1.0, -0.5], [-0.3, 0.8]])
     y = np.array([0.2, -0.1])
     # objective 2's offset dominates for every t: h(0) < 0 gives t = 0
-    lam = check_exact_against_ascent(_Core(y, G, np.array([-10.0, 10.0]), 1.0, g_kind))
+    lam = check_exact_against_ascent(_Core(y, G, np.array([-10.0, 10.0]), 1.0))
     np.testing.assert_array_equal(lam, [0.0, 1.0])
-    lam = check_exact_against_ascent(_Core(y, G, np.array([10.0, -10.0]), 1.0, g_kind))
+    lam = check_exact_against_ascent(_Core(y, G, np.array([10.0, -10.0]), 1.0))
     np.testing.assert_array_equal(lam, [1.0, 0.0])
 
 
-@pytest.mark.parametrize("g_kind", list(GKind))
-def test_exact_path_keeps_the_start_weight_on_a_flat_dual(g_kind):
+def test_exact_path_keeps_the_start_weight_on_a_flat_dual():
     y = np.array([0.5, -1.0])
-    inp = SubproblemInput(x=y + 0.4, y=y, mu=0.3, ell=3.0, problem=twin_pair(g_kind))
+    inp = SubproblemInput(x=y + 0.4, y=y, mu=0.3, ell=3.0, problem=twin_pair())
     core = _build_core(inp)
     for lam0 in (LAM_HALF, np.array([0.3, 0.7]), np.array([1.0, 0.0])):
         lam = check_exact_against_ascent(core, lam0)
@@ -472,23 +461,16 @@ def test_exact_path_keeps_the_start_weight_on_a_flat_dual(g_kind):
         (np.eye(2), np.array([0.0, np.nan])),
     ],
 )
-@pytest.mark.parametrize("g_kind", list(GKind))
-def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c, g_kind):
-    core = _Core(np.zeros(2), G, c, 1.0, g_kind)
+def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c):
+    core = _Core(np.zeros(2), G, c, 1.0)
     _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
     assert not np.isfinite(gap)
     assert np.isnan(lam).all()  # no weight is picked from a non-finite derivative
 
 
-@pytest.mark.parametrize(
-    "core",
-    [
-        # the interpolated root landed one ulp past its bracket: lam = (1 + 2.2e-16, -2.2e-16)
-        pytest.param(_Core([9.957086492446983], [[-1.0], [2.0]], [-3e-245, 0.0], 2.0, GKind.SCALED_L1), id="scaled-l1"),
-        pytest.param(_Core([0.0], [[0.0], [6.2141445651958875]], [0.0, 1e-300], 2.0, GKind.ZERO), id="zero"),
-    ],
-)
-def test_exact_path_weight_stays_on_the_simplex(core):
+def test_exact_path_weight_stays_on_the_simplex():
+    # the interpolated root landed one ulp past its bracket: lam = (1 + 2.2e-16, -2.2e-16)
+    core = _Core([9.957086492446983], [[-1.0], [2.0]], [-3e-245, 0.0], 2.0)
     lam = check_exact_against_ascent(core, np.array([1e-9, 1.0 - 1e-9]))
     np.testing.assert_array_equal(lam, [1.0, 0.0])
 
@@ -496,24 +478,23 @@ def test_exact_path_weight_stays_on_the_simplex(core):
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 4),
-    g_kind=st.sampled_from(list(GKind)),
     data=st.lists(st.floats(-5.0, 5.0), min_size=14, max_size=14),
     ell=st.floats(0.1, 100.0),
     t0=st.floats(0.0, 1.0),
 )
 # z rests inside the soft-threshold band for every weight, so the dual is
 # linear with a slope of 1.2e-8: the ascent's step must grow far past 1/curv
-@example(n=1, g_kind=GKind.SCALED_L1, data=[0.0, 1.0] + [0.0] * 11 + [-1.1950395177352375e-08], ell=0.125, t0=0.0)
+@example(n=1, data=[0.0, 1.0] + [0.0] * 11 + [-1.1950395177352375e-08], ell=0.125, t0=0.0)
 # the interpolated root landed one ulp past t = 1, off the simplex
 @example(
-    n=1, g_kind=GKind.SCALED_L1, data=[-1.0, 2.0] + [0.0] * 6 + [9.957086492446983, 0.0, 0.0, 0.0, -3e-245, 0.0],
+    n=1, data=[-1.0, 2.0] + [0.0] * 6 + [9.957086492446983, 0.0, 0.0, 0.0, -3e-245, 0.0],
     ell=2.0, t0=1e-9,
 )
-def test_exact_path_matches_ascent_property(n, g_kind, data, ell, t0):
+def test_exact_path_matches_ascent_property(n, data, ell, t0):
     G = np.array(data[: 2 * n]).reshape(2, n)
     y = np.array(data[8 : 8 + n])
     c = np.array(data[12:14])
-    core = _Core(y, G, c, ell, g_kind)
+    core = _Core(y, G, c, ell)
     lam0 = np.array([t0, 1.0 - t0])
     if np.linalg.norm(G[0] - G[1]) > 1e-3:
         check_exact_against_ascent(core, lam0)
@@ -562,7 +543,7 @@ def pair_cores(draw):
     y = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
     c = np.array(draw(st.lists(entry, min_size=2, max_size=2)))
     ell = 10.0 ** draw(st.floats(-3.0, 6.0))
-    return _Core(y, G, c, ell, draw(st.sampled_from(list(GKind))))
+    return _Core(y, G, c, ell)
 
 
 START_WEIGHTS = st.one_of(
@@ -600,13 +581,12 @@ def test_pair_search_inside_the_bracket_gives_the_full_scan_bits(core, lam0):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["G", "y", "c"])
-@pytest.mark.parametrize("g_kind", list(GKind))
-def test_float_pair_search_nonfinite_core_like_the_reference(bad, where, g_kind):
+def test_float_pair_search_nonfinite_core_like_the_reference(bad, where):
     rng = np.random.default_rng(3)
     for _ in range(20):
         parts = {"y": rng.normal(size=2), "G": rng.normal(size=(2, 2)), "c": rng.normal(size=2)}
         parts[where].flat[rng.integers(parts[where].size)] = bad
-        core = _Core(parts["y"], parts["G"], parts["c"], 2.0, g_kind)
+        core = _Core(parts["y"], parts["G"], parts["c"], 2.0)
         _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
         _, lam_ref, _, gap_ref, _ = solve_pair_reference(core, LAM_HALF)
         assert np.isnan(lam_ref[0]) and not np.isfinite(gap_ref)
@@ -626,7 +606,7 @@ def cores(draw, m_max=4):
     y = draw(st.lists(entry, min_size=n, max_size=n))
     c = draw(st.lists(entry, min_size=m, max_size=m))
     ell = 10.0 ** draw(st.floats(-3.0, 6.0))
-    core = _Core(y, G, c, ell, draw(st.sampled_from(list(GKind))))
+    core = _Core(y, G, c, ell)
     w = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0.0))
     return core, [v / sum(w) for v in w]
 
@@ -739,7 +719,7 @@ _RECORDED_SOLUTIONS = [
     "name, z_hex, lam_hex, certs_hex, steps", _RECORDED_SOLUTIONS, ids=[r[0] for r in _RECORDED_SOLUTIONS]
 )
 def test_solutions_reproduce_the_recorded_bits(name, z_hex, lam_hex, certs_hex, steps):
-    p = triple(GKind.SCALED_L1) if name == "triple" else get_problem(name)
+    p = triple() if name == "triple" else get_problem(name)
     inp = SubproblemInput(x=np.array([0.4, 0.7]), y=np.array([0.5, 0.6]), mu=0.25, ell=8.0, problem=p)
     sol = solve_subproblem(inp)
     assert tuple(v.hex() for v in sol.z.tolist()) == z_hex
