@@ -433,13 +433,16 @@ def test_exact_path_crosses_soft_threshold_kinks():
     assert crossed >= 20 and interior >= 20
 
 
-def test_exact_path_endpoints():
+# the soft threshold zeroes one coordinate of z at each endpoint (ell = 1),
+# both at t = 1 (ell = 4), or none (ell = 20)
+@pytest.mark.parametrize("ell", [1.0, 4.0, 20.0])
+def test_exact_path_endpoints(ell):
     G = np.array([[1.0, -0.5], [-0.3, 0.8]])
     y = np.array([0.2, -0.1])
     # objective 2's offset dominates for every t: h(0) < 0 gives t = 0
-    lam = check_exact_against_ascent(_Core(y, G, np.array([-10.0, 10.0]), 1.0))
+    lam = check_exact_against_ascent(_Core(y, G, np.array([-10.0, 10.0]), ell))
     np.testing.assert_array_equal(lam, [0.0, 1.0])
-    lam = check_exact_against_ascent(_Core(y, G, np.array([10.0, -10.0]), 1.0))
+    lam = check_exact_against_ascent(_Core(y, G, np.array([10.0, -10.0]), ell))
     np.testing.assert_array_equal(lam, [1.0, 0.0])
 
 
@@ -581,10 +584,12 @@ def test_pair_search_inside_the_bracket_gives_the_full_scan_bits(core, lam0):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["G", "y", "c"])
-def test_float_pair_search_nonfinite_core_like_the_reference(bad, where):
+# n = 3: the threshold 1 / (ell n) is no power of two
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_pair_search_nonfinite_core_like_the_reference(bad, where, n):
     rng = np.random.default_rng(3)
     for _ in range(20):
-        parts = {"y": rng.normal(size=2), "G": rng.normal(size=(2, 2)), "c": rng.normal(size=2)}
+        parts = {"y": rng.normal(size=n), "G": rng.normal(size=(2, n)), "c": rng.normal(size=2)}
         parts[where].flat[rng.integers(parts[where].size)] = bad
         core = _Core(parts["y"], parts["G"], parts["c"], 2.0)
         _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
