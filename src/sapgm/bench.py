@@ -23,6 +23,7 @@ import logging
 import math
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -66,8 +67,12 @@ class BenchConfig:  # the `bench` flags take their defaults from these
     parallel: int = 1
 
     def __post_init__(self):
-        if isinstance(self.problems, str):  # it would be read one character at a time
+        # a string would be read one character at a time
+        if isinstance(self.problems, str) or not isinstance(self.problems, Iterable):
             raise InvalidParameterError(f"problems must be a list of names or indices, got {self.problems!r}")
+        self.problems = tuple(self.problems)  # an iterator would serve only the first run
+        if not isinstance(self.params, SolverConfig):
+            raise InvalidParameterError(f"params must be a SolverConfig, got {self.params!r}")
         _check_int(self.runs, "runs", 1)
         _check_int(self.base_seed, "base_seed", 0)  # NumPy seeds are nonnegative
         _check_int(self.parallel, "parallel", 1)
@@ -230,10 +235,10 @@ RATE_FIT_RANGE = (20, 1000)
 _REFERENCE_RUNS = 50
 
 
-def reference_front(p: ProblemSpec, cfg: BenchConfig, runs: int = _REFERENCE_RUNS) -> list[FrontPoint]:
-    """Pooled nondominated final points from converged default runs."""
+def reference_front(p: ProblemSpec, cfg: BenchConfig) -> list[FrontPoint]:
+    """Pooled nondominated final points of _REFERENCE_RUNS default runs."""
     pts = []
-    for i in range(runs):
+    for i in range(_REFERENCE_RUNS):
         run = solve(p, sample_start(p, cfg.base_seed + i), cfg.params)
         pts.append(FrontPoint(run.final_x, run.final_F))
     return nondominated_filter(pts)
@@ -247,10 +252,8 @@ def merit_series_for_run(p: ProblemSpec, trace, ref: Sequence[FrontPoint]) -> li
     return out
 
 
-def run_rate_experiment(
-    problem: str, sigmas: Sequence[float], cfg: BenchConfig, iters: int = RATE_ITERS
-) -> Path:
-    """Merit decay vs sigma: fixed-iteration runs with the stopping rule off.
+def run_rate_experiment(problem: str, sigmas: Sequence[float], cfg: BenchConfig) -> Path:
+    """Merit decay vs sigma: runs of RATE_ITERS iterations with the stopping rule off.
 
     Writes one (k, merit) series CSV per sigma plus fitted log-log slopes.
     """
@@ -271,15 +274,15 @@ def run_rate_experiment(
     slopes = {}
     series_files = []
     for s in sigmas:
-        # eps = 0 disables the stopping rule: the run uses all `iters` iterations
-        sc = cfg.solver_config(sigma=s, eps=0.0, max_iter=iters, record_trace=True)
+        # eps = 0 disables the stopping rule: the run uses all RATE_ITERS iterations
+        sc = cfg.solver_config(sigma=s, eps=0.0, max_iter=RATE_ITERS, record_trace=True)
         run = solve(p, x0, sc)
         series = merit_series_for_run(p, run.trace, ref)
         fname = f"rate_{slug}_sigma{s:g}.csv"
         _write_csv(out / fname, [("k", itemgetter(0)), ("merit", itemgetter(1))], series)
         series_files.append(fname)
         try:
-            fit = fit_rate(series, k_lo, min(k_hi, iters))
+            fit = fit_rate(series, k_lo, k_hi)
             slopes[f"{s:g}"] = {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual}
         except InsufficientDataError as exc:
             slopes[f"{s:g}"] = {"error": str(exc)}
@@ -288,7 +291,7 @@ def run_rate_experiment(
         "kind": "rate",
         "problem": p.name,
         "sigmas": [float(s) for s in sigmas],
-        "iterations": iters,
+        "iterations": RATE_ITERS,
         "fit_range": [k_lo, k_hi],
         "reference_front_size": len(ref),
         "series_files": series_files,
@@ -320,18 +323,18 @@ def _span(values: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """At most n + 1 distinct ticks in [lo, hi] (lo < hi, both finite), a step
+def _ticks(lo: float, hi: float) -> list[float]:
+    """At most six distinct ticks in [lo, hi] (lo < hi, both finite), a step
     of 1, 2 or 5 times a power of ten apart; none when the width is a few
     subnormal ulps.
     """
-    raw = (0.5 * hi - 0.5 * lo) / n * 2.0  # (hi - lo) / n, which cannot overflow
+    raw = (0.5 * hi - 0.5 * lo) / 5 * 2.0  # (hi - lo) / 5, which cannot overflow
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     if mag == 0.0:
         return []
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     ticks, v = [], math.ceil(lo / step) * step
-    for _ in range(n + 1):  # a bounded count: below the ulp of v, v += step stalls
+    for _ in range(6):  # a bounded count: below the ulp of v, v += step stalls
         ticks.append(round(v, 12) + 0.0)  # + 0.0 turns a rounded -0.0 into 0.0
         v += step
     return sorted({t for t in ticks if lo <= t <= hi})

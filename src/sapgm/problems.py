@@ -155,9 +155,9 @@ def eval_smooth(
     x is not a finite point of R^n, then InvalidParameterError unless mu is
     finite and positive, and InvalidInputError naming the problem and x when
     a component value overflows or is not finite.  The point and mu are
-    checked once, by the first component's ``SmoothSurrogate.eval``;
-    ``_point`` runs only on an error path, to report a bad point before a
-    bad mu and to name x as a float list.
+    checked once, in that order, by the first component's
+    ``SmoothSurrogate.eval``; ``_point`` runs only on an error path, to name
+    x as a float list.
     """
     values, rows = [], []
     for i, s in enumerate(p.smooth_parts):
@@ -165,9 +165,6 @@ def eval_smooth(
             v, g = s.eval(x, mu, jac)
         except InvalidInputError as e:  # x is not a finite point of R^n
             raise InvalidInputError(f"{p.name}: {e}") from None
-        except InvalidParameterError:  # mu; the surrogate checks it before x
-            _point(p, x)
-            raise
         except OverflowError as e:
             raise _not_finite(p, _point(p, x), i, "overflows") from e
         if not math.isfinite(v):

@@ -510,9 +510,9 @@ class SmoothSurrogate:
 
     One walk of ``expr`` checks it, gives n and compiles the kernel (see
     ``_compile``).  The gradient-Lipschitz factor is certified over ``box``,
-    [-10, 10]^n for None; InvalidInputError when the box is not two vectors
-    of size n or its certification overflows.  Points are lists of n
-    floats; any other sequence or array of shape (n,) is converted first.
+    [-10, 10]^n for None; InvalidInputError unless the box is two vectors
+    (lo, hi) of n numbers with lo <= hi (so no nan), or when its
+    certification overflows.  Points are lists of n floats; any other sequence or array of shape (n,) is converted first.
     ``true_eval`` is the kernel at mu = 0.
     """
 
@@ -521,9 +521,15 @@ class SmoothSurrogate:
         n, self._value, self._value_grad = _compile(expr)
         if box is None:
             box = (-10.0 * np.ones(n), 10.0 * np.ones(n))
-        lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+        try:
+            lo, hi = box
+            lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError(f"box must be two vectors (lo, hi) of numbers, got {box!r}") from None
         if lo.shape != (n,) or hi.shape != (n,):
             raise InvalidInputError(f"box shapes {lo.shape}, {hi.shape} do not match leaves of size {n}")
+        if not (lo <= hi).all():
+            raise InvalidInputError(f"box [{lo.tolist()}, {hi.tolist()}] needs lo <= hi in every coordinate")
         where = f"certification over the box [{lo.tolist()}, {hi.tolist()}]"
         try:
             stats = expr.box_stats(lo, hi)
@@ -537,10 +543,12 @@ class SmoothSurrogate:
     def eval(self, x: Sequence[float], mu: float, jac: bool = True) -> tuple[float, list[float] | None]:
         """Value and gradient at (x, mu) as the kernel gives them: a float and
         a list of n floats, or None for the gradient when ``jac`` is false.
+        InvalidInputError for a point that is not a finite point of R^n, then
+        InvalidParameterError unless mu is finite and positive.
         """
+        x = _as_point(x, self.n)
         if not 0.0 < mu < math.inf:
             raise InvalidParameterError(f"mu must be finite and positive, got {mu}")
-        x = _as_point(x, self.n)
         return self._value_grad(x, mu) if jac else (self._value(x, mu), None)
 
     def true_eval(self, x: Sequence[float]) -> float:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DivergingLipschitzError, InvalidParameterError
 from .problems import ProblemSpec, _check_int, _g, _point, eval_smooth, eval_true
-from .subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
+from .subproblem import DEFAULT_TOL, _core_from_evals, _solve_core
 
 __all__ = [
     "SolverConfig",
@@ -173,7 +173,7 @@ def backtrack_step(
     m = len(vals_y)
     lam0 = [1.0 / m] * m
     for trial in range(1, MAX_BACKTRACKS + 2):
-        z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL)
         vals_z, _ = eval_smooth(p, z, mu, jac=False)
         # f_i(z) - f_i(y) - <grad f_i(y), z - y> <= (ell / 2) ||z - y||^2 for every i;
         # dots and quad are the prox step's <grad f_i(y), z - y> and (ell / 2) ||z - y||^2

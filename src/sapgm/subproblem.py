@@ -17,19 +17,19 @@ evaluates it at the start weight, 0 and 1 first, which settles a flat dual
 and the vertices; only when those bracket the root does it evaluate the
 kinks strictly inside the bracket, each narrowing it, and it interpolates
 the root on the last bracket's linear piece.  Other m use projected
-gradient ascent with a backtracking step.  Both paths, the prox step and
-the certificates run on Python floats, since at these sizes a NumPy call
-costs more than its arithmetic; only the ascent's curvature bound takes a
-matrix norm, once per solve.  For the same reason the per-call overhead of
-the m = 2 path is kept low: the prox step fills z, z - y and g(z) in one
-loop with the soft threshold written inline, the kink search forms its
-coordinates once and evaluates h in one local loop, and a core's
-finiteness check is one sum.  Only the prox step forms z - y,
-||z - y||^2 and <g_i, z - y>; every consumer of a solve reads them from
-its last step.  Strong convexity
-makes the primal minimizer unique, so the duality gap, the KKT residual and
-the complementarity violation certify the solution; solve_subproblem
-returns all three with it.
+gradient ascent with a backtracking step, for at most DEFAULT_MAX_INNER
+steps.  Every solve starts from the uniform weights.  Both paths, the prox
+step and the certificates run on the float lists a core is given, since at
+these sizes a NumPy call costs more than its arithmetic; only the ascent's
+curvature bound takes a matrix norm, once per solve.  For the same reason
+the per-call overhead of the m = 2 path is kept low: the prox step fills z,
+z - y and g(z) in one loop with the soft threshold written inline, the kink
+search forms its coordinates once and evaluates h in one local loop, and a
+core's finiteness check is one sum.  Only the prox step forms z - y,
+||z - y||^2 and <g_i, z - y>; every consumer of a solve reads them from its
+last step.  Strong convexity makes the primal minimizer unique, so the
+duality gap, the KKT residual and the complementarity violation certify the
+solution; solve_subproblem returns all three with it.
 
 g is the one nonsmooth term (1/n) ||z||_1, shared by every objective, so
 the prox step is always the soft threshold at 1 / (ell n).
@@ -84,11 +84,6 @@ class SubproblemSolution:
     converged: bool
 
 
-def _floats(a) -> list:
-    """A list (of rows) as it is, an array as its list of floats."""
-    return a if type(a) is list else np.asarray(a, dtype=float).tolist()
-
-
 def _combine(lam, rows) -> list:
     """sum_i lam_i rows_i, one coordinate at a time, summed over i in order."""
     v = [lam[0] * r for r in rows[0]]
@@ -99,8 +94,8 @@ def _combine(lam, rows) -> list:
 
 class _Core:
     """The min-max model at one expansion point y: Jacobian rows G, offsets c
-    and the prox weight ell, as float lists (rows of floats for G); g is
-    (1/n) ||z||_1.
+    and the prox weight ell, stored as the float lists (rows of floats for
+    G) they are given; g is (1/n) ||z||_1.
 
     A core serves every trial of a backtracking step, and only ell changes
     between trials.  Its prox step ``inner`` is the one both dual paths and
@@ -110,11 +105,11 @@ class _Core:
     __slots__ = ("y", "G", "c", "ell", "n")
 
     def __init__(self, y, G, c, ell):
-        self.y = _floats(y)
-        self.G = _floats(G)
-        self.c = _floats(c)
+        self.y = y
+        self.G = G
+        self.c = c
         self.ell = ell
-        self.n = len(self.y)
+        self.n = len(y)
 
     def inner(self, lam):
         """Prox step for fixed weights; returns (z, brackets comp, dual value, quad, dots).
@@ -162,13 +157,13 @@ class _Core:
         return z, comp, dual + quad, quad, dots
 
 
-def _solve_core(core: _Core, lam0, tol: float, max_inner: int):
+def _solve_core(core: _Core, lam0: list, tol: float):
     """Maximize the dual from lam0; returns (z, lam, theta, gap, steps, dots, quad, comp),
-    where z, dots, quad and comp are the prox step's at lam and the lists hold floats."""
+    where z, dots, quad and comp are the prox step's at lam; lam0 and the lists hold floats."""
     if len(core.G) == 2:
         lam, steps, (z, comp, dual, quad, dots) = _solve_pair(core, lam0)
     else:
-        lam, steps, (z, comp, dual, quad, dots) = _ascend(core, lam0, tol, max_inner)
+        lam, steps, (z, comp, dual, quad, dots) = _ascend(core, lam0, tol)
     theta = max(comp) + quad
     return z, lam, theta, theta - dual, steps, dots, quad, comp
 
@@ -203,7 +198,7 @@ def _solve_pair(core: _Core, lam0):
     ell = core.ell
     g1, g2 = core.G
     c1, c2 = core.c
-    l0, l1 = float(lam0[0]), float(lam0[1])
+    l0, l1 = lam0
     # projection onto the simplex; a weight already on it stays as it is
     t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
     tau = 1.0 / ell / core.n  # the prox threshold, formed as _Core.inner forms it
@@ -264,9 +259,10 @@ def _proj_simplex(w: list) -> list:
     return [max(v - tau, 0.0) for v in w]
 
 
-def _ascend(core: _Core, lam0, tol: float, max_inner: int):
-    """Projected gradient ascent on the dual, the path for m != 2; returns (lam, steps, prox step)."""
-    lam = _proj_simplex([float(v) for v in lam0])
+def _ascend(core: _Core, lam0: list, tol: float):
+    """Projected gradient ascent on the dual, the path for m != 2, until the gap
+    is <= tol or for DEFAULT_MAX_INNER steps; returns (lam, steps, prox step)."""
+    lam = _proj_simplex(lam0)
     prox = core.inner(lam)
     _, comp, dual, quad, _ = prox
     # dual curvature along simplex directions is at most smax(G_centered)^2 / ell;
@@ -282,7 +278,7 @@ def _ascend(core: _Core, lam0, tol: float, max_inner: int):
     step0 = 1.0 / max(curv, 1e-300)
     step = step0
     iters = 0
-    while max(comp) + quad - dual > tol and iters < max_inner:
+    while max(comp) + quad - dual > tol and iters < DEFAULT_MAX_INNER:
         iters += 1
         # comp is the dual (super)gradient; backtrack on the ascent step
         accepted = False
@@ -346,28 +342,18 @@ def _build_core(inp: SubproblemInput) -> _Core:
     return _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, inp.mu, jac=False), inp.ell)
 
 
-def solve_subproblem(
-    inp: SubproblemInput,
-    tol: float = DEFAULT_TOL,
-    max_inner: int = DEFAULT_MAX_INNER,
-    lam0: np.ndarray | None = None,
-) -> SubproblemSolution:
-    """Solve the min-max model to duality gap <= tol.
+def solve_subproblem(inp: SubproblemInput, tol: float = DEFAULT_TOL) -> SubproblemSolution:
+    """Solve the min-max model to duality gap <= tol, from the uniform weights.
 
-    lam0, the start weights, must be m finite numbers (default: uniform);
-    InvalidInputError otherwise.  If the gap is still above tol after
-    max_inner ascent steps the best iterate is returned with
-    converged=False; the caller decides.
+    If the gap is still above tol after DEFAULT_MAX_INNER ascent steps
+    (m != 2) the last iterate is returned with converged=False; the caller
+    decides.
     """
     if not tol > 0.0:
         raise InvalidParameterError("tol must be positive")
     m = inp.problem.m
-    if lam0 is None:
-        lam0 = [1.0 / m] * m
-    elif np.shape(lam0) != (m,) or not np.isfinite(lam0).all():
-        raise InvalidInputError(f"lam0 must be {m} finite weights, got {lam0!r}")
     core = _build_core(inp)
-    z, lam, theta, gap, iters, _, _, comp = _solve_core(core, lam0, tol, max_inner)
+    z, lam, theta, gap, iters, _, _, comp = _solve_core(core, [1.0 / m] * m, tol)
     kkt, complementarity = _kkt_residual(core, z, lam), _complementarity(comp, lam)
     return SubproblemSolution(np.array(z), np.array(lam), theta, gap, kkt, complementarity, iters, gap <= tol)
 

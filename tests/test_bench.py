@@ -10,6 +10,7 @@ import pytest
 
 from sapgm.bench import (
     PROTOCOL_PARAMS,
+    RATE_ITERS,
     SOLVERS,
     BenchConfig,
     _ticks,
@@ -115,10 +116,18 @@ def test_bench_config_validation():
         dict(problems="16"),
         dict(problems="all"),
         dict(problems="JOS1"),
+        # each was accepted, then failed with a bare TypeError or, after
+        # writing every artifact but the manifest, a bare AttributeError
+        dict(problems=None),
+        dict(problems=5),
+        dict(runs=1, params=None),
     ):
         with pytest.raises(InvalidParameterError):
             BenchConfig(**bad)
     assert BenchConfig(runs=np.int64(3), base_seed=0, parallel=2).runs == 3
+    # an iterator of keys serves every run; it gave an empty list from the second on
+    cfg = BenchConfig(problems=iter(["JOS1"]))
+    assert cfg.problem_names() == cfg.problem_names() == ["JOS1"]
 
 
 def test_slugify():
@@ -225,20 +234,20 @@ def test_svg_of_any_finite_front_has_finite_ticks_on_the_axes(tmp_path, f1):
 def test_rate_experiment_outputs(tmp_path):
     out = tmp_path / "rate"
     cfg = BenchConfig(out_dir=out)
-    run_rate_experiment("JOS1", [0.5, 1.5], cfg, iters=40)
+    run_rate_experiment("JOS1", [0.5, 1.5], cfg)
     files = sorted(f.name for f in out.iterdir())
     assert "rate_JOS1_sigma0.5.csv" in files
     assert "rate_JOS1_sigma1.5.csv" in files
     assert "rate_JOS1_slopes.json" in files
     with open(out / "rate_JOS1_sigma0.5.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 40
+    assert len(rows) == RATE_ITERS
     assert set(rows[0]) == {"k", "merit"}
 
 
 def test_rate_empty_sigma_list_is_noop(tmp_path, caplog):
     out = tmp_path / "rate"
-    run_rate_experiment("JOS1", [], BenchConfig(out_dir=out), iters=10)
+    run_rate_experiment("JOS1", [], BenchConfig(out_dir=out))
     assert out.is_dir() and not any(out.iterdir())
 
 

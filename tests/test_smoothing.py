@@ -344,9 +344,30 @@ def test_compose_rejects_leaves_of_different_sizes(build, expr):
 
 
 @constructors
-def test_compose_rejects_a_box_of_another_size(build):
+@pytest.mark.parametrize(
+    "box",
+    [
+        pytest.param((-np.ones(2), np.ones(2)), id="another-size"),
+        # certified lip_factor 1.0 over a box with a nan bound
+        pytest.param(([math.nan], [1.0]), id="nan-bound"),
+        # accepted with lo above hi
+        pytest.param(([2.0], [1.0]), id="lo-above-hi"),
+        # a bare ValueError
+        pytest.param(("a", "b"), id="bounds-that-are-no-numbers"),
+        # a bare IndexError
+        pytest.param(([1.0],), id="one-bound"),
+    ],
+)
+def test_compose_rejects_a_box_that_is_not_two_ordered_vectors_of_size_n(build, box):
     with pytest.raises(InvalidInputError, match="box"):
-        build(Abs(Affine([1.0])), (-np.ones(2), np.ones(2)))
+        build(Abs(Affine([1.0])), box)
+
+
+@constructors
+def test_compose_accepts_infinite_box_bounds(build):
+    # Abs certifies over all of R^n
+    s = build(Abs(Affine([1.0])), ([-math.inf], [math.inf]))
+    assert math.isfinite(s.constants.lip_factor)
 
 
 @constructors
@@ -451,7 +472,13 @@ def test_surrogate_eval_rejects_nonpositive_mu():
 def test_surrogate_rejects_a_point_of_another_dimension(x):
     s = get_problem("JOS1").smooth_parts[0]  # n = 2
     msg = r"expected a (point of dimension 2, got shape \([\d, ]*\)|finite point, got \[(inf|nan), 0\.0\])"
-    for evaluate in (lambda: s.eval(x, 0.5), lambda: s.eval(x, 0.5, jac=False), lambda: s.true_eval(x)):
+    evaluations = (
+        lambda: s.eval(x, 0.5),
+        lambda: s.eval(x, 0.5, jac=False),
+        lambda: s.true_eval(x),
+        lambda: s.eval(x, -1.0),  # the point is checked before mu
+    )
+    for evaluate in evaluations:
         with pytest.raises(InvalidInputError, match=msg):
             evaluate()
 

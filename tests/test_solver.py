@@ -7,7 +7,7 @@ from conftest import build_problem
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from sapgm.problems import _point, eval_smooth, get_problem, registry, sample_start
 from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
-from sapgm.subproblem import DEFAULT_MAX_INNER, DEFAULT_TOL, _core_from_evals, _solve_core
+from sapgm.subproblem import DEFAULT_TOL, _core_from_evals, _solve_core
 from sapgm.solver import (
     SolverConfig,
     backtrack_step,
@@ -135,7 +135,7 @@ def descent_test_numpy(p, x, y, mu, L):
     xs, ys = _point(p, x), _point(p, y)
     evals_y = eval_smooth(p, ys, mu)
     core = _core_from_evals(p, xs, ys, evals_y, eval_smooth(p, xs, mu, jac=False), L / mu)
-    z = _solve_core(core, np.full(p.m, 1.0 / p.m), DEFAULT_TOL, DEFAULT_MAX_INNER)[0]
+    z = _solve_core(core, [1.0 / p.m] * p.m, DEFAULT_TOL)[0]
     vals_y, grads_y = np.asarray(evals_y[0]), np.asarray(evals_y[1])
     vals_z = np.asarray(eval_smooth(p, z, mu)[0])
     lhs = float(np.max(vals_z - vals_y - grads_y @ (z - y)))
@@ -187,7 +187,7 @@ def backtrack_two_evaluations(p, x, y, mu, cfg):
     L = cfg.L0
     core = _core_from_evals(p, x, y, evals_y, eval_smooth(p, x, mu, jac=False), L / mu)
     for trial in range(1, 62):
-        z, _, _, _, _, dots, quad, _ = _solve_core(core, [1.0 / p.m] * p.m, DEFAULT_TOL, DEFAULT_MAX_INNER)
+        z, _, _, _, _, dots, quad, _ = _solve_core(core, [1.0 / p.m] * p.m, DEFAULT_TOL)
         vals_z, _ = eval_smooth(p, z, mu, jac=False)
         bound = quad + (1e-9 * max(1.0, quad) + 1e-12)
         if all(fz - fy - dot <= bound for fz, fy, dot in zip(vals_z, evals_y[0], dots)):

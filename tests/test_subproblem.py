@@ -18,11 +18,11 @@ from conftest import (
     solve_pair_reference,
     subproblem_objective,
 )
+from sapgm import subproblem
 from sapgm.errors import InvalidInputError, InvalidParameterError
 from sapgm.problems import eval_smooth, get_problem
 from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum
 from sapgm.subproblem import (
-    DEFAULT_MAX_INNER,
     DEFAULT_TOL,
     SubproblemInput,
     _ascend,
@@ -118,7 +118,7 @@ def test_core_inner_degenerate_weight_is_gradient_step():
     mu, ell = 0.5, 2.0
     inp = SubproblemInput(x=y.copy(), y=y, mu=mu, ell=ell, problem=p)
     grads = np.asarray(eval_smooth(p, y, mu)[1])
-    z, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))[:4]
+    z, _, _, _ = _build_core(inp).inner([1.0, 0.0])[:4]
     np.testing.assert_allclose(z, prox_g(y - grads[0] / ell, 1.0 / ell, p.n), atol=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_core_inner_zero_gradients_is_the_prox_of_y():
     flat = build_problem("flat", [Affine([0.0, 0.0], 1.0), Affine([0.0, 0.0], 2.0)], [-1.0, -1.0], [1.0, 1.0])
     y = np.array([0.3, -0.8])
     inp = SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=1.0, problem=flat)
-    z, _, _, _ = _build_core(inp).inner(np.array([0.5, 0.5]))[:4]
+    z, _, _, _ = _build_core(inp).inner([0.5, 0.5])[:4]
     np.testing.assert_array_equal(z, prox_g(y, 1.0, flat.n))
 
 
@@ -160,11 +160,10 @@ def test_nonfinite_jacobian_or_offsets_rejected_when_the_core_is_built():
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match=r"14\.19"):
         solve_subproblem(SubproblemInput(x=y.copy(), y=y, mu=1.0, ell=1.0, problem=p))
     # finite values whose difference overflows give an infinite offset
-    x, G = np.array([0.5, 0.0]), np.ones((2, 2))
-    evals_y, evals_x = (np.array([1e308, 0.0]), G), (np.array([-1e308, 0.0]), G)
-    # NumPy scalars warn where the one-pass check multiplies inf by 0
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError, match=r"steep_exp: .* y = \[14\.19, 0\.0\]"):
-        _core_from_evals(p, x, y, evals_y, evals_x, 1.0)
+    x, G = [0.5, 0.0], [[1.0, 1.0], [1.0, 1.0]]
+    evals_y, evals_x = ([1e308, 0.0], G), ([-1e308, 0.0], G)
+    with pytest.raises(InvalidInputError, match=r"steep_exp: .* y = \[14\.19, 0\.0\]"):
+        _core_from_evals(p, x, [14.19, 0.0], evals_y, evals_x, 1.0)
     def core_at_y(vals_y, G):
         return _core_from_evals(p, [0.5, 0.0], [14.19, 0.0], (vals_y, G), ([0.0, 0.0], None), 1.0)
 
@@ -196,16 +195,6 @@ def test_input_rejects_a_mu_or_ell_outside_the_positive_reals(field, value):
         SubproblemInput(**args)
 
 
-def test_start_weights_must_be_m_finite_numbers():
-    y = np.array([0.5, 0.5])
-    inp = SubproblemInput(x=y, y=y, mu=0.5, ell=2.0, problem=get_problem("JOS1"))
-    for lam0 in ([0.2, 0.3, 0.5], [np.nan, 0.5], [0.5], [[0.5, 0.5]], [np.inf, 0.0], "ab"):
-        with pytest.raises(InvalidInputError, match="lam0 must be 2 finite weights"):
-            solve_subproblem(inp, lam0=lam0)
-    # weights off the simplex are projected, as before
-    assert solve_subproblem(inp, lam0=[2.0, -3.0]).gap <= DEFAULT_TOL
-
-
 def test_identical_objectives_symmetric_lambda():
     p = twin_pair()
     y = np.array([0.5, -1.0])
@@ -213,7 +202,7 @@ def test_identical_objectives_symmetric_lambda():
     sol = solve_subproblem(inp)
     assert sol.converged and sol.gap <= 1e-12
     np.testing.assert_allclose(sol.lam, [0.5, 0.5], atol=1e-6)
-    z_single, _, _, _ = _build_core(inp).inner(np.array([1.0, 0.0]))[:4]
+    z_single, _, _, _ = _build_core(inp).inner([1.0, 0.0])[:4]
     np.testing.assert_allclose(sol.z, z_single, atol=1e-8)
 
 
@@ -256,10 +245,10 @@ def test_solution_matches_grid_oracle():
 
 def test_uniqueness_across_dual_starts():
     for seed in (1, 4, 9):
-        inp = random_instance(seed)
-        a = solve_subproblem(inp, lam0=np.array([0.5, 0.5]))
-        b = solve_subproblem(inp, lam0=np.array([0.999, 0.001]))
-        assert np.linalg.norm(a.z - b.z) <= 1e-6
+        core = _build_core(random_instance(seed))
+        a = _solve_core(core, [0.5, 0.5], DEFAULT_TOL)[0]
+        b = _solve_core(core, [0.999, 0.001], DEFAULT_TOL)[0]
+        assert np.linalg.norm(np.subtract(a, b)) <= 1e-6
 
 
 def test_weak_duality_and_feasible_upper_bound():
@@ -313,22 +302,25 @@ def triple_instance(y):
     return SubproblemInput(x=y + 0.3, y=y, mu=0.5, ell=1.5, problem=triple())
 
 
-def test_inner_budget_exhaustion_flagged():
+def test_inner_budget_exhaustion_flagged(monkeypatch):
     # the dual ascent (m = 3) needs more than one step on these instances;
     # m = 2 is solved exactly and has no budget
+    monkeypatch.setattr(subproblem, "DEFAULT_MAX_INNER", 1)
     flagged = False
     for y in ([0.2, 0.1], [1.5, -0.7], [-0.4, 2.0]):
-        sol = solve_subproblem(triple_instance(y), tol=1e-16, max_inner=1)
+        sol = solve_subproblem(triple_instance(y), tol=1e-16)
         if not sol.converged:
             flagged = True
             assert sol.gap > 1e-16
     assert flagged
 
 
-def test_complementarity_is_the_largest_weight_on_an_inactive_component():
+def test_complementarity_is_the_largest_weight_on_an_inactive_component(monkeypatch):
     # one ascent step leaves weight on the two brackets below the first
     inp = triple_instance([0.2, 0.1])
-    early = solve_subproblem(inp, tol=1e-16, max_inner=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(subproblem, "DEFAULT_MAX_INNER", 1)
+        early = solve_subproblem(inp, tol=1e-16)
     comp = np.array(_build_core(inp).inner(early.lam.tolist())[1])
     assert comp.argmax() == 0 and comp[0] - comp[1:].max() > 0.5
     assert early.complementarity == early.lam[1:].max() > 0.3
@@ -365,9 +357,9 @@ def test_ascent_on_coinciding_gradients_takes_the_best_vertex(spread, c):
     G[:, 0] = 0.0
     G[1, 0] = spread
     c = np.array(c)
-    core = _Core(np.zeros(2), G, c, 1.0)
-    for lam0 in (np.full(3, 1.0 / 3.0), np.array([0.0, 0.0, 1.0])):
-        z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
+    core = _Core([0.0, 0.0], G.tolist(), c.tolist(), 1.0)
+    for lam0 in ([1.0 / 3.0] * 3, [0.0, 0.0, 1.0]):
+        z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL)[:5]
         np.testing.assert_array_equal(lam, np.eye(3)[c.argmax()])
         assert 0.0 <= gap <= DEFAULT_TOL and steps == 1
         # z is the prox of y - g / ell, whatever the weights
@@ -379,7 +371,7 @@ def test_ascent_on_coinciding_gradients_takes_the_best_vertex(spread, c):
 
 # -------------------------------------------------- m = 2: the exact kink search
 
-LAM_HALF = np.array([0.5, 0.5])
+LAM_HALF = [0.5, 0.5]
 
 
 def kinks_inside(core):
@@ -395,14 +387,14 @@ def kinks_inside(core):
 
 def ascend(core, lam0):
     """The ascent's (z, lam, theta, gap, steps), with theta and the gap formed as _solve_core forms them."""
-    lam, steps, (z, comp, dual, quad, _) = _ascend(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    lam, steps, (z, comp, dual, quad, _) = _ascend(core, lam0, DEFAULT_TOL)
     theta = max(comp) + quad
     return z, lam, theta, theta - dual, steps
 
 
 def check_exact_against_ascent(core, lam0=LAM_HALF):
     """The exact path's answer and the ascent's; returns the exact weights."""
-    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
+    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL)[:5]
     z_asc, _, theta_asc, gap_asc, _ = ascend(core, lam0)
     assert steps == 1
     assert -1e-12 <= gap <= DEFAULT_TOL and gap_asc <= DEFAULT_TOL
@@ -426,7 +418,7 @@ def test_exact_path_crosses_soft_threshold_kinks():
     for _ in range(40):
         G = rng.uniform(-2.0, 2.0, (2, 2))
         G[1] = -G[0] + rng.normal(scale=0.3, size=2)
-        core = _Core(rng.uniform(-0.2, 0.2, 2), G, rng.normal(scale=0.3, size=2), 2.0)
+        core = _Core(rng.uniform(-0.2, 0.2, 2).tolist(), G.tolist(), rng.normal(scale=0.3, size=2).tolist(), 2.0)
         lam = check_exact_against_ascent(core)
         crossed += kinks_inside(core) >= 2
         interior += 0.0 < lam[0] < 1.0
@@ -437,12 +429,12 @@ def test_exact_path_crosses_soft_threshold_kinks():
 # both at t = 1 (ell = 4), or none (ell = 20)
 @pytest.mark.parametrize("ell", [1.0, 4.0, 20.0])
 def test_exact_path_endpoints(ell):
-    G = np.array([[1.0, -0.5], [-0.3, 0.8]])
-    y = np.array([0.2, -0.1])
+    G = [[1.0, -0.5], [-0.3, 0.8]]
+    y = [0.2, -0.1]
     # objective 2's offset dominates for every t: h(0) < 0 gives t = 0
-    lam = check_exact_against_ascent(_Core(y, G, np.array([-10.0, 10.0]), ell))
+    lam = check_exact_against_ascent(_Core(y, G, [-10.0, 10.0], ell))
     np.testing.assert_array_equal(lam, [0.0, 1.0])
-    lam = check_exact_against_ascent(_Core(y, G, np.array([10.0, -10.0]), ell))
+    lam = check_exact_against_ascent(_Core(y, G, [10.0, -10.0], ell))
     np.testing.assert_array_equal(lam, [1.0, 0.0])
 
 
@@ -450,7 +442,7 @@ def test_exact_path_keeps_the_start_weight_on_a_flat_dual():
     y = np.array([0.5, -1.0])
     inp = SubproblemInput(x=y + 0.4, y=y, mu=0.3, ell=3.0, problem=twin_pair())
     core = _build_core(inp)
-    for lam0 in (LAM_HALF, np.array([0.3, 0.7]), np.array([1.0, 0.0])):
+    for lam0 in (LAM_HALF, [0.3, 0.7], [1.0, 0.0]):
         lam = check_exact_against_ascent(core, lam0)
         np.testing.assert_array_equal(lam, lam0)
 
@@ -465,8 +457,8 @@ def test_exact_path_keeps_the_start_weight_on_a_flat_dual():
     ],
 )
 def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c):
-    core = _Core(np.zeros(2), G, c, 1.0)
-    _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
+    core = _Core([0.0, 0.0], G.tolist(), c.tolist(), 1.0)
+    _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL)[:5]
     assert not np.isfinite(gap)
     assert np.isnan(lam).all()  # no weight is picked from a non-finite derivative
 
@@ -474,7 +466,7 @@ def test_exact_path_nonfinite_core_gives_nonfinite_gap(G, c):
 def test_exact_path_weight_stays_on_the_simplex():
     # the interpolated root landed one ulp past its bracket: lam = (1 + 2.2e-16, -2.2e-16)
     core = _Core([9.957086492446983], [[-1.0], [2.0]], [-3e-245, 0.0], 2.0)
-    lam = check_exact_against_ascent(core, np.array([1e-9, 1.0 - 1e-9]))
+    lam = check_exact_against_ascent(core, [1e-9, 1.0 - 1e-9])
     np.testing.assert_array_equal(lam, [1.0, 0.0])
 
 
@@ -494,17 +486,17 @@ def test_exact_path_weight_stays_on_the_simplex():
     ell=2.0, t0=1e-9,
 )
 def test_exact_path_matches_ascent_property(n, data, ell, t0):
-    G = np.array(data[: 2 * n]).reshape(2, n)
-    y = np.array(data[8 : 8 + n])
-    c = np.array(data[12:14])
+    G = [data[:n], data[n : 2 * n]]
+    y = data[8 : 8 + n]
+    c = data[12:14]
     core = _Core(y, G, c, ell)
-    lam0 = np.array([t0, 1.0 - t0])
-    if np.linalg.norm(G[0] - G[1]) > 1e-3:
+    lam0 = [t0, 1.0 - t0]
+    if np.linalg.norm(np.subtract(G[0], G[1])) > 1e-3:
         check_exact_against_ascent(core, lam0)
     else:
         # with (nearly) coinciding gradients the dual is (nearly) flat and z
         # is not pinned to 1e-8 by a gap of 1e-10; both paths still certify
-        _, lam, _, gap, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
+        _, lam, _, gap, _ = _solve_core(core, lam0, DEFAULT_TOL)[:5]
         assert -1e-12 <= gap <= DEFAULT_TOL and sum(lam) == 1.0 and min(lam) >= 0.0
         _, lam, _, gap, _ = ascend(core, lam0)
         assert gap <= DEFAULT_TOL and sum(lam) == pytest.approx(1.0) and min(lam) >= 0.0
@@ -546,20 +538,20 @@ def pair_cores(draw):
     y = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
     c = np.array(draw(st.lists(entry, min_size=2, max_size=2)))
     ell = 10.0 ** draw(st.floats(-3.0, 6.0))
-    return _Core(y, G, c, ell)
+    return _Core(y.tolist(), G.tolist(), c.tolist(), ell)
 
 
 START_WEIGHTS = st.one_of(
     # weights on the simplex, and off it: the search projects them first
-    st.floats(0.0, 1.0).map(lambda t: np.array([t, 1.0 - t])),
-    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array),
+    st.floats(0.0, 1.0).map(lambda t: [t, 1.0 - t]),
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
 )
 
 
 @settings(max_examples=500, deadline=None)
 @given(core=pair_cores(), lam0=START_WEIGHTS)
 def test_float_pair_search_matches_the_numpy_reference(core, lam0):
-    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
+    z, lam, theta, gap, steps = _solve_core(core, lam0, DEFAULT_TOL)[:5]
     z_ref, lam_ref, theta_ref, gap_ref, _ = solve_pair_reference(core, lam0)
     assert steps == 1 and type(z) is list and type(lam) is list
     z_scale, theta_scale = rounding_scales(core, z_ref)
@@ -574,7 +566,7 @@ def test_float_pair_search_matches_the_numpy_reference(core, lam0):
 def test_pair_search_inside_the_bracket_gives_the_full_scan_bits(core, lam0):
     # h does not increase in floating point, so the kinks outside the bracket
     # cannot move its ends: lam, z and the gap keep every bit
-    z, lam, _, gap = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)[:4]
+    z, lam, _, gap = _solve_core(core, lam0, DEFAULT_TOL)[:4]
     lam_ref, _, (z_ref, comp, dual, quad, _) = solve_pair_full_scan(core, lam0)
     gap_ref = max(comp) + quad - dual
     assert [v.hex() for v in lam] == [v.hex() for v in lam_ref]
@@ -591,8 +583,8 @@ def test_float_pair_search_nonfinite_core_like_the_reference(bad, where, n):
     for _ in range(20):
         parts = {"y": rng.normal(size=n), "G": rng.normal(size=(2, n)), "c": rng.normal(size=2)}
         parts[where].flat[rng.integers(parts[where].size)] = bad
-        core = _Core(parts["y"], parts["G"], parts["c"], 2.0)
-        _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL, DEFAULT_MAX_INNER)[:5]
+        core = _Core(parts["y"].tolist(), parts["G"].tolist(), parts["c"].tolist(), 2.0)
+        _, lam, _, gap, _ = _solve_core(core, LAM_HALF, DEFAULT_TOL)[:5]
         _, lam_ref, _, gap_ref, _ = solve_pair_reference(core, LAM_HALF)
         assert np.isnan(lam_ref[0]) and not np.isfinite(gap_ref)
         assert np.isnan(lam).all() and not np.isfinite(gap)
@@ -611,7 +603,7 @@ def cores(draw, m_max=4):
     y = draw(st.lists(entry, min_size=n, max_size=n))
     c = draw(st.lists(entry, min_size=m, max_size=m))
     ell = 10.0 ** draw(st.floats(-3.0, 6.0))
-    core = _Core(y, G, c, ell)
+    core = _Core(y, G.tolist(), c, ell)
     w = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0.0))
     return core, [v / sum(w) for v in w]
 
@@ -652,7 +644,7 @@ def test_solve_returns_the_descent_terms_of_its_z(core_lam):
     # both dual paths: the dots and quad handed back are the ones the
     # descent test needs at the returned z, bit for bit
     core, lam0 = core_lam
-    z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL, DEFAULT_MAX_INNER)
+    z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL)
     dots_ref, quad_ref = descent_terms(core, z)
     assert list(map(float.hex, dots)) == list(map(float.hex, dots_ref))
     assert quad.hex() == quad_ref.hex()

@@ -20,7 +20,7 @@ from sapgm.subproblem import DEFAULT_TOL
 
 
 def test_solve_core_takes_the_tolerance_third():
-    assert list(inspect.signature(solver._solve_core).parameters)[2] == "tol"
+    assert list(inspect.signature(solver._solve_core).parameters) == ["core", "lam0", "tol"]
 
 
 @pytest.mark.parametrize("p", registry(), ids=lambda p: p.name)
