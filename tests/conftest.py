@@ -10,14 +10,19 @@ kkt_residual_reference and complementarity_reference, and
 solve_pair_reference, the m = 2 kink search.  solve_pair_full_scan is the
 float kink search that evaluates h at every kink, kept to pin the bits of
 the one that evaluates it only inside the bracket.  g is (1/n) ||x||_1
-throughout, as in sapgm.
+throughout, as in sapgm.  The session fixture benchmark_run runs the
+pinned grid once, for every test that reads its artifacts.
 """
 from __future__ import annotations
 
+import csv
 import math
+import time
 
 import numpy as np
+import pytest
 
+from sapgm.bench import BenchConfig, run_benchmark
 from sapgm.problems import GKind, ProblemSpec, eval_true
 from sapgm.smoothing import (
     Abs,
@@ -36,6 +41,19 @@ from sapgm.smoothing import (
     smooth_max_list,
     smooth_plus,
 )
+
+
+@pytest.fixture(scope="session")
+def benchmark_run(tmp_path_factory):
+    """The pinned grid (200 runs of each problem and solver from seed 42),
+    run once: its runs.csv rows, its wall time and its artifact directory."""
+    out = tmp_path_factory.mktemp("bench")
+    t0 = time.perf_counter()
+    run_benchmark(BenchConfig(runs=200, base_seed=42, solver="both", out_dir=out))
+    elapsed = time.perf_counter() - t0
+    with open(out / "runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {"rows": rows, "elapsed": elapsed, "out": out}
 
 
 def value_grad(expr, x, mu):

@@ -9,10 +9,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import exact_merit_series, grid_argmin_2d, subproblem_objective
-from sapgm.bench import RATE_ITERS, BenchConfig, run_benchmark
+from sapgm.bench import RATE_ITERS, BenchConfig
 from sapgm.cli import main as cli_main
 from sapgm.errors import InsufficientDataError
 from sapgm.metrics import FrontPoint, fit_rate, nondominated_filter
@@ -40,17 +39,6 @@ def _verdict(num, failures, detail=""):
     status = "PASS" if not failures else "FAIL"
     print(f"[ACCEPTANCE] criterion {num}: {status} {detail}".rstrip())
     assert not failures, f"criterion {num}: " + "; ".join(failures)
-
-
-@pytest.fixture(scope="session")
-def benchmark_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("bench")
-    t0 = time.perf_counter()
-    run_benchmark(BenchConfig(runs=200, base_seed=42, solver="both", out_dir=out))
-    elapsed = time.perf_counter() - t0
-    with open(out / "runs.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return {"rows": rows, "elapsed": elapsed, "out": out}
 
 
 def test_criterion_1_smoothing_conformance():
