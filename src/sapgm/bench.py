@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import InsufficientDataError, InvalidParameterError, _check_int
 from .metrics import FrontPoint, fit_rate, merit_against_values, nondominated_filter
-from .problems import ProblemSpec, _check_int, eval_true, get_problem, registry, sample_start
+from .problems import ProblemSpec, eval_true, get_problem, registry, sample_start
 from .solver import SolverConfig, solve, solve_baseline
 
 __all__ = [

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import operator
 
 
 class InvalidParameterError(ValueError):
@@ -19,3 +22,14 @@ class DivergingLipschitzError(RuntimeError):
 
 class InsufficientDataError(ValueError):
     """Not enough usable data points for a fit."""
+
+
+def _check_int(value, name: str, least: int) -> None:
+    """InvalidParameterError unless value is an integer >= least: one that
+    operator.index takes, other than a bool."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -5,7 +5,9 @@ with two smooth(ed) components plus a shared nonsmooth term
 g(x) = (1/n) * ||x||_1.  Each objective is F_i(x) = f_i(x) + g(x).
 
 Problem specs are immutable and shareable; the solver counts function
-evaluations itself, so nothing is tallied on the spec.
+evaluations itself, so nothing is tallied on the spec.  Each spec compiles
+its m trees once, when it is built, into one problem kernel: ``eval_smooth``
+and ``eval_true`` each make one checked call to it per evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, _check_int
 from .smoothing import (
     Abs,
     Affine,
@@ -33,6 +35,7 @@ from .smoothing import (
     Square,
     Sum,
     _as_point,
+    _compile,
     compose_surrogate,
 )
 
@@ -46,6 +49,23 @@ __all__ = [
     "eval_g",
     "sample_start",
 ]
+
+
+class _ProblemKernel(SmoothSurrogate):
+    """The m trees of a problem compiled into one kernel (see ``_compile``):
+    ``eval`` gives the m values and the m gradient rows as float lists, and
+    ``true_eval`` the m exact values.
+
+    It is a subclass, not a sibling, so that it inherits ``eval`` and
+    ``true_eval`` with their checks: perfbench's tracer rebinds
+    ``SmoothSurrogate.eval`` and ``SmoothSurrogate.true_eval`` on the class,
+    and an instance of a subclass finds the rebound method at call time, so
+    each problem evaluation stays a ``smoothing.eval`` span.  It certifies
+    nothing: the box and the constants stay with the components.
+    """
+
+    def __init__(self, exprs: Sequence[Expr]):
+        self.n, self._value, self._value_grad = _compile(exprs)
 
 
 class GKind(enum.Enum):
@@ -79,6 +99,8 @@ class ProblemSpec:
         for s in self.smooth_parts:
             if s.n != self.n:
                 raise InvalidInputError("surrogate dimension does not match problem")
+        # not a field, so ==, repr and the fields stay those of the spec
+        object.__setattr__(self, "_kernel", _ProblemKernel([s.expr for s in self.smooth_parts]))
 
     @property
     def kappa_max(self) -> float:
@@ -87,16 +109,6 @@ class ProblemSpec:
     @property
     def lip_bound(self) -> float:
         return max(s.constants.lip_factor for s in self.smooth_parts)
-
-
-def _check_int(value, name: str, least: int) -> None:
-    """InvalidParameterError unless value is an integer (operator.index takes it) >= least."""
-    try:
-        ok = operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _point(p: ProblemSpec, x: Sequence[float]) -> list[float]:
@@ -124,24 +136,51 @@ def _not_finite(p: ProblemSpec, x: list[float], i: int, what: str) -> InvalidInp
     return InvalidInputError(f"{p.name}: component {i + 1} at x = {x} {what}")
 
 
+def _fault(p: ProblemSpec, x: Sequence[float], value, g: float = 0.0) -> InvalidInputError:
+    """The error naming the first component whose ``value(s, x) + g`` overflows
+    or is not finite, at x as a float list.
+
+    The problem kernel ran into such a component; it runs each component's
+    operations in the component's order, so evaluating the components one by
+    one, in order, meets the same fault first.
+    """
+    x = _point(p, x)
+    for i, s in enumerate(p.smooth_parts):
+        try:
+            v = value(s, x) + g
+        except OverflowError as e:
+            err = _not_finite(p, x, i, "overflows")
+            err.__cause__ = e
+            return err
+        if not math.isfinite(v):
+            return _not_finite(p, x, i, f"is {v}")
+    raise AssertionError(f"{p.name}: the problem kernel faulted at x = {x}, but no component does")
+
+
 def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
     """Exact nonsmooth objective vector (F_1(x), ..., F_m(x)).
 
     Raises InvalidInputError when x is not a finite point of R^n or a
-    component overflows or is not finite.
+    component overflows or is not finite.  ``_point`` checks the point, and
+    one ``true_eval`` call on the problem kernel, whose check of that float
+    list is one sum, gives the m exact values; one pass checks them plus g.
+    Only on an error path do the components run one by one, to name the
+    first at fault.
     """
     x = _point(p, x)
     g = _g(p, x)
-    values = []
-    for i, s in enumerate(p.smooth_parts):
-        try:
-            v = s.true_eval(x) + g
-        except OverflowError as e:
-            raise _not_finite(p, x, i, "overflows") from e
-        if not math.isfinite(v):
-            raise _not_finite(p, x, i, f"is {v}")
-        values.append(v)
-    return np.array(values)
+    try:
+        values = p._kernel.true_eval(x)
+    except OverflowError:
+        pass
+    else:
+        values = [v + g for v in values]
+        for v in values:
+            if v - v != 0.0:  # v - v is nan for inf and nan
+                break
+        else:
+            return np.array(values)
+    raise _fault(p, x, lambda s, x: s.true_eval(x), g)
 
 
 def eval_smooth(
@@ -154,24 +193,25 @@ def eval_smooth(
     returned in its place.  Raises InvalidInputError naming the problem when
     x is not a finite point of R^n, then InvalidParameterError unless mu is
     finite and positive, and InvalidInputError naming the problem and x when
-    a component value overflows or is not finite.  The point and mu are
-    checked once, in that order, by the first component's
-    ``SmoothSurrogate.eval``; ``_point`` runs only on an error path, to name
-    x as a float list.
+    a component value overflows or is not finite.  One
+    ``SmoothSurrogate.eval`` call on the problem kernel checks the point and
+    mu, in that order, and runs all m components; one pass checks the m
+    values.  Only on an error path does ``_point`` run, to name x as a float
+    list, and the components run one by one to name the first at fault.
     """
-    values, rows = [], []
-    for i, s in enumerate(p.smooth_parts):
-        try:
-            v, g = s.eval(x, mu, jac)
-        except InvalidInputError as e:  # x is not a finite point of R^n
-            raise InvalidInputError(f"{p.name}: {e}") from None
-        except OverflowError as e:
-            raise _not_finite(p, _point(p, x), i, "overflows") from e
-        if not math.isfinite(v):
-            raise _not_finite(p, _point(p, x), i, f"is {v}")
-        values.append(v)
-        rows.append(g)
-    return values, rows if jac else None
+    try:
+        values, rows = p._kernel.eval(x, mu, jac)
+    except InvalidInputError as e:  # x is not a finite point of R^n
+        raise InvalidInputError(f"{p.name}: {e}") from None
+    except OverflowError:
+        pass
+    else:
+        for v in values:
+            if v - v != 0.0:  # v - v is nan for inf and nan
+                break
+        else:
+            return values, rows
+    raise _fault(p, x, lambda s, x: s.eval(x, mu, jac)[0])
 
 
 def sample_start(p: ProblemSpec, seed: int) -> np.ndarray:

@@ -26,8 +26,11 @@ u_j = w_j . x + c_j over its nonzero weights, every other node one line that
 calls its atom's scalar rule.  A forward pass gives the value; a reverse
 pass gives the leaf adjoints s_j and then one line per coordinate,
 g_k = sum_j s_j w_jk, so the gradient is formed only when asked for.
-``mu = 0`` runs the same kernel.  Nodes and kernels are stateless and safe
-to evaluate concurrently.
+``mu = 0`` runs the same kernel.  The same compiler takes several trees
+into one kernel, with one unpack of the point and each tree's lines in the
+order and arithmetic of its own kernel: a problem's m components run as one
+call that gives m values and m gradient rows.  Nodes and kernels are
+stateless and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError
+from .errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError, _check_int
 
 __all__ = [
     "SmoothingConstants",
@@ -413,23 +416,27 @@ _KERNEL_GLOBALS = {
 }
 
 
-def _compile(expr: Expr):
-    """Check a tree and compile it into (n, value, value_grad): n is the size
-    of the Affine leaves and the kernels take a float list x of R^n.
+def _compile(exprs: Sequence[Expr]):
+    """Check trees and compile them into one kernel (n, value, value_grad):
+    n is the size of the Affine leaves and the kernels take a float list x of
+    R^n.
 
     Raises UnsupportedAtomError for a node type outside _SUPPORTED and for
     Square, Quartic or Exp over a smoothed child (kappa > 0), whose error the
     child's kappa does not bound, and InvalidInputError when the leaves
     differ in size.  Each Affine leaf, in walk order, is one line
     ``u_j = w_j0 * x0 + ... + c_j`` over its nonzero weights.
-    ``value(x, mu)`` runs the forward pass; ``value_grad(x, mu)`` also runs
-    the reverse pass for the leaf adjoints s_j and returns the value and the
-    gradient as a list, g_k = sum_j s_j w_jk over the leaves that read x_k
-    (0.0 when none does).  Each position in the tree gets its own slots, so
-    each node has one parent and the reverse pass only assigns.
+    ``value(x, mu)`` runs the trees' forward passes in order;
+    ``value_grad(x, mu)`` runs each tree's forward pass and then its reverse
+    pass for the leaf adjoints s_j, and gives each tree's gradient as a list,
+    g_k = sum_j s_j w_jk over the tree's leaves that read x_k (0.0 when none
+    does).  One tree gives its value as a float and its gradient as one
+    list; several give a list of values and a list of gradient rows.  Each
+    position in a tree gets its own slots, distinct across the trees, so each
+    node has one parent and the reverse pass only assigns.
     """
     consts: dict[str, float] = {}
-    forward: list[str] = []
+    forward: list[str] = []  # every tree's forward lines, tree after tree
     blocks: list[list[str]] = []  # per node, in forward order: its children's adjoints
     leaves: list[np.ndarray] = []
 
@@ -466,22 +473,35 @@ def _compile(expr: Expr):
         blocks.append([f"{ka} = {e}" for (_, ka), e in zip(kids, adjoints)])
         return v, a
 
-    root_v, root_a = visit(expr)
+    fused: list[str] = []  # value_grad's lines: per tree its forward lines, then its reverse lines
+    roots, spans = [], []  # per tree: its value slot and the indices of its leaves
+    for expr in exprs:
+        f0, b0, l0 = len(forward), len(blocks), len(leaves)
+        root_v, root_a = visit(expr)
+        fused += forward[f0:] + [f"{root_a} = 1.0"] + [line for block in reversed(blocks[b0:]) for line in block]
+        roots.append(root_v)
+        spans.append(range(l0, len(leaves)))
     sizes = {w.size for w in leaves}
     if len(sizes) != 1:
-        raise InvalidInputError(f"Affine leaves of one tree differ in size: {sorted(sizes)}")
+        raise InvalidInputError(f"Affine leaves differ in size: {sorted(sizes)}")
     (n,) = sizes
-    body = ["".join(f"x{k}, " for k in range(n)) + "= x"] + forward
-    reverse = [f"{root_a} = 1.0"] + [line for block in reversed(blocks) for line in block]
-    grad = [
-        " + ".join(times(f"s{j}", float(w[k])) for j, w in enumerate(leaves) if w[k]) or "0.0"
-        for k in range(n)
-    ]
+
+    def gradient(span: range) -> str:
+        """The gradient of the tree whose leaves are leaves[span], as a list display."""
+        terms = [
+            " + ".join(times(f"s{j}", float(leaves[j][k])) for j in span if leaves[j][k]) or "0.0"
+            for k in range(n)
+        ]
+        return f"[{', '.join(terms)}]"
+
+    grads = [gradient(span) for span in spans]
+    value, grad = (roots[0], grads[0]) if len(roots) == 1 else (f"[{', '.join(roots)}]", f"[{', '.join(grads)}]")
+    unpack = "".join(f"x{k}, " for k in range(n)) + "= x"
     src = "\n".join(
         ["def value(x, mu):"]
-        + [f"    {line}" for line in body + [f"return {root_v}"]]
+        + [f"    {line}" for line in [unpack] + forward + [f"return {value}"]]
         + ["def value_grad(x, mu):"]
-        + [f"    {line}" for line in body + reverse + [f"return {root_v}, [{', '.join(grad)}]"]]
+        + [f"    {line}" for line in [unpack] + fused + [f"return {value}, {grad}"]]
     )
     ns = {**_KERNEL_GLOBALS, **consts}
     exec(compile(src, "<sapgm kernel>", "exec"), ns)
@@ -518,7 +538,7 @@ class SmoothSurrogate:
 
     def __init__(self, expr: Expr, box: tuple[Sequence[float], Sequence[float]] | None):
         self.expr = expr
-        n, self._value, self._value_grad = _compile(expr)
+        n, self._value, self._value_grad = _compile([expr])
         if box is None:
             box = (-10.0 * np.ones(n), 10.0 * np.ones(n))
         try:
@@ -633,9 +653,11 @@ def verify_surrogate(
     Reports the worst violation of the kappa*mu bound, the mu-monotone
     approach bound, convexity on segments, central finite-difference gradient
     agreement and the empirical gradient-Lipschitz ratio.
+    InvalidParameterError unless n_samples is an integer >= 1 and rng_seed
+    an integer >= 0.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be >= 1")
+    _check_int(n_samples, "n_samples", 1)
+    _check_int(rng_seed, "rng_seed", 0)  # NumPy seeds are nonnegative
     lo = np.asarray(box[0], float)
     hi = np.asarray(box[1], float)
     rng = np.random.default_rng(rng_seed)

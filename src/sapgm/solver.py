@@ -41,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergingLipschitzError, InvalidParameterError
-from .problems import ProblemSpec, _check_int, _g, _point, eval_smooth, eval_true
+from .errors import DivergingLipschitzError, InvalidParameterError, _check_int
+from .problems import ProblemSpec, _g, _point, eval_smooth, eval_true
 from .subproblem import DEFAULT_TOL, _core_from_evals, _solve_core
 
 __all__ = [

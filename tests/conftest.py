@@ -253,6 +253,23 @@ def solve_pair_full_scan(core, lam0):
     return lam, 1, core.inner(lam)
 
 
+def assert_kernel_matches_components(kernel, parts, x, mu):
+    """A problem kernel gives, bit for bit, what its components' one-tree
+    kernels give at (x, mu): the values and gradient rows, the values alone,
+    and the exact values at mu = 0."""
+
+    def hexes(values):
+        return [v.hex() for v in values]
+
+    ones = [s.eval(x, mu) for s in parts]
+    values, rows = kernel.eval(x, mu)
+    assert hexes(values) == hexes(v for v, _ in ones)
+    assert [hexes(r) for r in rows] == [hexes(g) for _, g in ones]
+    values, none = kernel.eval(x, mu, jac=False)
+    assert none is None and hexes(values) == hexes(s.eval(x, mu, jac=False)[0] for s in parts)
+    assert hexes(kernel.true_eval(x)) == hexes(s.true_eval(x) for s in parts)
+
+
 def build_problem(name, exprs, lower, upper, cert_pad=5.0):
     """Assemble a ProblemSpec from expression trees, with g = (1/n) ||x||_1.
 

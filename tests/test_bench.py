@@ -121,6 +121,10 @@ def test_bench_config_validation():
         dict(problems=None),
         dict(problems=5),
         dict(runs=1, params=None),
+        # a bool is no count or seed; each was accepted
+        dict(runs=True),
+        dict(parallel=True),
+        dict(base_seed=False),
     ):
         with pytest.raises(InvalidParameterError):
             BenchConfig(**bad)

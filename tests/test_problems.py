@@ -1,10 +1,11 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import build_problem
+from conftest import assert_kernel_matches_components, build_problem
 from sapgm.errors import InvalidInputError, InvalidParameterError
 from sapgm.problems import (
     GKind,
@@ -16,7 +17,19 @@ from sapgm.problems import (
     registry,
     sample_start,
 )
-from sapgm.smoothing import Affine, Scale, Square, Sum
+from sapgm.smoothing import (
+    Abs,
+    Affine,
+    Exp,
+    Max2,
+    MaxList,
+    Plus,
+    Scale,
+    SmoothSurrogate,
+    Square,
+    Sum,
+    compose_surrogate,
+)
 
 EXPECTED_ORDER = ["BK1", "CB3&LQ", "CB3&MF1", "CR&MF2", "JOS1", "SP1"]
 
@@ -281,6 +294,90 @@ def test_nan_component_raises_the_typed_error():
             call()
 
 
+# at x1 = 1e200: x1^2 - x1^2 is inf - inf, and exp(x1) overflows
+_FINE = Square(Affine([0.0, 1.0]))
+_NAN = Sum([Square(Affine([1.0, 0.0])), Scale(-1.0, Square(Affine([1.0, 0.0])))])
+_OVERFLOW = Exp(Affine([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "exprs, what",
+    [
+        ([_FINE, _NAN], "component 2 at x = [1e+200, 0.0] is nan"),
+        ([_NAN, _OVERFLOW], "component 1 at x = [1e+200, 0.0] is nan"),
+        ([_FINE, _OVERFLOW], "component 2 at x = [1e+200, 0.0] overflows"),
+    ],
+    ids=["nan-second", "nan-before-an-overflow", "overflow-second"],
+)
+def test_the_first_component_at_fault_is_named(exprs, what):
+    # one kernel runs every component, and the error path names the first at fault
+    p = build_problem("cancel", exprs, [-1.0, -1.0], [1.0, 1.0])
+    x = np.array([1e200, 0.0])
+    for call in (lambda: eval_true(p, x), lambda: eval_smooth(p, x, 0.5), lambda: eval_smooth(p, x, 0.5, jac=False)):
+        assert _raised(call) == (InvalidInputError, f"cancel: {what}")
+
+
+# ------------------------------------------------------------ problem kernel
+
+
+def _wide_problem(rng):
+    """n = 16, m = 3, built like perfbench's wide_m3: a max of two 4-term
+    maxes, a sum of Abs and a sum of Plus over 8 affine pieces, each plus a
+    quadratic."""
+    n = 16
+    lo, hi = np.full(n, -2.0), np.full(n, 2.0)
+    exprs = []
+    for i in range(3):
+        pieces = [Affine(rng.normal(size=n) / 4.0, rng.normal()) for _ in range(8)]
+        nonsmooth = [
+            Max2(MaxList(pieces[:4]), MaxList(pieces[4:])),
+            Sum([Abs(a) for a in pieces]),
+            Sum([Plus(a) for a in pieces]),
+        ][i]
+        center = rng.uniform(-1.0, 1.0, size=n)
+        quad = Scale(0.5, Sum([Square(Affine(np.eye(n)[j], -center[j])) for j in range(n)]))
+        exprs.append(Sum([nonsmooth, quad]))
+    parts = tuple(compose_surrogate(e, (lo, hi)) for e in exprs)
+    return ProblemSpec("wide", n, 3, parts, GKind.SCALED_L1, lo, hi)
+
+
+def test_the_problem_kernel_matches_its_components_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for p in registry() + [_wide_problem(rng)]:
+        for seed in range(20):
+            x = sample_start(p, seed) * 1.5  # beyond the start box too
+            for mu in (1.0, 0.05, 1e-8):
+                assert_kernel_matches_components(p._kernel, p.smooth_parts, x, mu)
+
+
+def test_the_problem_kernel_is_no_field_of_the_spec():
+    p = get_problem("JOS1")
+    assert [f.name for f in fields(p)] == ["name", "n", "m", "smooth_parts", "g_kind", "lower", "upper"]
+    assert "_kernel" not in repr(p)
+
+
+def test_each_evaluation_is_one_surrogate_call(monkeypatch):
+    # SmoothSurrogate.eval and true_eval are rebound on the class, as
+    # perfbench's tracer does, and the problem kernel finds the rebound ones
+    calls = []
+
+    def counted(name):
+        method = getattr(SmoothSurrogate, name)
+        return lambda self, *args: calls.append(name) or method(self, *args)
+
+    for name in ("eval", "true_eval"):
+        monkeypatch.setattr(SmoothSurrogate, name, counted(name))
+    for p in registry():
+        for evaluate, name in (
+            (lambda: eval_smooth(p, [0.5, 0.5], 0.1), "eval"),
+            (lambda: eval_smooth(p, np.array([0.5, 0.5]), 0.1, jac=False), "eval"),
+            (lambda: eval_true(p, [0.5, 0.5]), "true_eval"),
+        ):
+            calls.clear()
+            evaluate()
+            assert calls == [name]
+
+
 def test_sample_start_deterministic_and_in_box():
     p = get_problem("JOS1")
     a = sample_start(p, 123)
@@ -293,8 +390,8 @@ def test_sample_start_deterministic_and_in_box():
     assert np.mean(diffs > 1e-12) > 0.999
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", True])
 def test_sample_start_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
-    # NumPy raised a bare ValueError for -1 and a TypeError for 1.5
+    # NumPy raised a bare ValueError for -1 and a TypeError for 1.5; True was seed 1
     with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0"):
         sample_start(get_problem("JOS1"), seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import value_grad
+from conftest import assert_kernel_matches_components, value_grad
 from sapgm.errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError
 from sapgm.smoothing import (
     Abs,
@@ -29,7 +29,7 @@ from sapgm.smoothing import (
     smooth_plus,
     verify_surrogate,
 )
-from sapgm.problems import eval_smooth, get_problem, registry, sample_start
+from sapgm.problems import _ProblemKernel, eval_smooth, get_problem, registry, sample_start
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 mus = st.floats(1e-6, 1.0, allow_nan=False)
@@ -498,6 +498,26 @@ def test_verify_single_sample_ok():
     assert rep.n_samples == 1
 
 
+@pytest.mark.parametrize(
+    "n_samples, rng_seed, match",
+    [
+        (1.5, 0, "n_samples must be an integer >= 1, got 1.5"),
+        ("3", 0, "n_samples must be an integer >= 1, got '3'"),
+        (True, 0, "n_samples must be an integer >= 1, got True"),
+        (0, 0, "n_samples must be an integer >= 1, got 0"),
+        (3, -1, "rng_seed must be an integer >= 0, got -1"),
+        (3, 1.5, "rng_seed must be an integer >= 0, got 1.5"),
+    ],
+    ids=["fractional-count", "string-count", "bool-count", "zero-count", "negative-seed", "fractional-seed"],
+)
+def test_verify_rejects_a_count_or_seed_that_is_no_integer_in_range(n_samples, rng_seed, match):
+    # each but the zero count raised a bare TypeError or, for the seed -1, ValueError
+    s = compose_surrogate(Abs(Affine([1.0])))
+    with pytest.raises(InvalidParameterError) as info:
+        verify_surrogate(s, (np.array([-1.0]), np.array([1.0])), n_samples, rng_seed)
+    assert str(info.value) == match
+
+
 def test_verify_max_list_kappa():
     e = MaxList([Affine([1.0, 0.0, 0.0]), Affine([0.0, 1.0, 0.0]), Affine([0.0, 0.0, 1.0])])
     s = compose_surrogate(e, box=(-np.ones(3), np.ones(3)))
@@ -615,6 +635,19 @@ def test_kernel_matches_the_reference_evaluator_on_random_trees(case):
     s, (x,), mu = case
     for m in (mu, 0.0):
         assert_kernel_matches_reference(s, x, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trees_compiled_together_match_their_one_tree_kernels(data):
+    # two or three random trees in one kernel keep each tree's operations
+    # and their order, so each value and gradient row keeps its bits
+    n = data.draw(st.integers(1, 3))
+    trees = [data.draw(convex_trees(n, data.draw(st.integers(0, 3)))) for _ in range(data.draw(st.integers(2, 3)))]
+    box = (-TREE_BOX * np.ones(n), TREE_BOX * np.ones(n))
+    x = np.array(data.draw(st.lists(st.floats(-TREE_BOX, TREE_BOX), min_size=n, max_size=n)))
+    parts = [compose_surrogate(t, box) for t in trees]
+    assert_kernel_matches_components(_ProblemKernel(trees), parts, x, data.draw(tree_mus))
 
 
 @settings(max_examples=200, deadline=None)

@@ -278,6 +278,8 @@ def test_config_validation():
         dict(max_iter=2.5),
         dict(max_iter=math.nan),
         dict(max_iter="3"),
+        # a bool is no count; max_iter=True was kept, and the manifest wrote true
+        dict(max_iter=True),
         # NaN and inf fail the checks instead of slipping past them
         dict(mu0=math.nan),
         dict(sigma=math.nan),
