@@ -9,9 +9,12 @@ Artifacts written by `run_benchmark` under the output directory:
 * ``front_<slug>.svg``    front scatter, one color per solver
 * ``manifest.json``       full parameter record
 
-Rows are sorted by (problem, solver, seed) before writing, so output is
-deterministic regardless of worker scheduling; only the wall-time column
-varies between executions.
+Every start is drawn once, in the calling process, before any run: run i
+of every solver starts from ``sample_start(p, base_seed + i)``.  Pool workers
+only solve, and the pool has no more workers than there are runs.  Rows are
+sorted by (problem, solver, seed) before writing, so output is deterministic
+regardless of worker scheduling; only the wall-time column varies between
+executions.
 """
 
 from __future__ import annotations
@@ -134,10 +137,11 @@ def _write_json(path: Path, record: dict) -> None:
 # run execution
 # ---------------------------------------------------------------------------
 
-def _execute(problem: str, solver: str, seed: int, cfg: SolverConfig) -> dict:
+def _execute(problem: str, solver: str, seed: int, x0: list[float], cfg: SolverConfig) -> dict:
+    """One run from the start x0 that run_benchmark drew for seed; only solves."""
     p = get_problem(problem)
     # read at call time: tracers rebind bench.solve and bench.solve_baseline
-    run = (solve if solver == SOLVERS[0] else solve_baseline)(p, sample_start(p, seed), cfg)
+    run = (solve if solver == SOLVERS[0] else solve_baseline)(p, x0, cfg)
     return {
         "problem": problem,
         "solver": solver,
@@ -154,24 +158,29 @@ def _execute(problem: str, solver: str, seed: int, cfg: SolverConfig) -> dict:
 def run_benchmark(cfg: BenchConfig) -> Path:
     """Execute the full benchmark grid and write all artifacts.
 
-    Run i of every solver uses seed base_seed + i, so solvers see the same
-    start points.  Returns the artifact directory.
+    Run i of every solver starts from seed base_seed + i.  Each start is drawn
+    once, here, before any run, and both solvers share it; the runs then go
+    to a pool of min(parallel, runs in the grid) workers, or run here when
+    that is 1.  Returns the artifact directory.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problems = cfg.problem_names()
     solvers = cfg.solver_names()
 
+    seeds = [cfg.base_seed + i for i in range(cfg.runs)]
+    starts = {prob: [sample_start(get_problem(prob), seed).tolist() for seed in seeds] for prob in problems}
     tasks = [
-        (prob, solver, cfg.base_seed + i, cfg.params)
+        (prob, solver, seed, x0, cfg.params)
         for prob in problems
         for solver in solvers
-        for i in range(cfg.runs)
+        for seed, x0 in zip(seeds, starts[prob])
     ]
-    if cfg.parallel > 1:
+    workers = min(cfg.parallel, len(tasks))
+    if workers > 1:
         import multiprocessing  # only the pool needs it; it adds to every `import sapgm`
 
-        with multiprocessing.Pool(cfg.parallel) as pool:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.starmap(_execute, tasks, chunksize=8)
     else:
         rows = [_execute(*t) for t in tasks]

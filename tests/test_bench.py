@@ -2,12 +2,15 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
+import os
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from sapgm import bench
 from sapgm.bench import (
     PROTOCOL_PARAMS,
     RATE_ITERS,
@@ -22,7 +25,7 @@ from sapgm.bench import (
 from sapgm.cli import RATE_PARAMS, build_parser, main
 from sapgm.errors import InvalidParameterError
 from sapgm.metrics import FrontPoint, nondominated_filter
-from sapgm.problems import eval_true, get_problem
+from sapgm.problems import eval_true, get_problem, sample_start
 from sapgm.solver import SolverConfig
 
 
@@ -47,13 +50,68 @@ def test_cli_run_deterministic(tmp_path):
 
 
 def test_parallel_pool_gives_the_serial_runs_csv(tmp_path):
-    a, b = tmp_path / "serial", tmp_path / "pool"
-    for out, workers in ((a, "1"), (b, "2")):
-        rc = main(["run", "--runs", "2", "--seed", "3", "--parallel", workers, "--out", str(out)])
+    # 3 workers on 24 runs in chunks of 8 also gives workers uneven shares
+    for workers in ("1", "2", "3"):
+        rc = main(["run", "--runs", "2", "--seed", "3", "--parallel", workers, "--out", str(tmp_path / workers)])
         assert rc == 0
-    serial = _drop_time(a / "runs.csv")
+    serial = _drop_time(tmp_path / "1" / "runs.csv")
     assert len(serial) == 1 + 6 * 2 * 2  # header + problems x solvers x runs
-    assert serial == _drop_time(b / "runs.csv")
+    assert serial == _drop_time(tmp_path / "2" / "runs.csv")
+    assert serial == _drop_time(tmp_path / "3" / "runs.csv")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools run_benchmark asks for; their tasks run here,
+    so no process is started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks, chunksize=1):
+            return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "runs, solver, sizes",
+    [(1, "sapgm", []), (3, "sapgm", [3]), (3, "both", [6]), (5, "both", [8])],
+)
+def test_the_pool_has_no_more_workers_than_runs(tmp_path, pool_sizes, runs, solver, sizes):
+    # one run goes without a pool; the manifest keeps the --parallel asked for
+    out = tmp_path / "r"
+    argv = ["run", "--problems", "JOS1", "--runs", str(runs), "--solver", solver, "--parallel", "8"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert pool_sizes == sizes
+    assert json.loads((out / "manifest.json").read_text())["parallel"] == 8
+    assert len(_drop_time(out / "runs.csv")) == 1 + runs * len(SOLVERS if solver == "both" else [solver])
+
+
+def test_each_start_is_drawn_once_in_the_calling_process(tmp_path, monkeypatch):
+    pid, draws = os.getpid(), []
+
+    def counted(p, seed):
+        if os.getpid() != pid:
+            raise RuntimeError(f"a start was drawn in process {os.getpid()}, not in {pid}")
+        draws.append((p.name, seed))
+        return sample_start(p, seed)
+
+    monkeypatch.setattr(bench, "sample_start", counted)
+    grid = dict(problems=("JOS1", "BK1"), runs=2, base_seed=5, solver="both")
+    run_benchmark(BenchConfig(**grid, out_dir=tmp_path / "serial"))
+    assert sorted(draws) == [("BK1", 5), ("BK1", 6), ("JOS1", 5), ("JOS1", 6)]  # both solvers share them
+    run_benchmark(BenchConfig(**grid, parallel=2, out_dir=tmp_path / "pool"))
+    assert _drop_time(tmp_path / "serial" / "runs.csv") == _drop_time(tmp_path / "pool" / "runs.csv")
 
 
 def test_run_without_solver_flags_records_the_default_config(tmp_path):

@@ -468,6 +468,21 @@ def test_iterates_come_back_as_float_arrays(run):
     np.testing.assert_array_equal(res.final_x, res.trace[-1].x)
 
 
+@pytest.mark.parametrize("run", [solve, solve_baseline])
+def test_a_run_leaves_its_start_unchanged(run):
+    # run_benchmark draws each start once and hands it to both solvers as a
+    # float list: a run must not write to it, and either form gives the same run
+    for p in registry():
+        arr = sample_start(p, 9)
+        floats = arr.tolist()
+        bits = [v.hex() for v in floats]
+        from_arr, from_floats = run(p, arr), run(p, floats)
+        assert [float(v).hex() for v in arr] == bits
+        assert [v.hex() for v in floats] == bits
+        assert from_arr.final_x.tobytes() == from_floats.final_x.tobytes()
+        assert from_arr.final_F.tobytes() == from_floats.final_F.tobytes()
+
+
 def _is_floats(v, size):
     return type(v) is list and len(v) == size and all(type(a) is float for a in v)
 
