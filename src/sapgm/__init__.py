@@ -12,7 +12,6 @@ from .metrics import FrontPoint, RateFit, fit_rate, merit_against_values, nondom
 from .problems import (
     GKind,
     ProblemSpec,
-    eval_g,
     eval_smooth,
     eval_true,
     get_problem,
@@ -59,7 +58,6 @@ __all__ = [
     "nondominated_filter",
     "GKind",
     "ProblemSpec",
-    "eval_g",
     "eval_smooth",
     "eval_true",
     "get_problem",

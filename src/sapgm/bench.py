@@ -82,9 +82,6 @@ class BenchConfig:  # the `bench` flags take their defaults from these
         if self.solver not in (*SOLVERS, BOTH):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
 
-    def solver_config(self, **overrides) -> SolverConfig:
-        return replace(self.params, **overrides)
-
     def problem_names(self) -> list[str]:
         keys = list(self.problems)
         if len(keys) == 1 and str(keys[0]).lower() == "all":
@@ -284,7 +281,7 @@ def run_rate_experiment(problem: str, sigmas: Sequence[float], cfg: BenchConfig)
     series_files = []
     for s in sigmas:
         # eps = 0 disables the stopping rule: the run uses all RATE_ITERS iterations
-        sc = cfg.solver_config(sigma=s, eps=0.0, max_iter=RATE_ITERS, record_trace=True)
+        sc = replace(cfg.params, sigma=s, eps=0.0, max_iter=RATE_ITERS, record_trace=True)
         run = solve(p, x0, sc)
         series = merit_series_for_run(p, run.trace, ref)
         fname = f"rate_{slug}_sigma{s:g}.csv"

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .bench import BOTH, PROTOCOL_PARAMS, SOLVERS, BenchConfig, run_benchmark, run_rate_experiment
-from .errors import InvalidInputError, InvalidParameterError
 from .problems import registry, sample_start
 from .smoothing import (
     Abs,
@@ -113,17 +112,15 @@ def _cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: worst violation {worst:.3e} (tol {tol:.0e})")
 
     atoms = {
-        "smooth_abs": (compose_surrogate(Abs(Affine([1.0], 0.0))), ([-5.0], [5.0])),
-        "smooth_plus": (compose_surrogate(Plus(Affine([1.0], 0.0))), ([-5.0], [5.0])),
+        "smooth_abs": (Abs(Affine([1.0], 0.0)), ([-5.0], [5.0])),
+        "smooth_plus": (Plus(Affine([1.0], 0.0)), ([-5.0], [5.0])),
         "smooth_max_list": (
-            compose_surrogate(
-                MaxList([Affine([1.0, 0.0, 0.0]), Affine([0.0, 1.0, 0.0]), Affine([0.0, 0.0, 1.0])])
-            ),
+            MaxList([Affine([1.0, 0.0, 0.0]), Affine([0.0, 1.0, 0.0]), Affine([0.0, 0.0, 1.0])]),
             ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
         ),
     }
-    for name, (s, box) in atoms.items():
-        rep = verify_surrogate(s, box, args.samples, args.seed)
+    for name, (expr, box) in atoms.items():
+        rep = verify_surrogate(compose_surrogate(expr, box), box, args.samples, args.seed)
         report(f"{name} contract", rep.worst(), 1e-9)
         report(f"{name} gradient vs finite differences", rep.grad_rel_error, 1e-5)
     for p in registry():
@@ -161,7 +158,7 @@ def main(argv=None) -> int:
         if args.command == "rate":
             return _cmd_rate(args)
         return _cmd_verify(args)
-    except (InvalidParameterError, InvalidInputError, ValueError) as exc:
+    except ValueError as exc:  # the sapgm errors InvalidParameterError and InvalidInputError included
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

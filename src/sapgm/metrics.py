@@ -38,7 +38,6 @@ class FrontPoint:
 class RateFit:
     slope: float
     intercept: float
-    k_range: tuple[int, int]
     residual: float
 
 
@@ -67,9 +66,17 @@ def nondominated_mask(F: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not dominated by any other row.
 
     Row q dominates row p when F[q] <= F[p] + DOMINANCE_SLACK everywhere
-    and F[q] < F[p] - DOMINANCE_SLACK somewhere.
+    and F[q] < F[p] - DOMINANCE_SLACK somewhere.  F is rows of m finite
+    numbers; InvalidInputError otherwise, since a nan row dominates no row
+    and no row dominates it.
     """
-    F = np.asarray(F, float)
+    try:
+        F = np.asarray(F, dtype=float)
+    except (TypeError, ValueError) as e:  # no numbers, or ragged rows
+        raise InvalidInputError(f"F must hold numbers in rows of equal length: {e}") from None
+    if not np.isfinite(F).all():
+        i = int(np.flatnonzero(~np.isfinite(F).all(axis=1))[0])
+        raise InvalidInputError(f"F must be finite, got row {i} = {F[i].tolist()}")
     n = F.shape[0]
     keep = np.ones(n, dtype=bool)
     for i in range(n):
@@ -81,11 +88,11 @@ def nondominated_mask(F: np.ndarray) -> np.ndarray:
 
 
 def nondominated_filter(points: Sequence[FrontPoint]) -> list[FrontPoint]:
-    """Drop dominated points; input order is preserved."""
+    """Drop dominated points; input order is preserved.  InvalidInputError
+    unless the points' F are finite and of one length (see nondominated_mask)."""
     if not points:
         return []
-    F = np.array([pt.F for pt in points])
-    keep = nondominated_mask(F)
+    keep = nondominated_mask([pt.F for pt in points])
     return [pt for pt, k in zip(points, keep) if k]
 
 
@@ -113,4 +120,4 @@ def fit_rate(
     lv = np.log(np.asarray(vs, float))
     slope, intercept = np.polyfit(lk, lv, 1)
     resid = float(np.sqrt(np.mean((slope * lk + intercept - lv) ** 2)))
-    return RateFit(float(slope), float(intercept), (k_lo, k_hi), resid)
+    return RateFit(float(slope), float(intercept), resid)

@@ -46,7 +46,6 @@ __all__ = [
     "get_problem",
     "eval_true",
     "eval_smooth",
-    "eval_g",
     "sample_start",
 ]
 
@@ -103,10 +102,6 @@ class ProblemSpec:
         object.__setattr__(self, "_kernel", _ProblemKernel([s.expr for s in self.smooth_parts]))
 
     @property
-    def kappa_max(self) -> float:
-        return max(s.constants.kappa for s in self.smooth_parts)
-
-    @property
     def lip_bound(self) -> float:
         return max(s.constants.lip_factor for s in self.smooth_parts)
 
@@ -125,11 +120,6 @@ def _g(p: ProblemSpec, x: list[float]) -> float:
     for v in x:
         s += abs(v)
     return s / p.n
-
-
-def eval_g(p: ProblemSpec, x: Sequence[float]) -> float:
-    """Shared nonsmooth term: (1/n) ||x||_1."""
-    return _g(p, _point(p, x))
 
 
 def _not_finite(p: ProblemSpec, x: list[float], i: int, what: str) -> InvalidInputError:

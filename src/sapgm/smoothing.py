@@ -519,7 +519,7 @@ class SmoothingConstants:
     lip_factor: float
 
     def __post_init__(self):
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise InvalidParameterError("kappa must be nonnegative")
         if not self.lip_factor > 0.0:
             raise InvalidParameterError("lip_factor must be positive")
@@ -529,27 +529,16 @@ class SmoothSurrogate:
     """A scalar objective component over R^n, run through the tree's compiled kernel.
 
     One walk of ``expr`` checks it, gives n and compiles the kernel (see
-    ``_compile``).  The gradient-Lipschitz factor is certified over ``box``,
-    [-10, 10]^n for None; InvalidInputError unless the box is two vectors
-    (lo, hi) of n numbers with lo <= hi (so no nan), or when its
+    ``_compile``).  The gradient-Lipschitz factor is certified over ``box``;
+    InvalidInputError unless the box passes ``_box``, or when its
     certification overflows.  Points are lists of n floats; any other sequence or array of shape (n,) is converted first.
     ``true_eval`` is the kernel at mu = 0.
     """
 
-    def __init__(self, expr: Expr, box: tuple[Sequence[float], Sequence[float]] | None):
+    def __init__(self, expr: Expr, box: tuple[Sequence[float], Sequence[float]]):
         self.expr = expr
         n, self._value, self._value_grad = _compile([expr])
-        if box is None:
-            box = (-10.0 * np.ones(n), 10.0 * np.ones(n))
-        try:
-            lo, hi = box
-            lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInputError(f"box must be two vectors (lo, hi) of numbers, got {box!r}") from None
-        if lo.shape != (n,) or hi.shape != (n,):
-            raise InvalidInputError(f"box shapes {lo.shape}, {hi.shape} do not match leaves of size {n}")
-        if not (lo <= hi).all():
-            raise InvalidInputError(f"box [{lo.tolist()}, {hi.tolist()}] needs lo <= hi in every coordinate")
+        lo, hi = _box(box, n)
         where = f"certification over the box [{lo.tolist()}, {hi.tolist()}]"
         try:
             stats = expr.box_stats(lo, hi)
@@ -573,6 +562,21 @@ class SmoothSurrogate:
 
     def true_eval(self, x: Sequence[float]) -> float:
         return self._value(_as_point(x, self.n), 0.0)
+
+
+def _box(box, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """box as two float vectors (lo, hi) of size n with lo <= hi in every
+    coordinate (so no nan); InvalidInputError otherwise."""
+    try:
+        lo, hi = box
+        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"box must be two vectors (lo, hi) of numbers, got {box!r}") from None
+    if lo.shape != (n,) or hi.shape != (n,):
+        raise InvalidInputError(f"box shapes {lo.shape}, {hi.shape} do not match leaves of size {n}")
+    if not (lo <= hi).all():
+        raise InvalidInputError(f"box [{lo.tolist()}, {hi.tolist()}] needs lo <= hi in every coordinate")
+    return lo, hi
 
 
 def _as_point(x, n: int) -> list[float]:
@@ -606,9 +610,7 @@ def _as_point(x, n: int) -> list[float]:
     return arr.tolist()
 
 
-def compose_surrogate(
-    expr: Expr, box: tuple[Sequence[float], Sequence[float]] | None = None
-) -> SmoothSurrogate:
+def compose_surrogate(expr: Expr, box: tuple[Sequence[float], Sequence[float]]) -> SmoothSurrogate:
     """Build a surrogate from an expression tree: ``SmoothSurrogate(expr, box)``
     once expr is known to be an expression node (UnsupportedAtomError if not)."""
     return SmoothSurrogate(_node(expr), box)
@@ -628,7 +630,6 @@ class SurrogateReport:
     convexity_violation: float
     grad_rel_error: float
     lip_ratio_excess: float
-    n_samples: int
 
     def worst(self) -> float:
         return max(
@@ -654,12 +655,14 @@ def verify_surrogate(
     approach bound, convexity on segments, central finite-difference gradient
     agreement and the empirical gradient-Lipschitz ratio.
     InvalidParameterError unless n_samples is an integer >= 1 and rng_seed
-    an integer >= 0.
+    an integer >= 0; InvalidInputError unless the box passes ``_box`` and
+    its bounds are finite, since the points are drawn uniformly from it.
     """
     _check_int(n_samples, "n_samples", 1)
     _check_int(rng_seed, "rng_seed", 0)  # NumPy seeds are nonnegative
-    lo = np.asarray(box[0], float)
-    hi = np.asarray(box[1], float)
+    lo, hi = _box(box, s.n)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise InvalidInputError(f"box [{lo.tolist()}, {hi.tolist()}] needs finite bounds to be sampled")
     rng = np.random.default_rng(rng_seed)
     pts = rng.uniform(lo, hi, size=(n_samples, lo.size))
     kappa = s.constants.kappa
@@ -705,4 +708,4 @@ def verify_surrogate(
             ratio = float(np.linalg.norm(g - np.array(gy))) / dist
             lip_x = max(lip_x, ratio * mu / lip - 1.0)
 
-    return SurrogateReport(kap_v, mu_v, conv_v, grad_e, lip_x, n_samples)
+    return SurrogateReport(kap_v, mu_v, conv_v, grad_e, lip_x)

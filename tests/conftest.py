@@ -1,8 +1,8 @@
 """Shared helpers: custom problem construction, references and brute-force oracles.
 
 The oracles here deliberately re-derive everything from eval_smooth /
-eval_g / eval_true instead of reusing solver internals, so they can catch
-bugs in the code under test.  value_grad re-derives tree evaluation from
+eval_true, with g written out in NumPy, instead of reusing solver
+internals, so they can catch bugs in the code under test.  value_grad re-derives tree evaluation from
 the atoms without the compiled kernel.  The subproblem references work on
 NumPy arrays where sapgm.subproblem works on float lists: prox_g and
 project_simplex, the prox step inner_reference, the certificates
@@ -412,13 +412,13 @@ def subproblem_objective(inp):
     with all smooth parts evaluated at the input's mu.  Returns a function
     of an (N, n) batch of candidate points.
     """
-    from sapgm.problems import eval_g, eval_smooth
+    from sapgm.problems import eval_smooth
 
     p = inp.problem
     vals_y, grads_y = eval_smooth(p, inp.y, inp.mu)
     vals_x, _ = eval_smooth(p, inp.x, inp.mu)
     vals_y, grads_y, vals_x = np.asarray(vals_y), np.asarray(grads_y), np.asarray(vals_x)
-    offs = vals_y - (vals_x + eval_g(p, inp.x))
+    offs = vals_y - (vals_x + np.abs(inp.x).sum() / p.n)
 
     def phi(Z):
         Z = np.atleast_2d(np.asarray(Z, float))

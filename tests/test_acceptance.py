@@ -138,7 +138,7 @@ def test_criterion_4_benchmark_consistency(benchmark_run):
     details = []
     rows = [r for r in benchmark_run["rows"] if r["solver"] == "sapgm"]
     # no run can stop before mu_{k+1} < eps: the mu-gate floor on iterations
-    sc = BenchConfig().solver_config()
+    sc = BenchConfig().params
     floor = next(k + 1 for k in itertools.count() if mu_schedule(k, sc.mu0, sc.sigma) < sc.eps)
     for name, avg in TABLE_AVG_ITERS.items():
         sub = [r for r in rows if r["problem"] == name]

@@ -163,6 +163,24 @@ def test_filter_idempotent_and_order_preserving():
     assert idx == sorted(idx)
 
 
+def test_nondominated_rejects_a_row_that_is_not_finite():
+    # a nan row was kept: it dominates no row and no row dominates it
+    F = [[1.0, 2.0], [math.nan, 1.0], [2.0, 1.0]]
+    with pytest.raises(InvalidInputError, match=r"F must be finite, got row 1 = \[nan, 1\.0\]"):
+        nondominated_mask(np.array(F))
+    with pytest.raises(InvalidInputError, match="F must be finite"):
+        nondominated_filter([_mk(row) for row in F])
+
+
+def test_nondominated_rejects_ragged_rows():
+    # NumPy's bare ValueError: inhomogeneous shape
+    F = [[1.0, 2.0], [2.0, 1.0, 0.0]]
+    with pytest.raises(InvalidInputError, match="rows of equal length"):
+        nondominated_mask(F)
+    with pytest.raises(InvalidInputError, match="rows of equal length"):
+        nondominated_filter([_mk(row) for row in F])
+
+
 # ------------------------------------------------------------------ rate fits
 
 

@@ -10,7 +10,6 @@ from sapgm.errors import InvalidInputError, InvalidParameterError
 from sapgm.problems import (
     GKind,
     ProblemSpec,
-    eval_g,
     eval_smooth,
     eval_true,
     get_problem,
@@ -114,13 +113,13 @@ def test_eval_smooth_cb3lq_corner():
 def test_smooth_true_gap_bounded_by_kappa_mu():
     rng = np.random.default_rng(0)
     for p in registry():
-        kap = p.kappa_max
+        kap = max(s.constants.kappa for s in p.smooth_parts)
         for _ in range(50):
             x = rng.uniform(p.lower, p.upper)
             for mu in (1.0, 0.1, 0.01):
                 vals, _ = eval_smooth(p, x, mu)
-                true = eval_true(p, x) - eval_g(p, x)
-                assert np.max(np.abs(vals - true)) <= kap * mu + 1e-9
+                true = [s.true_eval(x) for s in p.smooth_parts]
+                assert np.max(np.abs(np.subtract(vals, true))) <= kap * mu + 1e-9
 
 
 def test_jacobian_matches_finite_differences():
@@ -142,9 +141,11 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_eval_g_values():
+    # g = (1/n) ||x||_1 is what eval_true adds to each component
     p = get_problem("JOS1")
-    assert eval_g(p, [3.0, -1.0]) == pytest.approx(2.0)
-    assert eval_g(p, [0.0, 0.0]) == 0.0
+    for x, g in (([3.0, -1.0], 2.0), ([0.0, 0.0], 0.0)):
+        f = [s.true_eval(x) for s in p.smooth_parts]
+        np.testing.assert_allclose(eval_true(p, x) - f, [g, g], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("g_kind", ["scaled_l1", None], ids=["the-enum-value", "none"])
@@ -172,7 +173,6 @@ def test_evaluators_reject_a_bad_point(x, match):
     for evaluate in (
         lambda: eval_smooth(p, x, 0.5),
         lambda: eval_smooth(p, x, 0.5, jac=False),
-        lambda: eval_g(p, x),
         lambda: eval_true(p, x),
     ):
         with pytest.raises(InvalidInputError, match=match):
@@ -183,7 +183,9 @@ def test_finite_coordinates_whose_sum_overflows_are_a_point():
     # the float-list check sums the coordinates; an inf sum of finite ones
     # is checked coordinate by coordinate
     p = get_problem("JOS1")
-    assert eval_g(p, [1e308, 1e308]) == math.inf
+    for evaluate in (lambda x: eval_true(p, x), lambda x: eval_smooth(p, x, 0.5)):
+        with pytest.raises(InvalidInputError, match=r"^JOS1: component 1 at x = \[1e\+308, 1e\+308\] is inf$"):
+            evaluate([1e308, 1e308])
 
 
 def test_dimension_mismatch_rejected():
@@ -192,8 +194,6 @@ def test_dimension_mismatch_rejected():
         eval_true(p, [1.0, 2.0, 3.0])
     with pytest.raises(InvalidInputError):
         eval_smooth(p, [1.0], 0.5)
-    with pytest.raises(InvalidInputError):
-        eval_g(p, [1.0])
 
 
 @pytest.mark.parametrize("name", ["JOS1", "CB3&MF1"])

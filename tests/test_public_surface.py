@@ -1,11 +1,17 @@
-"""The public surface: every exported name resolves, and the package and its
-modules expose no public name beyond the ones pinned here."""
+"""The public surface: every exported name resolves, the package and its
+modules expose no public name beyond the ones pinned here, and each name the
+package exports has a caller outside the tests."""
+import ast
 import importlib
 import inspect
+import tokenize
+from pathlib import Path
 
 import pytest
 
 import sapgm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ["sapgm"] + [f"sapgm.{m}" for m in ("bench", "metrics", "problems", "smoothing", "solver", "subproblem")]
 
@@ -16,7 +22,7 @@ SURFACE = {
     # metrics
     "FrontPoint", "RateFit", "fit_rate", "merit_against_values", "nondominated_filter",
     # problems
-    "GKind", "ProblemSpec", "eval_g", "eval_smooth", "eval_true", "get_problem", "registry",
+    "GKind", "ProblemSpec", "eval_smooth", "eval_true", "get_problem", "registry",
     "sample_start",
     # smoothing
     "SmoothingConstants", "SmoothSurrogate", "compose_surrogate", "smooth_abs", "smooth_max2", "smooth_max_list",
@@ -76,3 +82,39 @@ def test_a_module_defines_no_public_name_beyond_its_exports(module):
 def test_front_points_are_built_from_their_values():
     # FrontPoint(x, eval_true(p, x)) is the one constructor
     assert [n for n in vars(sapgm.FrontPoint) if not n.startswith("_")] == []
+
+
+def _uses(path: Path) -> set[str]:
+    """The NAME tokens of a source file, apart from those on its import
+    lines and a def or class name on its own line."""
+    tree = ast.parse(path.read_text())
+    import_lines = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    defined = {
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    with tokenize.open(path) as f:
+        return {
+            tok.string
+            for tok in tokenize.generate_tokens(f.readline)
+            if tok.type == tokenize.NAME
+            and tok.start[0] not in import_lines
+            and (tok.start[0], tok.string) not in defined
+        }
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # no public name without a caller in the package or the benchmark
+    sources = [
+        path
+        for path in sorted((ROOT / "src" / "sapgm").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    used = set().union(*map(_uses, sources))
+    assert sorted(set(sapgm.__all__) - used) == []

@@ -17,6 +17,7 @@ from sapgm.smoothing import (
     Plus,
     Quartic,
     Scale,
+    SmoothingConstants,
     SmoothSurrogate,
     Square,
     Sum,
@@ -240,14 +241,14 @@ def x1(n=2):
 
 
 def test_compose_scaled_abs_kappa():
-    s = compose_surrogate(Scale(0.5, Abs(x1())))
+    s = compose_surrogate(Scale(0.5, Abs(x1())), ([-10.0] * 2, [10.0] * 2))
     assert s.constants.kappa == pytest.approx(0.5)
 
 
 def test_compose_abs_of_quadratic_kink_bound():
     # |x1^2 + x2^2 - 1| near a kink: smoothing error capped by kappa * mu.
     ring = Abs(Sum([Square(x1()), Square(Affine([0.0, 1.0])), Affine([0.0, 0.0], -1.0)]))
-    s = compose_surrogate(ring)
+    s = compose_surrogate(ring, ([-10.0] * 2, [10.0] * 2))
     v, _ = s.eval(np.array([1.0, 0.0]), 0.1)
     assert abs(v - 0.0) <= 0.1 + 1e-12
 
@@ -356,11 +357,29 @@ def test_compose_rejects_leaves_of_different_sizes(build, expr):
         pytest.param(("a", "b"), id="bounds-that-are-no-numbers"),
         # a bare IndexError
         pytest.param(([1.0],), id="one-bound"),
+        # certified over [-10, 10]^n
+        pytest.param(None, id="none"),
     ],
 )
 def test_compose_rejects_a_box_that_is_not_two_ordered_vectors_of_size_n(build, box):
     with pytest.raises(InvalidInputError, match="box"):
         build(Abs(Affine([1.0])), box)
+
+
+@pytest.mark.parametrize(
+    "kappa, lip_factor, match",
+    [
+        # accepted: kappa < 0 is false for nan
+        (math.nan, 1.0, "kappa must be nonnegative"),
+        (-1.0, 1.0, "kappa must be nonnegative"),
+        (0.0, math.nan, "lip_factor must be positive"),
+        (0.0, 0.0, "lip_factor must be positive"),
+    ],
+    ids=["nan-kappa", "negative-kappa", "nan-lip-factor", "zero-lip-factor"],
+)
+def test_smoothing_constants_reject_what_no_bound_can_be(kappa, lip_factor, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        SmoothingConstants(kappa, lip_factor)
 
 
 @constructors
@@ -414,7 +433,7 @@ def test_compose_accepts_power_or_exp_of_an_exact_argument():
         Quartic(Scale(0.5, Affine([1.0, -1.0]))),
         Sum([Exp(Affine([0.1, 0.0])), Abs(Square(Affine([0.0, 1.0])))]),
     ):
-        assert compose_surrogate(expr).constants.kappa == expr.kappa
+        assert compose_surrogate(expr, ([-10.0] * 2, [10.0] * 2)).constants.kappa == expr.kappa
 
 
 def all_ten_atoms():
@@ -444,7 +463,7 @@ def test_tree_of_all_ten_atoms_at_mu_zero_is_exact():
     v, g = value_grad(tree, x, 0.0)
     assert v == 24.5
     np.testing.assert_array_equal(g, [0.0, -36.0])
-    s = compose_surrogate(tree)
+    s = compose_surrogate(tree, ([-10.0] * 2, [10.0] * 2))
     assert s.true_eval(x) == 24.5
     v, g = kernel(s, x, 0.0)
     assert v == 24.5
@@ -455,7 +474,7 @@ def test_tree_of_all_ten_atoms_at_mu_zero_is_exact():
 
 def test_surrogate_eval_rejects_nonpositive_mu():
     # mu = 0 is the exact path, reached through true_eval only
-    s = compose_surrogate(Abs(Affine([1.0])))
+    s = compose_surrogate(Abs(Affine([1.0])), ([-10.0], [10.0]))
     for mu in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParameterError):
             s.eval(np.array([1.0]), mu)
@@ -493,9 +512,10 @@ def test_verify_abs_surrogate_clean():
 
 
 def test_verify_single_sample_ok():
-    s = compose_surrogate(Abs(Affine([1.0])))
+    s = compose_surrogate(Abs(Affine([1.0])), ([-10.0], [10.0]))
     rep = verify_surrogate(s, (np.array([-1.0]), np.array([1.0])), 1, rng_seed=0)
-    assert rep.n_samples == 1
+    assert rep.worst() <= 1e-9
+    assert rep.lip_ratio_excess == -math.inf  # the one point is its own partner
 
 
 @pytest.mark.parametrize(
@@ -512,10 +532,29 @@ def test_verify_single_sample_ok():
 )
 def test_verify_rejects_a_count_or_seed_that_is_no_integer_in_range(n_samples, rng_seed, match):
     # each but the zero count raised a bare TypeError or, for the seed -1, ValueError
-    s = compose_surrogate(Abs(Affine([1.0])))
+    s = compose_surrogate(Abs(Affine([1.0])), ([-10.0], [10.0]))
     with pytest.raises(InvalidParameterError) as info:
         verify_surrogate(s, (np.array([-1.0]), np.array([1.0])), n_samples, rng_seed)
     assert str(info.value) == match
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        # a bare TypeError
+        pytest.param(None, id="none"),
+        # OverflowError: Range exceeds valid bounds
+        pytest.param(([math.nan], [1.0]), id="nan-bound"),
+        pytest.param(([-math.inf], [1.0]), id="infinite-bound"),
+        # NumPy's ValueError: high - low < 0
+        pytest.param(([2.0], [1.0]), id="lo-above-hi"),
+        pytest.param((-np.ones(2), np.ones(2)), id="another-size"),
+    ],
+)
+def test_verify_rejects_a_box_that_is_not_finite_ordered_vectors_of_size_n(box):
+    s = compose_surrogate(Abs(Affine([1.0])), ([-10.0], [10.0]))
+    with pytest.raises(InvalidInputError, match="box"):
+        verify_surrogate(s, box, 3, 0)
 
 
 def test_verify_max_list_kappa():
