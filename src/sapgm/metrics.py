@@ -66,14 +66,19 @@ def nondominated_mask(F: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not dominated by any other row.
 
     Row q dominates row p when F[q] <= F[p] + DOMINANCE_SLACK everywhere
-    and F[q] < F[p] - DOMINANCE_SLACK somewhere.  F is rows of m finite
-    numbers; InvalidInputError otherwise, since a nan row dominates no row
-    and no row dominates it.
+    and F[q] < F[p] - DOMINANCE_SLACK somewhere.  F is rows of m >= 1
+    finite numbers, or an empty sequence, which gives an empty mask;
+    InvalidInputError otherwise, since a nan row dominates no row and no row
+    dominates it.
     """
     try:
         F = np.asarray(F, dtype=float)
     except (TypeError, ValueError) as e:  # no numbers, or ragged rows
         raise InvalidInputError(f"F must hold numbers in rows of equal length: {e}") from None
+    if F.shape == (0,):  # no rows
+        return np.ones(0, dtype=bool)
+    if F.ndim != 2 or F.shape[1] == 0:
+        raise InvalidInputError(f"F must be rows of m >= 1 objective values, got shape {F.shape}")
     if not np.isfinite(F).all():
         i = int(np.flatnonzero(~np.isfinite(F).all(axis=1))[0])
         raise InvalidInputError(f"F must be finite, got row {i} = {F[i].tolist()}")

@@ -65,6 +65,28 @@ _BOUND_FACTOR = 10.0
 _BOUND_OFFSET = 10.0
 
 
+# each rule is written so that NaN fails it, and a value that is no number
+# fails it with a TypeError
+_RULES = {
+    "mu0": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "L0": (lambda v: 1.0 <= v < math.inf, "be finite and >= 1"),
+    "eta": (lambda v: 1.0 < v < math.inf, "be finite and exceed 1"),
+    "sigma": (lambda v: 0.0 < v < 2.0, "lie in (0, 2)"),
+    "eps": (lambda v: v >= 0.0, "be nonnegative"),
+}
+
+
+def _check_rule(name: str, value) -> None:
+    """InvalidParameterError unless value obeys the solver parameter name's rule."""
+    holds, rule = _RULES[name]
+    try:
+        ok = holds(value)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of a solve; the one place each solver default is declared."""
@@ -78,22 +100,8 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        # each check is written so that NaN fails it, and a value that is no
-        # number fails it with a TypeError
-        for name, holds, rule in (
-            ("mu0", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-            ("L0", lambda v: 1.0 <= v < math.inf, "be finite and >= 1"),
-            ("eta", lambda v: 1.0 < v < math.inf, "be finite and exceed 1"),
-            ("sigma", lambda v: 0.0 < v < 2.0, "lie in (0, 2)"),
-            ("eps", lambda v: v >= 0.0, "be nonnegative"),
-        ):
-            value = getattr(self, name)
-            try:
-                ok = holds(value)
-            except TypeError:
-                ok = False
-            if not ok:
-                raise InvalidParameterError(f"{name} must {rule}, got {value!r}")
+        for name in _RULES:
+            _check_rule(name, getattr(self, name))
         _check_int(self.max_iter, "max_iter", 1)
         if type(self.record_trace) is not bool:
             raise InvalidParameterError(f"record_trace must be a bool, got {self.record_trace!r}")
@@ -123,10 +131,23 @@ class RunResult:
 
 
 def mu_schedule(k: int, mu0: float, sigma: float) -> float:
-    """mu_{k+1} = mu0 / (k + 1)^sigma."""
-    if k < 0:
-        raise InvalidParameterError("iteration index must be nonnegative")
-    return mu0 / (k + 1) ** sigma
+    """mu_{k+1} = mu0 / (k + 1)^sigma.
+
+    InvalidParameterError unless k is an integer >= 0 (as ``_check_int``
+    defines it) and mu0 and sigma obey SolverConfig's rules, (0, 1] and
+    (0, 2).  The loop calls this once per iteration, so a Python int k and
+    admissible numbers pass one chained test; the checks that name the fault
+    run only when it fails.
+    """
+    try:
+        if type(k) is int and k >= 0 and 0.0 < mu0 <= 1.0 and 0.0 < sigma < 2.0:
+            return mu0 / (k + 1) ** sigma
+    except TypeError:  # a mu0 or sigma that is no number
+        pass
+    _check_int(k, "k", 0)
+    _check_rule("mu0", mu0)
+    _check_rule("sigma", sigma)
+    return mu0 / (k + 1) ** sigma  # k is an integer type other than int
 
 
 def momentum_update(

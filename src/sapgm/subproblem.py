@@ -21,15 +21,25 @@ gradient ascent with a backtracking step, for at most DEFAULT_MAX_INNER
 steps.  Every solve starts from the uniform weights.  Both paths, the prox
 step and the certificates run on the float lists a core is given, since at
 these sizes a NumPy call costs more than its arithmetic; only the ascent's
-curvature bound takes a matrix norm, once per solve.  For the same reason
-the per-call overhead of the m = 2 path is kept low: the prox step fills z,
-z - y and g(z) in one loop with the soft threshold written inline, the kink
-search forms its coordinates once and evaluates h in one local loop, and a
-core's finiteness check is one sum.  Only the prox step forms z - y,
-||z - y||^2 and <g_i, z - y>; every consumer of a solve reads them from its
-last step.  Strong convexity makes the primal minimizer unique, so the
-duality gap, the KKT residual and the complementarity violation certify the
-solution; solve_subproblem returns all three with it.
+curvature bound takes a matrix norm, once per solve.
+
+For the same reason the prox step and the m = 2 solve are compiled, as the
+objective trees are: one emitter (_prox_lines) writes the prox step as
+straight-line source for a shape (m, n), with the soft threshold, z, z - y,
+g(z), ||z - y||^2, the dots <g_i, z - y>, the brackets, the dual value and
+quad each formed in a fixed order.  _Core.inner is that source compiled for
+the core's (m, n).  The pair kernel of size n does all of an m = 2 solve in
+one call: the start weight, the kink coordinates, h at the start weight, 0
+and 1 written inline, the decision chain, the kink search through a nested
+h built from the same soft-threshold lines only when the root is
+bracketed, and the prox step at the root.  Each kernel is compiled on its
+first call for its shape and kept for the process; nothing is compiled at
+import.  Only the prox step forms
+z - y, ||z - y||^2 and <g_i, z - y>; every consumer of a solve reads them
+from its last step, and a core's finiteness check is one sum.  Strong
+convexity makes the primal minimizer unique, so the duality gap, the KKT
+residual and the complementarity violation certify the solution;
+solve_subproblem returns all three with it.
 
 g is the one nonsmooth term (1/n) ||z||_1, shared by every objective, so
 the prox step is always the soft threshold at 1 / (ell n).
@@ -98,8 +108,9 @@ class _Core:
     G) they are given; g is (1/n) ||z||_1.
 
     A core serves every trial of a backtracking step, and only ell changes
-    between trials.  Its prox step ``inner`` is the one both dual paths and
-    the certificates take.
+    between trials.  Its prox step ``inner`` is the kernel compiled for its
+    shape (m, n), the one the ascent takes; the m = 2 solve runs the same
+    emitted lines inside its own kernel.
     """
 
     __slots__ = ("y", "G", "c", "ell", "n")
@@ -116,54 +127,23 @@ class _Core:
 
         z = soft(y - sum_i lam_i g_i / ell), dots_i = <g_i, z - y> (summed from
         0.0 over j in order), comp_i = dots_i + c_i + g(z),
-        quad = (ell / 2) ||z - y||^2 and the dual value is lam . comp + quad.
-        The soft threshold sign(v) * max(|v| - tau, 0) keeps signed zeros and
-        nan as np.sign gives them: +0 at -0.0, -0 below 0 and nan at nan.
+        quad = (ell / 2) ||z - y||^2 and the dual value is lam . comp + quad;
+        see ``_prox_lines``.
         """
-        ell, G = self.ell, self.G
-        l0, g0 = lam[0], G[0]
-        rest = tuple(zip(lam[1:], G[1:]))
-        z, dz = [], []
-        gz = sq = 0.0  # g(z) and ||z - y||^2
-        tau = 1.0 / ell / self.n
-        for j, yj in enumerate(self.y):
-            vj = l0 * g0[j]  # (G^T lam)_j, summed over i in order
-            for li, row in rest:
-                vj += row[j] * li
-            u = yj - vj / ell
-            if u > tau:
-                u -= tau
-            elif u < -tau:
-                u += tau
-            else:
-                u = 0.0 if u >= 0.0 else 0.0 * u
-            gz += abs(u)
-            z.append(u)
-            dj = u - yj
-            dz.append(dj)
-            sq += dj * dj
-        gz /= self.n
-        comp, dots = [], []
-        dual = 0.0  # lam . comp
-        for g, ci, li in zip(G, self.c, lam):
-            b = 0.0
-            for gj, dj in zip(g, dz):
-                b += gj * dj
-            dots.append(b)
-            b = b + ci + gz
-            comp.append(b)
-            dual += li * b
-        quad = 0.5 * ell * sq
-        return z, comp, dual + quad, quad, dots
+        return _INNER_KERNELS[len(self.G), self.n](self, lam)
 
 
 def _solve_core(core: _Core, lam0: list, tol: float):
     """Maximize the dual from lam0; returns (z, lam, theta, gap, steps, dots, quad, comp),
-    where z, dots, quad and comp are the prox step's at lam; lam0 and the lists hold floats."""
+    where z, dots, quad and comp are the prox step's at lam; lam0 and the lists hold floats.
+
+    m = 2 is one call of the compiled pair kernel of size n (see
+    ``_pair_source``); other m take the ascent, with theta and the gap formed
+    from its last prox step.
+    """
     if len(core.G) == 2:
-        lam, steps, (z, comp, dual, quad, dots) = _solve_pair(core, lam0)
-    else:
-        lam, steps, (z, comp, dual, quad, dots) = _ascend(core, lam0, tol)
+        return _PAIR_KERNELS[core.n](core, lam0)
+    lam, steps, (z, comp, dual, quad, dots) = _ascend(core, lam0, tol)
     theta = max(comp) + quad
     return z, lam, theta, theta - dual, steps, dots, quad, comp
 
@@ -176,76 +156,185 @@ def _dot(u, v) -> float:
     return s
 
 
-def _solve_pair(core: _Core, lam0):
-    """Exact dual maximizer for m = 2 over lam = (t, 1 - t).
+# ---------------------------------------------------------------------------
+# compiled kernels
+# ---------------------------------------------------------------------------
 
-    z(t) = prox(a - t d / ell) with d = g_1 - g_2 and a = y - g_2 / ell, and
-    h(t) = <d, z(t) - y> + c_1 - c_2 is the dual derivative.  The prox is
-    monotone, so h does not increase; it is linear between the kinks
-    t = (a_j -+ thr) ell / d_j where a soft-threshold coordinate switches.
-    h is evaluated at the start weight t0, 0 and 1 first.  A non-finite h
-    there gives t = nan and so a non-finite gap (h is finite between two
-    finite ends); a start weight where h vanishes (a flat dual) is kept, as
-    the ascent keeps it; h(0) <= 0 gives t = 0 and h(1) >= 0 gives t = 1.
-    Otherwise the last point where h > 0 and the first where h <= 0 bracket
-    the root, and only the kinks strictly inside the bracket are evaluated,
-    each narrowing it (a kink outside (0, 1), or of a coordinate constant in
-    t, is never inside).  Every step of h rounds monotonically, so the
-    computed h does not increase either, and the bracket ends are the ones a
-    scan of h over every kink picks.  The root is interpolated on the
-    bracket's linear piece.  Returns (lam, 1, the prox step at lam).
+
+def _soft(u: str) -> str:
+    """The soft threshold sign(u) * max(|u| - tau, 0) of the name u as one
+    expression, over the names tau and ntau = -tau.  It keeps signed zeros
+    and nan as np.sign gives them: +0 at -0.0, -0 below 0 and nan at nan."""
+    return f"{u} - tau if {u} > tau else {u} + tau if {u} < ntau else 0.0 if {u} >= 0.0 else 0.0 * {u}"
+
+
+def _header(m: int, n: int, lam: str) -> list[str]:
+    """Lines that unpack a core into y{j}, g{i}_{j}, c{i} and ell, the
+    weights ``lam`` into l{i}, and form the prox threshold tau = 1 / (ell n)
+    as 1.0 / ell / n, and ntau = -tau."""
+    rows = "".join("(" + "".join(f"g{i}_{j}, " for j in range(n)) + "), " for i in range(m))
+    return [
+        "".join(f"y{j}, " for j in range(n)) + "= core.y",
+        rows + "= core.G",
+        "".join(f"c{i}, " for i in range(m)) + "= core.c",
+        "ell = core.ell",
+        "".join(f"l{i}, " for i in range(m)) + f"= {lam}",
+        f"tau = 1.0 / ell / {n}",
+        "ntau = -tau",
+    ]
+
+
+def _prox_lines(m: int, n: int) -> list[str]:
+    """The prox step at the weights l{i}, as source lines over ``_header``'s names.
+
+    They bind z{j} = soft(y_j - (G^T lam)_j / ell), w{j} = z_j - y_j, g(z)
+    as gz, dot{i} = <g_i, w>, the brackets b{i} = dot_i + c_i + gz, dual =
+    lam . b and quad = (ell / 2) ||w||^2.  Each sum runs over j (or i) in
+    order: (G^T lam)_j is l0 g0_j + g1_j l1 + ..., and dot_i and dual start
+    from 0.0 so that a sum of negative zeros gives +0.  g(z) and ||w||^2 add
+    terms that are >= +0 or nan, where a leading 0.0 changes no bit, so they
+    start from their first term.
     """
-    ell = core.ell
-    g1, g2 = core.G
-    c1, c2 = core.c
-    l0, l1 = lam0
-    # projection onto the simplex; a weight already on it stays as it is
-    t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
-    tau = 1.0 / ell / core.n  # the prox threshold, formed as _Core.inner forms it
-    coords = []  # (a_j, d_j / ell, y_j, d_j)
-    for yj, u, v in zip(core.y, g1, g2):
-        dj = u - v
-        coords.append((yj - v / ell, dj / ell, yj, dj))
-    dc = c1 - c2
+    lines = []
+    for j in range(n):
+        v = " + ".join([f"l0 * g0_{j}"] + [f"g{i}_{j} * l{i}" for i in range(1, m)])
+        lines += [f"u = y{j} - ({v}) / ell", f"z{j} = {_soft('u')}", f"w{j} = z{j} - y{j}"]
+    lines.append(f"gz = ({' + '.join(f'abs(z{j})' for j in range(n))}) / {n}")
+    lines.append(f"sq = {' + '.join(f'w{j} * w{j}' for j in range(n))}")
+    for i in range(m):
+        lines.append(f"dot{i} = 0.0 + {' + '.join(f'g{i}_{j} * w{j}' for j in range(n))}")
+        lines.append(f"b{i} = dot{i} + c{i} + gz")
+    lines.append(f"dual = 0.0 + {' + '.join(f'l{i} * b{i}' for i in range(m))}")
+    lines.append("quad = 0.5 * ell * sq")
+    return lines
 
-    def h(t):
-        s = 0.0
-        for aj, sj, yj, dj in coords:
-            u = aj - t * sj  # soft threshold as in _Core.inner
-            if u > tau:
-                u -= tau
-            elif u < -tau:
-                u += tau
-            else:
-                u = 0.0 if u >= 0.0 else 0.0 * u
-            s += (u - yj) * dj
-        return s + dc
 
-    ht, h0, h1 = h(t0), h(0.0), h(1.0)
-    if not (math.isfinite(ht) and math.isfinite(h0) and math.isfinite(h1)):
-        t = math.nan
-    elif ht == 0.0:
-        t = t0
-    elif h0 <= 0.0:
-        t = 0.0
-    elif h1 >= 0.0:
-        t = 1.0
-    else:
-        # t0 is an end of the bracket; at 0 or 1 it carries that end's h
-        ti, hi, tj, hj = (t0, ht, 1.0, h1) if ht > 0.0 else (0.0, h0, t0, ht)
-        thr = 1.0 / (ell * core.n)
-        for aj, _, _, dj in coords:
-            if dj:
-                for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
-                    if ti < k < tj:
-                        hk = h(k)
-                        if hk > 0.0:
-                            ti, hi = k, hk
-                        else:
-                            tj, hj = k, hk
-        t = min(ti + (tj - ti) * hi / (hi - hj), tj)  # rounding can land one ulp past tj
-    lam = [t, 1.0 - t]
-    return lam, 1, core.inner(lam)
+def _lists(fmt: str, k: int) -> str:
+    """A list display of the names fmt.format(i) for i < k."""
+    return "[" + ", ".join(fmt.format(i) for i in range(k)) + "]"
+
+
+def _inner_source(shape: tuple[int, int]) -> list[str]:
+    """``kernel(core, lam)``: the prox step of an (m, n) core, as ``_Core.inner`` returns it."""
+    m, n = shape
+    z, comp, dots = _lists("z{}", n), _lists("b{}", m), _lists("dot{}", m)
+    return (
+        ["def kernel(core, lam):"]
+        + [f"    {line}" for line in _header(m, n, "lam") + _prox_lines(m, n)]
+        + [f"    return {z}, {comp}, dual + quad, quad, {dots}"]
+    )
+
+
+def _h_lines(n: int, t: str, h: str) -> list[str]:
+    """h(t) = <d, z(t) - y> + c_0 - c_1 at the weight expression t, bound to h.
+
+    z_j(t) = soft(a_j - t s_j), with a_j = y_j - g1_j / ell, d_j = g0_j -
+    g1_j and s_j = d_j / ell; the sum starts from 0.0 and runs over j in
+    order, and dc = c0 - c1 is added last.
+    """
+    lines = []
+    for j in range(n):
+        lines += [f"u = a{j} - {t} * s{j}", f"r{j} = {_soft('u')}"]
+    return lines + [f"{h} = 0.0 + {' + '.join(f'(r{j} - y{j}) * d{j}' for j in range(n))} + dc"]
+
+
+def _pair_source(n: int) -> list[str]:
+    """``kernel(core, lam0)``: the exact dual maximizer of an m = 2 core of
+    size n, returning ``_solve_core``'s 8-tuple with one dual step.
+
+    Over lam = (t, 1 - t), z(t) = prox(a - t d / ell) with d = g_1 - g_2 and
+    a = y - g_2 / ell, and h(t) = <d, z(t) - y> + c_1 - c_2 is the dual
+    derivative.  The prox is monotone, so h does not increase; it is linear
+    between the kinks t = (a_j -+ thr) ell / d_j where a soft-threshold
+    coordinate switches.  h is evaluated at the start weight t0 (lam0
+    projected onto the simplex), 0 and 1 first.  A non-finite h there gives
+    t = nan and so a non-finite gap (h is finite between two finite ends); a
+    start weight where h vanishes (a flat dual) is kept, as the ascent keeps
+    it; h(0) <= 0 gives t = 0 and h(1) >= 0 gives t = 1.  Otherwise the last
+    point where h > 0 and the first where h <= 0 bracket the root, and only
+    then is h built as a nested function, which each kink strictly inside
+    the bracket calls, narrowing it (a kink outside (0, 1), or of a
+    coordinate constant in t, is never inside).  Every step of h rounds
+    monotonically, so the computed h does not increase either, and the
+    bracket ends are the ones a scan of h over every kink picks.  The root
+    is interpolated on the bracket's linear piece.  Then the prox step runs
+    at lam, theta = max(comp) + quad and the gap is theta minus the dual
+    value.  ``max`` and ``min`` of two floats are written as the builtins
+    pick: the first argument unless the second compares greater (smaller).
+    """
+    coords = []
+    for j in range(n):
+        coords += [f"d{j} = g0_{j} - g1_{j}", f"a{j} = y{j} - g1_{j} / ell", f"s{j} = d{j} / ell"]
+    names = [f"{v}{j}" for j in range(n) for v in "asyd"] + ["dc", "tau", "ntau"]
+    kinks = []
+    for j in range(n):
+        kinks.append(f"if d{j}:")
+        for sign in "-+":
+            kinks += [
+                f"    k = (a{j} {sign} thr) * ell / d{j}",
+                "    if ti < k < tj:",
+                "        hk = h(k)",
+                "        if hk > 0.0:",
+                "            ti, hi = k, hk",
+                "        else:",
+                "            tj, hj = k, hk",
+            ]
+    search = (
+        ["ti, hi, tj, hj = (t0, ht, 1.0, h1) if ht > 0.0 else (0.0, h0, t0, ht)", f"thr = 1.0 / (ell * {n})"]
+        + [f"def h(t, {', '.join(f'{v}={v}' for v in names)}):"]
+        + [f"    {line}" for line in _h_lines(n, "t", "hv") + ["return hv"]]
+        + kinks
+        + ["t = ti + (tj - ti) * hi / (hi - hj)", "t = tj if tj < t else t  # rounding can land one ulp past tj"]
+    )
+    body = (
+        _header(2, n, "lam0")
+        + [
+            "t0 = l0 + 0.5 * (1.0 - l0 - l1)  # projected onto the simplex",
+            "t0 = 0.0 if 0.0 > t0 else t0",
+            "t0 = 1.0 if 1.0 < t0 else t0",
+        ]
+        + coords
+        + ["dc = c0 - c1"]
+        + _h_lines(n, "t0", "ht")
+        + _h_lines(n, "0.0", "h0")
+        + _h_lines(n, "1.0", "h1")
+        + [
+            "if not (isfinite(ht) and isfinite(h0) and isfinite(h1)):",
+            "    t = nan",
+            "elif ht == 0.0:",
+            "    t = t0",
+            "elif h0 <= 0.0:",
+            "    t = 0.0",
+            "elif h1 >= 0.0:",
+            "    t = 1.0",
+            "else:",
+        ]
+        + [f"    {line}" for line in search]
+        + ["l0 = t", "l1 = 1.0 - t"]
+        + _prox_lines(2, n)
+        + ["theta = (b1 if b1 > b0 else b0) + quad"]
+        + [f"return {_lists('z{}', n)}, [l0, l1], theta, theta - (dual + quad), 1, [dot0, dot1], quad, [b0, b1]"]
+    )
+    return ["def kernel(core, lam0):"] + [f"    {line}" for line in body]
+
+
+class _Kernels(dict):
+    """Compiled kernels by shape: the first lookup of a shape emits its source
+    with ``source(shape)``, compiles it and keeps the function."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, shape):
+        ns = {"isfinite": math.isfinite, "nan": math.nan}
+        exec(compile("\n".join(self.source(shape)), f"<sapgm subproblem kernel {shape}>", "exec"), ns)
+        kernel = self[shape] = ns["kernel"]
+        return kernel
+
+
+_PAIR_KERNELS = _Kernels(_pair_source)  # n -> the m = 2 solve
+_INNER_KERNELS = _Kernels(_inner_source)  # (m, n) -> the prox step
 
 
 def _proj_simplex(w: list) -> list:

@@ -7,9 +7,12 @@ the atoms without the compiled kernel.  The subproblem references work on
 NumPy arrays where sapgm.subproblem works on float lists: prox_g and
 project_simplex, the prox step inner_reference, the certificates
 kkt_residual_reference and complementarity_reference, and
-solve_pair_reference, the m = 2 kink search.  solve_pair_full_scan is the
-float kink search that evaluates h at every kink, kept to pin the bits of
-the one that evaluates it only inside the bracket.  g is (1/n) ||x||_1
+solve_pair_reference, the m = 2 kink search.  inner_loop_reference and
+solve_pair_loop_reference are the prox step and the m = 2 kink search as
+the float loops they were before sapgm.subproblem compiled them, kept to pin
+the compiled kernels' bits.  solve_pair_full_scan is the float kink search
+that evaluates h at every kink, kept to pin the bits of the one that
+evaluates it only inside the bracket.  g is (1/n) ||x||_1
 throughout, as in sapgm.  The session fixture benchmark_run runs the
 pinned grid once, for every test that reads its artifacts.
 """
@@ -187,10 +190,135 @@ def solve_pair_reference(core, lam0):
     return z, lam, theta, theta - dual, 1
 
 
+def inner_loop_reference(core, lam):
+    """The core's prox step as one loop over the coordinates: the float
+    arithmetic sapgm.subproblem's emitted prox lines must reproduce bit for
+    bit.  Returns (z, brackets comp, dual value, quad, dots).
+
+    z = soft(y - sum_i lam_i g_i / ell), dots_i = <g_i, z - y> (summed from
+    0.0 over j in order), comp_i = dots_i + c_i + g(z),
+    quad = (ell / 2) ||z - y||^2 and the dual value is lam . comp + quad.
+    The soft threshold sign(v) * max(|v| - tau, 0) keeps signed zeros and
+    nan as np.sign gives them: +0 at -0.0, -0 below 0 and nan at nan.
+    """
+    ell, G = core.ell, core.G
+    l0, g0 = lam[0], G[0]
+    rest = tuple(zip(lam[1:], G[1:]))
+    z, dz = [], []
+    gz = sq = 0.0  # g(z) and ||z - y||^2
+    tau = 1.0 / ell / core.n
+    for j, yj in enumerate(core.y):
+        vj = l0 * g0[j]  # (G^T lam)_j, summed over i in order
+        for li, row in rest:
+            vj += row[j] * li
+        u = yj - vj / ell
+        if u > tau:
+            u -= tau
+        elif u < -tau:
+            u += tau
+        else:
+            u = 0.0 if u >= 0.0 else 0.0 * u
+        gz += abs(u)
+        z.append(u)
+        dj = u - yj
+        dz.append(dj)
+        sq += dj * dj
+    gz /= core.n
+    comp, dots = [], []
+    dual = 0.0  # lam . comp
+    for g, ci, li in zip(G, core.c, lam):
+        b = 0.0
+        for gj, dj in zip(g, dz):
+            b += gj * dj
+        dots.append(b)
+        b = b + ci + gz
+        comp.append(b)
+        dual += li * b
+    quad = 0.5 * ell * sq
+    return z, comp, dual + quad, quad, dots
+
+
+def solve_pair_loop_reference(core, lam0):
+    """The m = 2 kink search as loops over the coordinates: the float
+    arithmetic of sapgm.subproblem's compiled pair kernel, which must give
+    its bits.  The prox step at the root is inner_loop_reference's.
+
+    Exact dual maximizer for m = 2 over lam = (t, 1 - t).
+
+    z(t) = prox(a - t d / ell) with d = g_1 - g_2 and a = y - g_2 / ell, and
+    h(t) = <d, z(t) - y> + c_1 - c_2 is the dual derivative.  The prox is
+    monotone, so h does not increase; it is linear between the kinks
+    t = (a_j -+ thr) ell / d_j where a soft-threshold coordinate switches.
+    h is evaluated at the start weight t0, 0 and 1 first.  A non-finite h
+    there gives t = nan and so a non-finite gap (h is finite between two
+    finite ends); a start weight where h vanishes (a flat dual) is kept, as
+    the ascent keeps it; h(0) <= 0 gives t = 0 and h(1) >= 0 gives t = 1.
+    Otherwise the last point where h > 0 and the first where h <= 0 bracket
+    the root, and only the kinks strictly inside the bracket are evaluated,
+    each narrowing it (a kink outside (0, 1), or of a coordinate constant in
+    t, is never inside).  Every step of h rounds monotonically, so the
+    computed h does not increase either, and the bracket ends are the ones a
+    scan of h over every kink picks.  The root is interpolated on the
+    bracket's linear piece.  Returns (lam, 1, the prox step at lam).
+    """
+    ell = core.ell
+    g1, g2 = core.G
+    c1, c2 = core.c
+    l0, l1 = lam0
+    # projection onto the simplex; a weight already on it stays as it is
+    t0 = min(max(l0 + 0.5 * (1.0 - l0 - l1), 0.0), 1.0)
+    tau = 1.0 / ell / core.n  # the prox threshold, formed as inner_loop_reference forms it
+    coords = []  # (a_j, d_j / ell, y_j, d_j)
+    for yj, u, v in zip(core.y, g1, g2):
+        dj = u - v
+        coords.append((yj - v / ell, dj / ell, yj, dj))
+    dc = c1 - c2
+
+    def h(t):
+        s = 0.0
+        for aj, sj, yj, dj in coords:
+            u = aj - t * sj  # soft threshold as in inner_loop_reference
+            if u > tau:
+                u -= tau
+            elif u < -tau:
+                u += tau
+            else:
+                u = 0.0 if u >= 0.0 else 0.0 * u
+            s += (u - yj) * dj
+        return s + dc
+
+    ht, h0, h1 = h(t0), h(0.0), h(1.0)
+    if not (math.isfinite(ht) and math.isfinite(h0) and math.isfinite(h1)):
+        t = math.nan
+    elif ht == 0.0:
+        t = t0
+    elif h0 <= 0.0:
+        t = 0.0
+    elif h1 >= 0.0:
+        t = 1.0
+    else:
+        # t0 is an end of the bracket; at 0 or 1 it carries that end's h
+        ti, hi, tj, hj = (t0, ht, 1.0, h1) if ht > 0.0 else (0.0, h0, t0, ht)
+        thr = 1.0 / (ell * core.n)
+        for aj, _, _, dj in coords:
+            if dj:
+                for k in ((aj - thr) * ell / dj, (aj + thr) * ell / dj):
+                    if ti < k < tj:
+                        hk = h(k)
+                        if hk > 0.0:
+                            ti, hi = k, hk
+                        else:
+                            tj, hj = k, hk
+        t = min(ti + (tj - ti) * hi / (hi - hj), tj)  # rounding can land one ulp past tj
+    lam = [t, 1.0 - t]
+    return lam, 1, inner_loop_reference(core, lam)
+
+
 def solve_pair_full_scan(core, lam0):
     """The m = 2 float kink search that evaluates h at 0, 1, the start weight
-    and every kink in (0, 1).  sapgm.subproblem._solve_pair evaluates h only
-    at the kinks inside its bracket, and must give the same bits.
+    and every kink in (0, 1).  sapgm.subproblem's compiled pair kernel
+    evaluates h only at the kinks inside its bracket, and must give the same
+    bits.
 
     Exact dual maximizer for m = 2 over lam = (t, 1 - t).
 

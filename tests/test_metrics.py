@@ -172,6 +172,21 @@ def test_nondominated_rejects_a_row_that_is_not_finite():
         nondominated_filter([_mk(row) for row in F])
 
 
+@pytest.mark.parametrize(
+    "F, shape",
+    [
+        pytest.param([1.0, 2.0], r"\(2,\)", id="one-row-as-a-vector"),  # NumPy's bare AxisError
+        pytest.param(3.0, r"\(\)", id="scalar"),  # a bare IndexError
+        pytest.param([[]], r"\(1, 0\)", id="no-objectives"),  # returned [True]
+    ],
+)
+def test_nondominated_rejects_what_is_not_rows_of_objective_values(F, shape):
+    with pytest.raises(InvalidInputError, match=r"F must be rows of m >= 1 objective values, got shape " + shape):
+        nondominated_mask(F)
+    # an empty sequence is no rows
+    assert nondominated_mask([]).tolist() == [] and nondominated_filter([]) == []
+
+
 def test_nondominated_rejects_ragged_rows():
     # NumPy's bare ValueError: inhomogeneous shape
     F = [[1.0, 2.0], [2.0, 1.0, 0.0]]

@@ -44,6 +44,34 @@ def test_mu_schedule_values():
     assert mu_schedule(0, 1.0, 1.0) == 1.0
     assert mu_schedule(3, 1.0, 1.0) == 0.25
     assert mu_schedule(999, 1.0, 1.9) == pytest.approx(1000.0**-1.9)
+    # an integer type other than int is an index as well
+    assert mu_schedule(np.int64(3), 1.0, 1.0) == 0.25
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # returned nan
+        pytest.param((math.nan, 1.0, 1.9), "k must be an integer >= 0, got nan", id="k=nan"),
+        # accepted
+        pytest.param((True, 1.0, 1.9), "k must be an integer >= 0, got True", id="k=True"),
+        pytest.param((1.5, 1.0, 1.9), "k must be an integer >= 0, got 1.5", id="k=1.5"),
+        # a bare TypeError
+        pytest.param(("a", 1, 1), "k must be an integer >= 0, got 'a'", id="k=str"),
+        pytest.param((-1, 1.0, 1.9), "k must be an integer >= 0, got -1", id="k=-1"),
+        # returned -1.0
+        pytest.param((0, -1.0, 1.9), r"mu0 must lie in \(0, 1\], got -1.0", id="mu0=-1"),
+        pytest.param((0, math.nan, 1.9), r"mu0 must lie in \(0, 1\], got nan", id="mu0=nan"),
+        pytest.param((0, "1", 1.9), r"mu0 must lie in \(0, 1\], got '1'", id="mu0=str"),
+        # returned 3.0: a mu that grows
+        pytest.param((2, 1.0, -1.0), r"sigma must lie in \(0, 2\), got -1.0", id="sigma=-1"),
+        pytest.param((2, 1.0, 2.0), r"sigma must lie in \(0, 2\), got 2.0", id="sigma=2"),
+        pytest.param((2, 1.0, None), r"sigma must lie in \(0, 2\), got None", id="sigma=None"),
+    ],
+)
+def test_mu_schedule_rejects_what_solver_config_rejects(args, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        mu_schedule(*args)
 
 
 def test_momentum_first_step():

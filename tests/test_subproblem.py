@@ -10,11 +10,13 @@ from conftest import (
     complementarity_reference,
     core_arrays,
     grid_argmin_2d,
+    inner_loop_reference,
     inner_reference,
     kkt_residual_reference,
     project_simplex,
     prox_g,
     solve_pair_full_scan,
+    solve_pair_loop_reference,
     solve_pair_reference,
     subproblem_objective,
 )
@@ -527,9 +529,9 @@ def rounding_scales(core, z_ref):
 
 
 @st.composite
-def pair_cores(draw):
-    """m = 2 cores with n <= 4, ell over nine decades and some d_j = 0."""
-    n = draw(st.integers(1, 4))
+def pair_cores(draw, sizes=st.integers(1, 4)):
+    """m = 2 cores with n drawn from sizes, ell over nine decades and some d_j = 0."""
+    n = draw(sizes)
     entry = st.floats(-5.0, 5.0)
     G = np.array(draw(st.lists(entry, min_size=2 * n, max_size=2 * n))).reshape(2, n)
     for j in range(n):
@@ -682,6 +684,81 @@ def test_certificates_match_the_numpy_reference(core_lam, data):
     assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
     _, comp, _, _ = core.inner(lam)[:4]
     assert _complementarity(comp, lam) == complementarity_reference(comp, lam)
+
+
+# ------------------------------------ the compiled kernels against the loops
+
+
+def bits(value):
+    """value with every float as float.hex, so that nan equals nan and -0.0 differs from 0.0."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def solve_core_loop_reference(core, lam0):
+    """_solve_core's eight outputs at m = 2, from the loop kink search."""
+    lam, steps, (z, comp, dual, quad, dots) = solve_pair_loop_reference(core, lam0)
+    theta = max(comp) + quad
+    return z, lam, theta, theta - dual, steps, dots, quad, comp
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_lam=cores())
+def test_compiled_inner_gives_the_loop_bits(core_lam):
+    core, lam = core_lam
+    assert bits(core.inner(lam)) == bits(inner_loop_reference(core, lam))
+
+
+@settings(max_examples=500, deadline=None)
+# n = 1 unpacks y with one name; n = 16 gives up to 32 kinks
+@given(core=pair_cores(sizes=st.sampled_from([1, 2, 3, 4, 16])), lam0=START_WEIGHTS)
+# z rests inside the soft-threshold band for every weight: the dual is linear
+@example(core=_Core([0.0], [[0.0], [1.0]], [0.0, -1.1950395177352375e-08], 0.125), lam0=[0.0, 1.0])
+# the interpolated root lands one ulp past t = 1 before it is clamped
+@example(core=_Core([9.957086492446983], [[-1.0], [2.0]], [-3e-245, 0.0], 2.0), lam0=[1e-9, 1.0 - 1e-9])
+def test_compiled_pair_solve_gives_the_loop_bits(core, lam0):
+    assert bits(_solve_core(core, lam0, DEFAULT_TOL)) == bits(solve_core_loop_reference(core, lam0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["G", "y", "c"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_compiled_kernels_give_the_loop_bits_on_a_nonfinite_core(bad, where, n):
+    # the cores of test_float_pair_search_nonfinite_core_like_the_reference
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        parts = {"y": rng.normal(size=n), "G": rng.normal(size=(2, n)), "c": rng.normal(size=2)}
+        parts[where].flat[rng.integers(parts[where].size)] = bad
+        core = _Core(parts["y"].tolist(), parts["G"].tolist(), parts["c"].tolist(), 2.0)
+        assert bits(_solve_core(core, LAM_HALF, DEFAULT_TOL)) == bits(solve_core_loop_reference(core, LAM_HALF))
+        assert bits(core.inner(LAM_HALF)) == bits(inner_loop_reference(core, LAM_HALF))
+
+
+def test_each_shape_compiles_one_kernel(monkeypatch):
+    # a kernel compiled on every call would still give the right bits, and
+    # cost more than the loop it replaced
+    compiled = []
+
+    def counting_exec(code, ns):
+        compiled.append(code.co_filename)
+        exec(code, ns)
+
+    monkeypatch.setattr(subproblem, "exec", counting_exec, raising=False)
+    monkeypatch.setattr(subproblem, "_PAIR_KERNELS", subproblem._Kernels(subproblem._pair_source))
+    monkeypatch.setattr(subproblem, "_INNER_KERNELS", subproblem._Kernels(subproblem._inner_source))
+    rng = np.random.default_rng(7)
+    cores_by_n = {
+        n: _Core(rng.normal(size=n).tolist(), rng.normal(size=(2, n)).tolist(), [0.1, -0.1], 2.0) for n in (2, 5)
+    }
+    kernels = {}
+    for call in range(1000):
+        n = (2, 5)[call % 2]
+        _solve_core(cores_by_n[n], LAM_HALF, DEFAULT_TOL)
+        kernels.setdefault(n, subproblem._PAIR_KERNELS[n])
+        assert subproblem._PAIR_KERNELS[n] is kernels[n]
+    assert sorted(subproblem._PAIR_KERNELS) == [2, 5] and not subproblem._INNER_KERNELS
+    assert len(compiled) == 2
 
 
 # solve_subproblem at x = (0.4, 0.7), y = (0.5, 0.6), mu = 0.25, ell = 8 with every
