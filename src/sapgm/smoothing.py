@@ -22,15 +22,18 @@ Surrogates are built by composing immutable expression nodes; the constants
 of a composite are conservative sums over the tree.  ``SmoothSurrogate``
 checks and compiles each tree in one walk into a straight-line kernel that
 takes the point as a list of floats: each Affine leaf becomes one line
-u_j = w_j . x + c_j over its nonzero weights, every other node one line that
-calls its atom's scalar rule.  A forward pass gives the value; a reverse
-pass gives the leaf adjoints s_j and then one line per coordinate,
-g_k = sum_j s_j w_jk, so the gradient is formed only when asked for.
-``mu = 0`` runs the same kernel.  The same compiler takes several trees
-into one kernel, with one unpack of the point and each tree's lines in the
-order and arithmetic of its own kernel: a problem's m components run as one
-call that gives m values and m gradient rows.  Nodes and kernels are
-stateless and safe to evaluate concurrently.
+u_j = w_j . x + c_j over its nonzero weights, and every other node its
+arithmetic written out.  A smoothing atom is one ``if mu > 0.0`` block:
+there its scalar rule's arithmetic at mu > 0, in the rule's order, over
+temporaries named after the atom's slot; otherwise one call of the rule,
+which is the one definition of the exact case.  A forward pass gives the
+value; a reverse pass gives the leaf adjoints s_j and then one line per
+coordinate, g_k = sum_j s_j w_jk, so the gradient is formed only when
+asked for.  ``mu = 0`` runs the same kernel.  The same compiler takes
+several trees into one kernel, with one unpack of the point and each tree's
+lines in the order and arithmetic of its own kernel: a problem's m
+components run as one call that gives m values and m gradient rows.  Nodes
+and kernels are stateless and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -67,9 +70,9 @@ __all__ = [
 
 
 def _check_exact(mu: float) -> None:
-    """Atoms take mu = 0 as the exact case; negative and nan mu are rejected."""
+    """Atoms take mu = 0 as the exact case; negative, infinite and nan mu are rejected."""
     if mu != 0.0:
-        raise InvalidParameterError(f"smoothing parameter mu must be nonnegative, got {mu}")
+        raise InvalidParameterError(f"smoothing parameter mu must be finite and nonnegative, got {mu}")
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,7 @@ def _check_exact(mu: float) -> None:
 
 def smooth_abs(x: float, mu: float) -> tuple[float, float]:
     """Smoothed |x|: value and derivative of sqrt(x^2 + mu^2); at mu = 0, |x| and sign(x)."""
-    if mu > 0.0:
+    if 0.0 < mu < math.inf:
         r = math.hypot(x, mu)
         return r, x / r
     _check_exact(mu)
@@ -91,7 +94,7 @@ def smooth_plus(x: float, mu: float) -> tuple[float, float]:
 
     At mu = 0: max(x, 0) and the subgradient 1, 0 or 1/2 at x = 0.
     """
-    if mu > 0.0:
+    if 0.0 < mu < math.inf:
         r = math.hypot(x, 2.0 * mu)
         return 0.5 * (x + r), 0.5 * (1.0 + x / r)
     _check_exact(mu)
@@ -104,7 +107,7 @@ def smooth_max2(a: float, b: float, mu: float) -> tuple[float, float, float]:
     The partials are nonnegative and sum to one.  At mu = 0: max(a, b) with
     the partials (1, 0), (0, 1) or (1/2, 1/2) at a tie.
     """
-    if mu > 0.0:
+    if 0.0 < mu < math.inf:
         r = math.hypot(a - b, 2.0 * mu)
         s = 0.5 * (a - b) / r
         return 0.5 * (a + b + r), 0.5 + s, 0.5 - s
@@ -126,7 +129,7 @@ def smooth_max_list(values: Sequence[float], mu: float) -> tuple[float, list[flo
     if len(values) == 0:
         raise InvalidInputError("smooth_max_list needs a nonempty list")
     top = max(values)
-    if mu > 0.0:
+    if 0.0 < mu < math.inf:
         e = [math.exp((v - top) / mu) for v in values]
         s = sum(e)
         return top + mu * math.log(s), [ei / s for ei in e]
@@ -162,8 +165,10 @@ class Expr:
     ``code(v, a, args, bind)`` is the node's scalar rule as generated code:
     the statement that sets slot ``v`` from the child slots ``args`` (and
     ``mu``), and for each child the expression of its adjoint given this
-    node's adjoint ``a``.  ``bind(value)`` names a constant.  Atoms are exact
-    at mu = 0.
+    node's adjoint ``a``.  ``bind(value)`` names a constant.  A smoothing
+    atom's statement is several lines (see ``_atom``): its arithmetic at
+    mu > 0 written out, over temporaries named after ``v``, and at mu = 0 a
+    call of its scalar rule, which is exact there.
     """
 
     kappa: float = 0.0
@@ -314,6 +319,15 @@ class Sum(Expr):
         )
 
 
+def _atom(smooth: list[str], exact: list[str]) -> str:
+    """A smoothing atom's rule: the lines ``smooth`` at mu > 0, which write
+    out its scalar rule's arithmetic in the same order, and ``exact`` at
+    mu = 0, which call that rule."""
+    return "\n".join(
+        ["if mu > 0.0:"] + [f"    {line}" for line in smooth] + ["else:"] + [f"    {line}" for line in exact]
+    )
+
+
 class Abs(_Unary):
     """|child|, smoothed as sqrt(child^2 + mu^2)."""
 
@@ -321,7 +335,8 @@ class Abs(_Unary):
 
     def code(self, v, a, args, bind):
         (u,) = args
-        return f"{v}, {v}d = smooth_abs({u}, mu)", [f"{v}d * {a}"]
+        smooth = [f"{v} = hypot({u}, mu)", f"{v}d = {u} / {v}"]
+        return _atom(smooth, [f"{v}, {v}d = smooth_abs({u}, mu)"]), [f"{v}d * {a}"]
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -338,7 +353,12 @@ class Plus(_Unary):
 
     def code(self, v, a, args, bind):
         (u,) = args
-        return f"{v}, {v}d = smooth_plus({u}, mu)", [f"{v}d * {a}"]
+        smooth = [
+            f"{v}r = hypot({u}, 2.0 * mu)",
+            f"{v} = 0.5 * ({u} + {v}r)",
+            f"{v}d = 0.5 * (1.0 + {u} / {v}r)",
+        ]
+        return _atom(smooth, [f"{v}, {v}d = smooth_plus({u}, mu)"]), [f"{v}d * {a}"]
 
     def box_stats(self, lo, hi):
         c = self.child.box_stats(lo, hi)
@@ -357,7 +377,15 @@ class Max2(Expr):
 
     def code(self, v, a, args, bind):
         ua, ub = args
-        return f"{v}, {v}a, {v}b = smooth_max2({ua}, {ub}, mu)", [f"{v}a * {a}", f"{v}b * {a}"]
+        smooth = [
+            f"{v}r = hypot({ua} - {ub}, 2.0 * mu)",
+            f"{v}s = 0.5 * ({ua} - {ub}) / {v}r",
+            f"{v} = 0.5 * ({ua} + {ub} + {v}r)",
+            f"{v}a = 0.5 + {v}s",
+            f"{v}b = 0.5 - {v}s",
+        ]
+        exact = [f"{v}, {v}a, {v}b = smooth_max2({ua}, {ub}, mu)"]
+        return _atom(smooth, exact), [f"{v}a * {a}", f"{v}b * {a}"]
 
     def box_stats(self, lo, hi):
         sa = self.a.box_stats(lo, hi)
@@ -378,9 +406,19 @@ class MaxList(Expr):
         self.kappa = math.log(len(self.children)) + sum(c.kappa for c in self.children)
 
     def code(self, v, a, args, bind):
-        return f"{v}, {v}w = smooth_max_list([{', '.join(args)}], mu)", [
-            f"{v}w[{j}] * {a}" for j in range(len(args))
-        ]
+        """The weights are formed only in the reverse pass, as (e_j / s) * a.
+        At mu = 0 the scalar rule's weights take the names e_j over s = 1.0,
+        which changes no bit."""
+        e = [f"{v}e{j}" for j in range(len(args))]
+        listed = ", ".join(args)
+        top = f"max({listed})" if len(args) > 1 else args[0]  # max() of one argument iterates over it
+        smooth = (
+            [f"{v}t = {top}"]
+            + [f"{ej} = exp(({u} - {v}t) / mu)" for ej, u in zip(e, args)]
+            + [f"{v}s = {' + '.join(e)}", f"{v} = {v}t + mu * log({v}s)"]
+        )
+        exact = [f"{v}, ({''.join(ej + ', ' for ej in e)}) = smooth_max_list([{listed}], mu)", f"{v}s = 1.0"]
+        return _atom(smooth, exact), [f"({ej} / {v}s) * {a}" for ej in e]
 
     def box_stats(self, lo, hi):
         stats = [c.box_stats(lo, hi) for c in self.children]
@@ -409,6 +447,8 @@ def _children(expr: Expr) -> list[Expr]:
 # the constants _compile binds
 _KERNEL_GLOBALS = {
     "exp": math.exp,
+    "hypot": math.hypot,
+    "log": math.log,
     "smooth_abs": smooth_abs,
     "smooth_plus": smooth_plus,
     "smooth_max2": smooth_max2,
@@ -425,7 +465,9 @@ def _compile(exprs: Sequence[Expr]):
     Square, Quartic or Exp over a smoothed child (kappa > 0), whose error the
     child's kappa does not bound, and InvalidInputError when the leaves
     differ in size.  Each Affine leaf, in walk order, is one line
-    ``u_j = w_j0 * x0 + ... + c_j`` over its nonzero weights.
+    ``u_j = w_j0 * x0 + ... + c_j`` over its nonzero weights, and every
+    other node the lines of its rule (``Expr.code``): one for most nodes,
+    an ``if mu > 0.0`` block for a smoothing atom.
     ``value(x, mu)`` runs the trees' forward passes in order;
     ``value_grad(x, mu)`` runs each tree's forward pass and then its reverse
     pass for the leaf adjoints s_j, and gives each tree's gradient as a list,
@@ -468,8 +510,8 @@ def _compile(exprs: Sequence[Expr]):
             return f"u{j}", f"s{j}"
         kids = [visit(child) for child in _children(node)]
         v, a = f"v{len(forward)}", f"a{len(forward)}"
-        line, adjoints = node.code(v, a, [kv for kv, _ in kids], bind)
-        forward.append(line)
+        rule, adjoints = node.code(v, a, [kv for kv, _ in kids], bind)
+        forward.extend(rule.split("\n"))
         blocks.append([f"{ka} = {e}" for (_, ka), e in zip(kids, adjoints)])
         return v, a
 

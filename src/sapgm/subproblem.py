@@ -23,23 +23,24 @@ step and the certificates run on the float lists a core is given, since at
 these sizes a NumPy call costs more than its arithmetic; only the ascent's
 curvature bound takes a matrix norm, once per solve.
 
-For the same reason the prox step and the m = 2 solve are compiled, as the
-objective trees are: one emitter (_prox_lines) writes the prox step as
+For the same reason the core build, the prox step and the m = 2 solve are
+compiled, as the objective trees are.  The core kernel of a shape (m, n)
+forms g(x), the offsets and the finiteness check of G and c as one
+straight-line sum.  One emitter (_prox_lines) writes the prox step as
 straight-line source for a shape (m, n), with the soft threshold, z, z - y,
 g(z), ||z - y||^2, the dots <g_i, z - y>, the brackets, the dual value and
 quad each formed in a fixed order.  _Core.inner is that source compiled for
 the core's (m, n).  The pair kernel of size n does all of an m = 2 solve in
 one call: the start weight, the kink coordinates, h at the start weight, 0
-and 1 written inline, the decision chain, the kink search through a nested
-h built from the same soft-threshold lines only when the root is
-bracketed, and the prox step at the root.  Each kernel is compiled on its
-first call for its shape and kept for the process; nothing is compiled at
-import.  Only the prox step forms
-z - y, ||z - y||^2 and <g_i, z - y>; every consumer of a solve reads them
-from its last step, and a core's finiteness check is one sum.  Strong
-convexity makes the primal minimizer unique, so the duality gap, the KKT
-residual and the complementarity violation certify the solution;
-solve_subproblem returns all three with it.
+and 1 written inline, the decision chain, the kink search through a
+function h compiled beside it from the same soft-threshold lines, which
+only kinks inside the bracket call, and the prox step at the root.  Each
+kernel is compiled on its first call for its shape and kept for the
+process; nothing is compiled at import.  Only the prox step forms z - y,
+||z - y||^2 and <g_i, z - y>; every consumer of a solve reads them from its
+last step.  Strong convexity makes the primal minimizer unique, so the
+duality gap, the KKT residual and the complementarity violation certify the
+solution; solve_subproblem returns all three with it.
 
 g is the one nonsmooth term (1/n) ||z||_1, shared by every objective, so
 the prox step is always the soft threshold at 1 / (ell n).
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .problems import ProblemSpec, _g, _point, eval_smooth
+from .problems import ProblemSpec, _point, eval_smooth
 
 __all__ = [
     "SubproblemInput",
@@ -240,7 +241,9 @@ def _h_lines(n: int, t: str, h: str) -> list[str]:
 
 def _pair_source(n: int) -> list[str]:
     """``kernel(core, lam0)``: the exact dual maximizer of an m = 2 core of
-    size n, returning ``_solve_core``'s 8-tuple with one dual step.
+    size n, returning ``_solve_core``'s 8-tuple with one dual step, and
+    beside it ``h``, the dual derivative as a function of t and the
+    coordinates.
 
     Over lam = (t, 1 - t), z(t) = prox(a - t d / ell) with d = g_1 - g_2 and
     a = y - g_2 / ell, and h(t) = <d, z(t) - y> + c_1 - c_2 is the dual
@@ -251,21 +254,21 @@ def _pair_source(n: int) -> list[str]:
     t = nan and so a non-finite gap (h is finite between two finite ends); a
     start weight where h vanishes (a flat dual) is kept, as the ascent keeps
     it; h(0) <= 0 gives t = 0 and h(1) >= 0 gives t = 1.  Otherwise the last
-    point where h > 0 and the first where h <= 0 bracket the root, and only
-    then is h built as a nested function, which each kink strictly inside
-    the bracket calls, narrowing it (a kink outside (0, 1), or of a
-    coordinate constant in t, is never inside).  Every step of h rounds
-    monotonically, so the computed h does not increase either, and the
-    bracket ends are the ones a scan of h over every kink picks.  The root
-    is interpolated on the bracket's linear piece.  Then the prox step runs
-    at lam, theta = max(comp) + quad and the gap is theta minus the dual
-    value.  ``max`` and ``min`` of two floats are written as the builtins
-    pick: the first argument unless the second compares greater (smaller).
+    point where h > 0 and the first where h <= 0 bracket the root, and each
+    kink strictly inside the bracket calls the function h, narrowing it (a
+    kink outside (0, 1), or of a coordinate constant in t, is never
+    inside).  Every step of h rounds monotonically, so the computed h does
+    not increase either, and the bracket ends are the ones a scan of h over
+    every kink picks.  The root is interpolated on the bracket's linear
+    piece.  Then the prox step runs at lam, theta = max(comp) + quad and the
+    gap is theta minus the dual value.  ``max`` and ``min`` of two floats are
+    written as the builtins pick: the first argument unless the second
+    compares greater (smaller).
     """
     coords = []
     for j in range(n):
         coords += [f"d{j} = g0_{j} - g1_{j}", f"a{j} = y{j} - g1_{j} / ell", f"s{j} = d{j} / ell"]
-    names = [f"{v}{j}" for j in range(n) for v in "asyd"] + ["dc", "tau", "ntau"]
+    names = ", ".join([f"{v}{j}" for j in range(n) for v in "asyd"] + ["dc", "tau", "ntau"])
     kinks = []
     for j in range(n):
         kinks.append(f"if d{j}:")
@@ -273,7 +276,7 @@ def _pair_source(n: int) -> list[str]:
             kinks += [
                 f"    k = (a{j} {sign} thr) * ell / d{j}",
                 "    if ti < k < tj:",
-                "        hk = h(k)",
+                f"        hk = h(k, {names})",
                 "        if hk > 0.0:",
                 "            ti, hi = k, hk",
                 "        else:",
@@ -281,8 +284,6 @@ def _pair_source(n: int) -> list[str]:
             ]
     search = (
         ["ti, hi, tj, hj = (t0, ht, 1.0, h1) if ht > 0.0 else (0.0, h0, t0, ht)", f"thr = 1.0 / (ell * {n})"]
-        + [f"def h(t, {', '.join(f'{v}={v}' for v in names)}):"]
-        + [f"    {line}" for line in _h_lines(n, "t", "hv") + ["return hv"]]
         + kinks
         + ["t = ti + (tj - ti) * hi / (hi - hj)", "t = tj if tj < t else t  # rounding can land one ulp past tj"]
     )
@@ -315,7 +316,38 @@ def _pair_source(n: int) -> list[str]:
         + ["theta = (b1 if b1 > b0 else b0) + quad"]
         + [f"return {_lists('z{}', n)}, [l0, l1], theta, theta - (dual + quad), 1, [dot0, dot1], quad, [b0, b1]"]
     )
-    return ["def kernel(core, lam0):"] + [f"    {line}" for line in body]
+    h = [f"def h(t, {names}):"] + [f"    {line}" for line in _h_lines(n, "t", "hv") + ["return hv"]]
+    return h + ["def kernel(core, lam0):"] + [f"    {line}" for line in body]
+
+
+def _core_source(shape: tuple[int, int]) -> list[str]:
+    """``kernel(p, x, y, evals_y, evals_x, ell)``: ``_core_from_evals`` for m
+    components over R^n.
+
+    It unpacks the values, the Jacobian rows and x, forms g(x) as
+    (0.0 + |x_0| + ...) / n and c_i = fy_i - (fx_i + g(x)), and checks G and
+    c with one sum of 0 * v, which is 0 for a finite v and nan for inf or
+    nan.  The core keeps y and G as they are given.
+    """
+    m, n = shape
+    rows = "".join("(" + "".join(f"g{i}_{j}, " for j in range(n)) + "), " for i in range(m))
+    zeros = [f"0.0 * c{i}" for i in range(m)] + [f"0.0 * g{i}_{j}" for i in range(m) for j in range(n)]
+    body = (
+        [
+            "(" + "".join(f"fy{i}, " for i in range(m)) + "), G = evals_y",
+            rows + "= G",
+            "(" + "".join(f"fx{i}, " for i in range(m)) + "), _ = evals_x",
+            "".join(f"x{j}, " for j in range(n)) + "= x",
+            f"gx = (0.0 + {' + '.join(f'abs(x{j})' for j in range(n))}) / {n}",
+        ]
+        + [f"c{i} = fy{i} - (fx{i} + gx)" for i in range(m)]
+        + [
+            f"if 0.0 + {' + '.join(zeros)} != 0.0:",
+            '    raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {y} are not finite")',
+            f"return _Core(y, G, {_lists('c{}', m)}, ell)",
+        ]
+    )
+    return ["def kernel(p, x, y, evals_y, evals_x, ell):"] + [f"    {line}" for line in body]
 
 
 class _Kernels(dict):
@@ -327,7 +359,7 @@ class _Kernels(dict):
         self.source = source
 
     def __missing__(self, shape):
-        ns = {"isfinite": math.isfinite, "nan": math.nan}
+        ns = {"isfinite": math.isfinite, "nan": math.nan, "_Core": _Core, "InvalidInputError": InvalidInputError}
         exec(compile("\n".join(self.source(shape)), f"<sapgm subproblem kernel {shape}>", "exec"), ns)
         kernel = self[shape] = ns["kernel"]
         return kernel
@@ -335,6 +367,18 @@ class _Kernels(dict):
 
 _PAIR_KERNELS = _Kernels(_pair_source)  # n -> the m = 2 solve
 _INNER_KERNELS = _Kernels(_inner_source)  # (m, n) -> the prox step
+_CORE_KERNELS = _Kernels(_core_source)  # (m, n) -> the core build
+
+
+def _compile_kernels(p: ProblemSpec) -> None:
+    """Compile now, unless they are compiled, the kernels that solving p
+    runs: its core build and its m = 2 solve or its prox step.  A pool forked
+    afterwards inherits them."""
+    _CORE_KERNELS[p.m, p.n]
+    if p.m == 2:
+        _PAIR_KERNELS[p.n]
+    else:
+        _INNER_KERNELS[p.m, p.n]
 
 
 def _proj_simplex(w: list) -> list:
@@ -404,23 +448,10 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
 
     x and y must be float lists that _point returned, so z is one too.
     Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or
-    offsets c that are not finite raise InvalidInputError.
+    offsets c that are not finite raise InvalidInputError.  The work is one
+    call of the kernel compiled for p's shape (m, n); see ``_core_source``.
     """
-    vals_y, G = evals_y
-    vals_x, _ = evals_x
-    gx = _g(p, x)
-    c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
-    core = _Core(y, G, c, ell)
-    # 0 * v is 0 for a finite v and nan for inf or nan, so one sum finds either
-    s = 0.0
-    for v in c:
-        s += 0.0 * v
-    for row in core.G:
-        for v in row:
-            s += 0.0 * v
-    if s != 0.0:
-        raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.y} are not finite")
-    return core
+    return _CORE_KERNELS[p.m, p.n](p, x, y, evals_y, evals_x, ell)
 
 
 def _build_core(inp: SubproblemInput) -> _Core:

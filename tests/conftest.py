@@ -12,9 +12,13 @@ solve_pair_loop_reference are the prox step and the m = 2 kink search as
 the float loops they were before sapgm.subproblem compiled them, kept to pin
 the compiled kernels' bits.  solve_pair_full_scan is the float kink search
 that evaluates h at every kink, kept to pin the bits of the one that
-evaluates it only inside the bracket.  g is (1/n) ||x||_1
-throughout, as in sapgm.  The session fixture benchmark_run runs the
-pinned grid once, for every test that reads its artifacts.
+evaluates it only inside the bracket.  core_from_evals_loop_reference is
+the core build as loops, kept to pin the compiled build's bits, and
+called_atom_kernel compiles trees with each smoothing atom as one call of
+its scalar rule, as the kernels did before the atoms' arithmetic was
+written out.  g is (1/n) ||x||_1 throughout, as in sapgm.  The session
+fixture benchmark_run runs the pinned grid once, for every test that reads
+its artifacts.
 """
 from __future__ import annotations
 
@@ -26,7 +30,8 @@ import numpy as np
 import pytest
 
 from sapgm.bench import BenchConfig, run_benchmark
-from sapgm.problems import GKind, ProblemSpec, eval_true
+from sapgm.errors import InvalidInputError
+from sapgm.problems import GKind, ProblemSpec, _g, eval_true
 from sapgm.smoothing import (
     Abs,
     Affine,
@@ -38,12 +43,14 @@ from sapgm.smoothing import (
     Scale,
     Square,
     Sum,
+    _compile,
     compose_surrogate,
     smooth_abs,
     smooth_max2,
     smooth_max_list,
     smooth_plus,
 )
+from sapgm.subproblem import _Core
 
 
 @pytest.fixture(scope="session")
@@ -379,6 +386,58 @@ def solve_pair_full_scan(core, lam0):
         t = min(ti + (tj - ti) * hi / (hi - hj), tj)  # rounding can land one ulp past tj
     lam = [t, 1.0 - t]
     return lam, 1, core.inner(lam)
+
+
+def core_from_evals_loop_reference(p, x, y, evals_y, evals_x, ell):
+    """sapgm.subproblem._core_from_evals as the loops it was before it was
+    compiled: the core and the error its compiled build must reproduce."""
+    vals_y, G = evals_y
+    vals_x, _ = evals_x
+    gx = _g(p, x)
+    c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
+    core = _Core(y, G, c, ell)
+    # 0 * v is 0 for a finite v and nan for inf or nan, so one sum finds either
+    s = 0.0
+    for v in c:
+        s += 0.0 * v
+    for row in core.G:
+        for v in row:
+            s += 0.0 * v
+    if s != 0.0:
+        raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.y} are not finite")
+    return core
+
+
+# each smoothing atom's rule as one call of its scalar rule, as the kernels
+# ran them before the atoms' arithmetic was written out
+_CALLED_ATOM_RULES = {
+    Abs: lambda self, v, a, args, bind: (f"{v}, {v}d = smooth_abs({args[0]}, mu)", [f"{v}d * {a}"]),
+    Plus: lambda self, v, a, args, bind: (f"{v}, {v}d = smooth_plus({args[0]}, mu)", [f"{v}d * {a}"]),
+    Max2: lambda self, v, a, args, bind: (
+        f"{v}, {v}a, {v}b = smooth_max2({args[0]}, {args[1]}, mu)",
+        [f"{v}a * {a}", f"{v}b * {a}"],
+    ),
+    MaxList: lambda self, v, a, args, bind: (
+        f"{v}, {v}w = smooth_max_list([{', '.join(args)}], mu)",
+        [f"{v}w[{j}] * {a}" for j in range(len(args))],
+    ),
+}
+
+
+def called_atom_kernel(exprs):
+    """The trees compiled with each smoothing atom as one call of its scalar
+    rule: (n, value, value_grad), as sapgm.smoothing._compile gives them."""
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, rule in _CALLED_ATOM_RULES.items():
+            mp.setattr(cls, "code", rule)
+        return _compile(exprs)
+
+
+def bits(value):
+    """value with every float as float.hex, so that nan equals nan and -0.0 differs from 0.0."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
 
 
 def assert_kernel_matches_components(kernel, parts, x, mu):

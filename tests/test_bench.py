@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from sapgm import bench
+from sapgm import bench, subproblem
 from sapgm.bench import (
     PROTOCOL_PARAMS,
     RATE_ITERS,
@@ -95,6 +95,30 @@ def test_the_pool_has_no_more_workers_than_runs(tmp_path, pool_sizes, runs, solv
     assert pool_sizes == sizes
     assert json.loads((out / "manifest.json").read_text())["parallel"] == 8
     assert len(_drop_time(out / "runs.csv")) == 1 + runs * len(SOLVERS if solver == "both" else [solver])
+
+
+def test_the_pool_forks_after_the_subproblem_kernels_are_compiled(tmp_path, monkeypatch):
+    # forked workers inherit the kernels, so no worker compiles them on every pass
+    for name, source in [("_PAIR_KERNELS", "_pair_source"), ("_CORE_KERNELS", "_core_source")]:
+        monkeypatch.setattr(subproblem, name, subproblem._Kernels(getattr(subproblem, source)))
+    compiled = []
+
+    class SnapshotPool:
+        def __init__(self, processes):
+            compiled.append((sorted(subproblem._PAIR_KERNELS), sorted(subproblem._CORE_KERNELS)))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks, chunksize=1):
+            return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SnapshotPool)
+    run_benchmark(BenchConfig(problems=("JOS1",), runs=2, base_seed=5, solver="both", parallel=2, out_dir=tmp_path))
+    assert compiled == [([2], [(2, 2)])]
 
 
 def test_each_start_is_drawn_once_in_the_calling_process(tmp_path, monkeypatch):

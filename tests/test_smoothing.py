@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_kernel_matches_components, value_grad
+from conftest import assert_kernel_matches_components, bits, called_atom_kernel, value_grad
+from sapgm import smoothing
 from sapgm.errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError
 from sapgm.smoothing import (
     Abs,
@@ -143,6 +144,23 @@ def test_atoms_reject_nonpositive_mu(mu):
     ):
         with pytest.raises(InvalidParameterError):
             call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: smooth_abs(1.0, mu),
+        lambda mu: smooth_plus(1.0, mu),
+        lambda mu: smooth_max2(1.0, 2.0, mu),
+        lambda mu: smooth_max_list([1.0, 2.0], mu),
+    ],
+    ids=["abs", "plus", "max2", "max_list"],
+)
+def test_atoms_reject_an_infinite_mu(call):
+    # an infinite mu gave (inf, 0.0), (inf, 0.5), (inf, 0.5, 0.5) and
+    # (inf, [0.5, 0.5]) without a word
+    with pytest.raises(InvalidParameterError, match="mu must be finite and nonnegative, got inf"):
+        call(math.inf)
 
 
 def test_smooth_max_list_empty():
@@ -721,3 +739,79 @@ def test_kernel_matches_the_reference_evaluator_on_the_registry():
                     (vals, J), (vals_only, none) = eval_smooth(p, x, mu), eval_smooth(p, x, mu, jac=False)
                     assert none is None and np.asarray(J).shape == (p.m, p.n)
                     np.testing.assert_array_equal(vals_only, vals)
+
+
+# ------------------------------ the written-out atoms against their scalar rules
+
+# arguments where the written-out lines could part from the scalar rules:
+# ties (drawn from a small pool), signed zeros, infinities, nan, and values
+# near 1e308 whose difference or hypot overflows
+atom_args = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(),
+)
+atom_mus = st.one_of(st.just(0.0), st.floats(5e-324, 1e300), st.sampled_from([1e-300, 1.0, 8.98846567431158e307]))
+
+def scalar_rule(atom, args, mu):
+    """The atom's scalar rule at args, as (value, partials)."""
+    if atom is MaxList:
+        return smooth_max_list(args, mu)
+    v, *partials = {Abs: smooth_abs, Plus: smooth_plus, Max2: smooth_max2}[atom](*args, mu)
+    return v, partials
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_one_atom_kernel_gives_its_scalar_rule_bits(data):
+    atom = data.draw(st.sampled_from([Abs, Plus, Max2, MaxList]))
+    k = {Abs: 1, Plus: 1, Max2: 2}.get(atom) or data.draw(st.integers(1, 4))
+    pool = data.draw(st.lists(atom_args, min_size=1, max_size=k))
+    x = [data.draw(st.sampled_from(pool)) for _ in range(k)]
+    mu = data.draw(atom_mus)
+    leaves = [Affine(row) for row in np.eye(k)]
+    node = atom(leaves) if atom is MaxList else atom(*leaves)
+    _, value, value_grad = smoothing._compile([node])  # the bare kernels take any floats
+    # each leaf line is x_j + 0.0, and each gradient entry the partial times 1.0
+    v, partials = scalar_rule(atom, [xj + 0.0 for xj in x], mu)
+    assert bits(value(x, mu)) == bits(v)
+    assert bits(value_grad(x, mu)) == bits([v, partials])
+
+
+def _walk(expr):
+    yield expr
+    for child in _children(expr):
+        yield from _walk(child)
+
+
+def test_registry_kernels_reach_a_scalar_rule_only_at_mu_zero(monkeypatch):
+    # with every scalar rule refusing, eval still gives the bits of kernels
+    # that call the rules, and only true_eval reaches one
+    class Reached(Exception):
+        pass
+
+    def refuse(*args):
+        raise Reached
+
+    with monkeypatch.context() as mp:
+        for name in ("smooth_abs", "smooth_plus", "smooth_max2", "smooth_max_list"):
+            mp.setitem(smoothing._KERNEL_GLOBALS, name, refuse)
+        kernels = [_ProblemKernel([s.expr for s in p.smooth_parts]) for p in registry()]
+    rng = np.random.default_rng(5)
+    with_atoms = []
+    for p, kernel in zip(registry(), kernels):
+        _, called_value, called_value_grad = called_atom_kernel([s.expr for s in p.smooth_parts])
+        atoms = any(isinstance(node, (Abs, Plus, Max2, MaxList)) for s in p.smooth_parts for node in _walk(s.expr))
+        with_atoms += [p.name] if atoms else []
+        points = [sample_start(p, seed).tolist() for seed in range(5)]
+        points += [rng.uniform(p.lower - 5.0, p.upper + 5.0).tolist() for _ in range(5)]
+        for x in points:
+            for mu in (1.0, 1e-2, 1e-4, 1e-8):
+                assert bits(kernel.eval(x, mu)) == bits(called_value_grad(x, mu))
+                assert bits(kernel.eval(x, mu, jac=False)[0]) == bits(called_value(x, mu))
+            if atoms:
+                with pytest.raises(Reached):
+                    kernel.true_eval(x)
+            else:
+                assert bits(kernel.true_eval(x)) == bits(called_value(x, 0.0))
+    assert with_atoms == ["CB3&LQ", "CB3&MF1", "CR&MF2"]

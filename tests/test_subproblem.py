@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bits,
     build_problem,
     complementarity_reference,
     core_arrays,
+    core_from_evals_loop_reference,
     grid_argmin_2d,
     inner_loop_reference,
     inner_reference,
@@ -689,13 +692,6 @@ def test_certificates_match_the_numpy_reference(core_lam, data):
 # ------------------------------------ the compiled kernels against the loops
 
 
-def bits(value):
-    """value with every float as float.hex, so that nan equals nan and -0.0 differs from 0.0."""
-    if isinstance(value, (list, tuple)):
-        return [bits(v) for v in value]
-    return value.hex() if isinstance(value, float) else value
-
-
 def solve_core_loop_reference(core, lam0):
     """_solve_core's eight outputs at m = 2, from the loop kink search."""
     lam, steps, (z, comp, dual, quad, dots) = solve_pair_loop_reference(core, lam0)
@@ -747,18 +743,64 @@ def test_each_shape_compiles_one_kernel(monkeypatch):
     monkeypatch.setattr(subproblem, "exec", counting_exec, raising=False)
     monkeypatch.setattr(subproblem, "_PAIR_KERNELS", subproblem._Kernels(subproblem._pair_source))
     monkeypatch.setattr(subproblem, "_INNER_KERNELS", subproblem._Kernels(subproblem._inner_source))
+    monkeypatch.setattr(subproblem, "_CORE_KERNELS", subproblem._Kernels(subproblem._core_source))
     rng = np.random.default_rng(7)
     cores_by_n = {
         n: _Core(rng.normal(size=n).tolist(), rng.normal(size=(2, n)).tolist(), [0.1, -0.1], 2.0) for n in (2, 5)
     }
-    kernels = {}
+    kernels, core_kernels = {}, {}
     for call in range(1000):
         n = (2, 5)[call % 2]
-        _solve_core(cores_by_n[n], LAM_HALF, DEFAULT_TOL)
+        core = cores_by_n[n]
+        p = types.SimpleNamespace(name="shape", m=2, n=n)
+        _core_from_evals(p, core.y, core.y, ([0.0, 0.0], core.G), ([0.0, 0.0], None), 2.0)
+        _solve_core(core, LAM_HALF, DEFAULT_TOL)
         kernels.setdefault(n, subproblem._PAIR_KERNELS[n])
-        assert subproblem._PAIR_KERNELS[n] is kernels[n]
+        core_kernels.setdefault(n, subproblem._CORE_KERNELS[2, n])
+        assert subproblem._PAIR_KERNELS[n] is kernels[n] and subproblem._CORE_KERNELS[2, n] is core_kernels[n]
     assert sorted(subproblem._PAIR_KERNELS) == [2, 5] and not subproblem._INNER_KERNELS
-    assert len(compiled) == 2
+    assert sorted(subproblem._CORE_KERNELS) == [(2, 2), (2, 5)]
+    assert len(compiled) == 4
+
+
+def test_the_pair_kernel_makes_no_function_per_call():
+    # h is compiled beside the kernel, once per size: a bracketed solve
+    # once built a function with 4n + 3 default arguments that few kinks called
+    kernel = subproblem._PAIR_KERNELS[3]
+    assert not [c for c in kernel.__code__.co_consts if isinstance(c, types.CodeType)]
+    assert callable(kernel.__globals__["h"])
+
+
+@st.composite
+def core_evals(draw):
+    """The arguments of _core_from_evals for the shape of a cores() or
+    pair_cores() core: values of any size, x with |x| summing past the
+    largest float, and at times one inf or nan in the Jacobian."""
+    core = draw(st.one_of(cores().map(lambda core_lam: core_lam[0]), pair_cores()))
+    m, n = len(core.G), core.n
+    G = [list(row) for row in core.G]
+    bad = draw(st.one_of(st.none(), st.sampled_from([math.inf, -math.inf, math.nan])))
+    if bad is not None:
+        G[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = bad
+    values = st.lists(st.one_of(st.floats(-5.0, 5.0), st.floats()), min_size=m, max_size=m)
+    x = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+    p = types.SimpleNamespace(name=f"shape {m}x{n}", m=m, n=n)
+    return p, x, core.y, (draw(values), G), (draw(values), None), core.ell
+
+
+def built(build, args):
+    """The core build's y, G, c and ell as bits, or the message of its InvalidInputError."""
+    try:
+        core = build(*args)
+    except InvalidInputError as e:
+        return str(e)
+    return bits([core.y, core.G, core.c, core.ell])
+
+
+@settings(max_examples=500, deadline=None)
+@given(args=core_evals())
+def test_compiled_core_build_gives_the_loop_bits(args):
+    assert built(_core_from_evals, args) == built(core_from_evals_loop_reference, args)
 
 
 # solve_subproblem at x = (0.4, 0.7), y = (0.5, 0.6), mu = 0.25, ell = 8 with every
