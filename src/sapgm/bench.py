@@ -38,8 +38,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParameterError, _check_int
 from .metrics import FrontPoint, fit_rate, merit_against_values, nondominated_filter
 from .problems import ProblemSpec, eval_true, get_problem, registry, sample_start
-from .solver import SolverConfig, solve, solve_baseline
-from .subproblem import _compile_kernels
+from .solver import SolverConfig, _compile_run, solve, solve_baseline
 
 __all__ = [
     "BenchConfig",
@@ -159,9 +158,9 @@ def run_benchmark(cfg: BenchConfig) -> Path:
     Run i of every solver starts from seed base_seed + i.  Each start is drawn
     once, here, before any run, and both solvers share it; the runs then go
     to a pool of min(parallel, runs in the grid) workers, or run here when
-    that is 1.  Before a pool forks, each problem's subproblem kernels are
-    compiled here, so that no worker compiles them again.  Returns the
-    artifact directory.
+    that is 1.  Before a pool forks, each problem's step and subproblem
+    kernel are compiled here, so that no worker compiles them again.
+    Returns the artifact directory.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +180,7 @@ def run_benchmark(cfg: BenchConfig) -> Path:
         import multiprocessing  # only the pool needs it; it adds to every `import sapgm`
 
         for prob in problems:  # compiled here, so that forked workers inherit them
-            _compile_kernels(get_problem(prob))
+            _compile_run(get_problem(prob))
         with multiprocessing.Pool(workers) as pool:
             rows = pool.starmap(_execute, tasks, chunksize=8)
     else:

@@ -35,7 +35,8 @@ from .smoothing import (
     Square,
     Sum,
     _as_point,
-    _compile,
+    _compile_source,
+    _tree_source,
     compose_surrogate,
 )
 
@@ -53,7 +54,9 @@ __all__ = [
 class _ProblemKernel(SmoothSurrogate):
     """The m trees of a problem compiled into one kernel (see ``_compile``):
     ``eval`` gives the m values and the m gradient rows as float lists, and
-    ``true_eval`` the m exact values.
+    ``true_eval`` the m exact values.  ``source`` keeps the lines it was
+    compiled from, which the solver splices into the problem's backtracking
+    step.
 
     It is a subclass, not a sibling, so that it inherits ``eval`` and
     ``true_eval`` with their checks: perfbench's tracer rebinds
@@ -64,7 +67,8 @@ class _ProblemKernel(SmoothSurrogate):
     """
 
     def __init__(self, exprs: Sequence[Expr]):
-        self.n, self._value, self._value_grad = _compile(exprs)
+        self.source = _tree_source(exprs)
+        self.n, self._value, self._value_grad = _compile_source(self.source)
 
 
 class GKind(enum.Enum):

@@ -32,8 +32,10 @@ coordinate, g_k = sum_j s_j w_jk, so the gradient is formed only when
 asked for.  ``mu = 0`` runs the same kernel.  The same compiler takes
 several trees into one kernel, with one unpack of the point and each tree's
 lines in the order and arithmetic of its own kernel: a problem's m
-components run as one call that gives m values and m gradient rows.  Nodes
-and kernels are stateless and safe to evaluate concurrently.
+components run as one call that gives m values and m gradient rows.  The
+emitter hands back the lines it compiles (``_tree_source``), which the
+solver splices into each problem's backtracking step.  Nodes and kernels
+are stateless and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -444,7 +446,7 @@ def _children(expr: Expr) -> list[Expr]:
 # ---------------------------------------------------------------------------
 
 # the functions generated code calls; the rest of its names are slots, mu and
-# the constants _compile binds
+# the constants _tree_source binds
 _KERNEL_GLOBALS = {
     "exp": math.exp,
     "hypot": math.hypot,
@@ -456,10 +458,28 @@ _KERNEL_GLOBALS = {
 }
 
 
-def _compile(exprs: Sequence[Expr]):
-    """Check trees and compile them into one kernel (n, value, value_grad):
-    n is the size of the Affine leaves and the kernels take a float list x of
-    R^n.
+@dataclass(frozen=True)
+class _TreeSource:
+    """The lines ``_tree_source`` emits for m trees over the point x0, ..., x{n-1} and mu.
+
+    ``forward`` runs the trees' forward passes in order; ``fused`` runs each
+    tree's forward pass and then its reverse pass for the leaf adjoints.
+    ``values[i]`` names the slot that holds tree i's value after either, and
+    ``grads[i][k]`` is the expression of its gradient's coordinate k after
+    ``fused``.  ``consts`` holds the constants the lines read by name.
+    """
+
+    n: int
+    forward: list[str]
+    fused: list[str]
+    values: list[str]
+    grads: list[list[str]]
+    consts: dict[str, float]
+
+
+def _tree_source(exprs: Sequence[Expr]) -> _TreeSource:
+    """Check trees and emit their lines: the kernels' source, which ``_compile``
+    compiles and a problem's backtracking step splices.
 
     Raises UnsupportedAtomError for a node type outside _SUPPORTED and for
     Square, Quartic or Exp over a smoothed child (kappa > 0), whose error the
@@ -467,15 +487,13 @@ def _compile(exprs: Sequence[Expr]):
     differ in size.  Each Affine leaf, in walk order, is one line
     ``u_j = w_j0 * x0 + ... + c_j`` over its nonzero weights, and every
     other node the lines of its rule (``Expr.code``): one for most nodes,
-    an ``if mu > 0.0`` block for a smoothing atom.
-    ``value(x, mu)`` runs the trees' forward passes in order;
-    ``value_grad(x, mu)`` runs each tree's forward pass and then its reverse
-    pass for the leaf adjoints s_j, and gives each tree's gradient as a list,
-    g_k = sum_j s_j w_jk over the tree's leaves that read x_k (0.0 when none
-    does).  One tree gives its value as a float and its gradient as one
-    list; several give a list of values and a list of gradient rows.  Each
-    position in a tree gets its own slots, distinct across the trees, so each
-    node has one parent and the reverse pass only assigns.
+    an ``if mu > 0.0`` block for a smoothing atom.  The reverse pass gives
+    the leaf adjoints s_j, and each tree's gradient is g_k = sum_j s_j w_jk
+    over the tree's leaves that read x_k (0.0 when none does).  Each position
+    in a tree gets its own slots, distinct across the trees, so each node has
+    one parent and the reverse pass only assigns.  The lines bind only the
+    slots u_j, s_j, v_i and a_i and the temporaries named after v_i; the
+    constants are k_i.
     """
     consts: dict[str, float] = {}
     forward: list[str] = []  # every tree's forward lines, tree after tree
@@ -515,7 +533,7 @@ def _compile(exprs: Sequence[Expr]):
         blocks.append([f"{ka} = {e}" for (_, ka), e in zip(kids, adjoints)])
         return v, a
 
-    fused: list[str] = []  # value_grad's lines: per tree its forward lines, then its reverse lines
+    fused: list[str] = []  # per tree its forward lines, then its reverse lines
     roots, spans = [], []  # per tree: its value slot and the indices of its leaves
     for expr in exprs:
         f0, b0, l0 = len(forward), len(blocks), len(leaves)
@@ -527,27 +545,43 @@ def _compile(exprs: Sequence[Expr]):
     if len(sizes) != 1:
         raise InvalidInputError(f"Affine leaves differ in size: {sorted(sizes)}")
     (n,) = sizes
+    grads = [
+        [" + ".join(times(f"s{j}", float(leaves[j][k])) for j in span if leaves[j][k]) or "0.0" for k in range(n)]
+        for span in spans
+    ]
+    return _TreeSource(n, forward, fused, roots, grads, consts)
 
-    def gradient(span: range) -> str:
-        """The gradient of the tree whose leaves are leaves[span], as a list display."""
-        terms = [
-            " + ".join(times(f"s{j}", float(leaves[j][k])) for j in span if leaves[j][k]) or "0.0"
-            for k in range(n)
-        ]
-        return f"[{', '.join(terms)}]"
 
-    grads = [gradient(span) for span in spans]
-    value, grad = (roots[0], grads[0]) if len(roots) == 1 else (f"[{', '.join(roots)}]", f"[{', '.join(grads)}]")
-    unpack = "".join(f"x{k}, " for k in range(n)) + "= x"
-    src = "\n".join(
+def _compile(exprs: Sequence[Expr]):
+    """Check trees and compile them into one kernel (n, value, value_grad):
+    n is the size of the Affine leaves and the kernels take a float list x of
+    R^n.
+
+    ``value(x, mu)`` runs ``_tree_source``'s forward lines and
+    ``value_grad(x, mu)`` its fused lines, each after one unpack of x into
+    x0, x1, ....  One tree gives its value as a float and its gradient as
+    one list; several give a list of values and a list of gradient rows.
+    """
+    return _compile_source(_tree_source(exprs))
+
+
+def _compile_source(src: _TreeSource):
+    """(n, value, value_grad) compiled from src; see ``_compile``."""
+    grads = [f"[{', '.join(row)}]" for row in src.grads]
+    if len(src.values) == 1:
+        value, grad = src.values[0], grads[0]
+    else:
+        value, grad = f"[{', '.join(src.values)}]", f"[{', '.join(grads)}]"
+    unpack = "".join(f"x{k}, " for k in range(src.n)) + "= x"
+    code = "\n".join(
         ["def value(x, mu):"]
-        + [f"    {line}" for line in [unpack] + forward + [f"return {value}"]]
+        + [f"    {line}" for line in [unpack] + src.forward + [f"return {value}"]]
         + ["def value_grad(x, mu):"]
-        + [f"    {line}" for line in [unpack] + fused + [f"return {value}, {grad}"]]
+        + [f"    {line}" for line in [unpack] + src.fused + [f"return {value}, {grad}"]]
     )
-    ns = {**_KERNEL_GLOBALS, **consts}
-    exec(compile(src, "<sapgm kernel>", "exec"), ns)
-    return n, ns["value"], ns["value_grad"]
+    ns = {**_KERNEL_GLOBALS, **src.consts}
+    exec(compile(code, "<sapgm kernel>", "exec"), ns)
+    return src.n, ns["value"], ns["value_grad"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,31 +19,48 @@ The run's state (x, y, t, mu, L and the feval tally) lives in locals of one
 solve call, so concurrent solves on a shared problem spec are safe.  The
 tally counts the method's oracle values, 2 + trials per iteration: f and
 its Jacobian at y, f at x and f at each trial.  Where y equals x (theta =
-0: every baseline iteration, and SAPGM's k = 0 and 1) one eval_smooth call
-gives f at both, so the tally stays 2 + trials while the calls drop by one.
-x0 goes through the problem's point check once; from there x, y, each
-accepted z and the smoothed values are float lists, as the kernels take and
-return them, and only the trace and the result hold arrays.  g is read at
-points that have passed the check without checking them again, and the
-descent test reads its terms from the prox step that formed z: one
+0: every baseline iteration, and SAPGM's k = 0 and 1) the evaluation at y
+gives f at both, so the tally stays 2 + trials while the evaluations drop
+by one.  x0 goes through the problem's point check once; from there x, y,
+each accepted z and the smoothed values are float lists, as the kernels
+take and return them, and only the trace and the result hold arrays.  g is
+read at points that have passed the check without checking them again, and
+the descent test reads its terms from the prox step that formed z: one
 comparison per objective.
 The boundedness diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}),
 which backtrack_step already computed.
+
+Step 2 is one compiled function per problem (``_step_lines``), emitted on
+the step's first use and kept on the spec: the problem's tree lines at y,
+at x (only when x != y) and at each trial z, and the core build of
+``subproblem._core_lines``, in the order and arithmetic of the layered
+calls they replace, with the same finiteness checks.  Between those lines a
+call costs more than the arithmetic it wraps.  Two seams stay calls, since
+perfbench's tracer rebinds them and ``tests/test_trace_points.py`` reads
+them: ``backtrack_step``, which _run calls through this module's globals,
+and ``_solve_core``, which the step looks up in this module at each trial.
+The step does not call eval_smooth; on a fault it hands back the point, and
+backtrack_step calls eval_smooth there for the error's type and message.
 """
 
 from __future__ import annotations
 
+import ast
 import logging
 import math
+import operator
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergingLipschitzError, InvalidParameterError, _check_int
+from .errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError, _check_int
 from .problems import ProblemSpec, _g, _point, eval_smooth, eval_true
-from .subproblem import DEFAULT_TOL, _core_from_evals, _solve_core
+from .smoothing import _KERNEL_GLOBALS, _TreeSource
+# each step calls _solve_core as an attribute of this module, which a tracer can rebind
+from .subproblem import DEFAULT_TOL, _compile_kernels, _Core, _core_lines, _lists, _solve_core
 
 __all__ = [
     "SolverConfig",
@@ -72,7 +89,7 @@ _RULES = {
     "L0": (lambda v: 1.0 <= v < math.inf, "be finite and >= 1"),
     "eta": (lambda v: 1.0 < v < math.inf, "be finite and exceed 1"),
     "sigma": (lambda v: 0.0 < v < 2.0, "lie in (0, 2)"),
-    "eps": (lambda v: v >= 0.0, "be nonnegative"),
+    "eps": (lambda v: 0.0 <= v < math.inf, "be finite and nonnegative"),
 }
 
 
@@ -142,12 +159,18 @@ def mu_schedule(k: int, mu0: float, sigma: float) -> float:
     try:
         if type(k) is int and k >= 0 and 0.0 < mu0 <= 1.0 and 0.0 < sigma < 2.0:
             return mu0 / (k + 1) ** sigma
-    except TypeError:  # a mu0 or sigma that is no number
+    except (TypeError, OverflowError):  # a mu0 or sigma that is no number, or a k too large
         pass
     _check_int(k, "k", 0)
     _check_rule("mu0", mu0)
     _check_rule("sigma", sigma)
-    return mu0 / (k + 1) ** sigma  # k is an integer type other than int
+    try:
+        return mu0 / (k + 1) ** sigma  # k may be an integer type other than int
+    except OverflowError:
+        bits = operator.index(k).bit_length()  # str() of a huge int can raise
+        raise InvalidParameterError(
+            f"k must be small enough that (k + 1) ** sigma is a float, got k of {bits} bits and sigma={sigma!r}"
+        ) from None
 
 
 def momentum_update(
@@ -176,40 +199,169 @@ def backtrack_step(
     `mu` is already decayed for this iteration.  Returns the accepted
     candidate z, the accepted L, the trial count and f(z, mu), with z and
     f(z, mu) as float lists for any x and y eval_smooth accepts.  x and y
-    are made float lists once, by the point check.  The step spends 2 +
-    trials smooth evaluations: f and the Jacobian at y (the one call that
-    forms a Jacobian), f at x and f at each trial.  When x equals y by value
-    (-0.0 equals 0.0), f at x is read from the call at y: the values agree
-    up to the sign of a zero, each Affine leaf line ending in ``+ c``, and
-    the offsets c_i = f_i(y) - (f_i(x) + g(x)) add g(x) >= +0.0, which
-    clears that sign.
+    are made float lists once, by the point check, and mu is checked; the
+    rest is one call of p's compiled step (see ``_step_lines``).  The step
+    spends 2 + trials smooth evaluations: f and the Jacobian at y, f at x
+    and f at each trial.  When x equals y by value (-0.0 equals 0.0), f at x
+    is read from the evaluation at y: the values agree up to the sign of a
+    zero, each Affine leaf line ending in ``+ c``, and the offsets
+    c_i = f_i(y) - (f_i(x) + g(x)) add g(x) >= +0.0, which clears that sign.
+
+    Errors keep the order, type and message of the evaluations the step
+    stands for: a bad y, a mu that is not finite and positive, a fault at y,
+    a bad x, a fault at x, a Jacobian or offset that is not finite, a fault
+    at a trial, and DivergingLipschitzError.  The step reports a fault by
+    the point, and eval_smooth there raises its error.
     """
     y = _point(p, y)
-    evals_y = eval_smooth(p, y, mu)
-    x = _point(p, x)
-    evals_x = evals_y if x == y else eval_smooth(p, x, mu, jac=False)
-    L_trial = cfg.L0
-    core = _core_from_evals(p, x, y, evals_y, evals_x, L_trial / mu)
-    vals_y = evals_y[0]
-    m = len(vals_y)
-    lam0 = [1.0 / m] * m
-    for trial in range(1, MAX_BACKTRACKS + 2):
-        z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL)
-        vals_z, _ = eval_smooth(p, z, mu, jac=False)
-        # f_i(z) - f_i(y) - <grad f_i(y), z - y> <= (ell / 2) ||z - y||^2 for every i;
-        # dots and quad are the prox step's <grad f_i(y), z - y> and (ell / 2) ||z - y||^2
-        bound = quad + (1e-9 * max(1.0, quad) + 1e-12)
-        for fz, fy, dot in zip(vals_z, vals_y, dots):
-            if not fz - fy - dot <= bound:  # so that a nan trial fails
-                break
-        else:
-            return z, L_trial, trial, vals_z
-        L_trial *= cfg.eta
-        core.ell = L_trial / mu
-    raise DivergingLipschitzError(
+    if not 0.0 < mu < math.inf:
+        eval_smooth(p, y, mu)  # raises the error of a mu that is not finite and positive
+    try:
+        x = _point(p, x)
+    except InvalidInputError:
+        eval_smooth(p, y, mu)  # a fault at y comes first
+        raise
+    try:
+        return _compiled_step(p)(p, x, y, mu, cfg)
+    except _Fault as fault:
+        point, jac = fault.args
+    eval_smooth(p, point, mu, jac)
+    raise AssertionError(f"{p.name}: the step faulted at {point}, but eval_smooth does not")
+
+
+class _Fault(Exception):
+    """A step's evaluation at a point overflowed or gave a value that is not
+    finite: args are the point and whether that evaluation formed the Jacobian."""
+
+
+def _diverged(p: ProblemSpec, L: float) -> DivergingLipschitzError:
+    return DivergingLipschitzError(
         f"{p.name}: descent test still failing after {MAX_BACKTRACKS} inflations "
-        f"(L reached {L_trial:.3g}); surrogate gradients are suspect"
+        f"(L reached {L:.3g}); surrogate gradients are suspect"
     )
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return [f"    {line}" for line in lines]
+
+
+def _step_lines(m: int, n: int, src: _TreeSource, core: list[str]) -> list[str]:
+    """``step(p, x, y, mu, cfg)``: backtrack_step after its checks, for m
+    trees over R^n, as source lines.
+
+    It splices the tree lines of ``src`` and the core build ``core``
+    (``_core_lines``), in the order and arithmetic of the evaluations they
+    stand for.  The point is unpacked into the trees' names x0, x1, ...;
+    then:
+
+    - the fused lines at y, the values fy_i and the Jacobian entries
+      g{i}_{j} and rows G;
+    - only when x != y, the forward lines at x for fx_i (otherwise
+      fx_i = fy_i);
+    - the core build at ell = L0 / mu;
+    - per trial, ``_solve_core`` looked up in this module at call time (so
+      a rebound ``solver._solve_core`` sees every trial), a check that z is
+      finite, the forward lines at z for fz_i and the descent test
+      fz_i - fy_i - dot_i <= quad + (1e-9 max(1, quad) + 1e-12) for every i,
+      with ``max`` written as the builtin picks; then L *= eta and
+      core.ell = L / mu, until MAX_BACKTRACKS inflations raise
+      DivergingLipschitzError.
+
+    An evaluation that overflows or gives a value that is not finite
+    (v - v != 0.0), and a z that is not finite, raise _Fault with the point.
+    """
+    point = "".join(f"x{k}, " for k in range(n))
+
+    def at(where: str, lines: list[str], f: str, jac: bool) -> list[str]:
+        """``lines`` at the point ``where``, binding f{i} to the m values."""
+        fault = f"    raise _Fault({where}, {jac})"
+        names = [f"{f}{i}" for i in range(m)]
+        return (
+            ["try:"]
+            + _indent(lines)
+            + ["except OverflowError:", fault]
+            + [f"{name} = {value}" for name, value in zip(names, src.values)]
+            + [f"if {' + '.join(f'({v} - {v})' for v in names)} != 0.0:", fault]  # v - v is nan for inf and nan
+        )
+
+    rows = ", ".join("[" + ", ".join(f"g{i}_{j}" for j in range(n)) + "]" for i in range(m))
+    trial = (
+        [
+            "z, _, _, _, _, dots, quad, _ = solver._solve_core(core, lam0, DEFAULT_TOL)",
+            f"{point}= z",
+            f"if {' + '.join(f'(x{k} - x{k})' for k in range(n))} != 0.0:",
+            "    raise _Fault(z, False)",
+        ]
+        + at("z", src.forward, "fz", False)
+        + [
+            "".join(f"dot{i}, " for i in range(m)) + "= dots",
+            "bound = quad + (1e-9 * (quad if quad > 1.0 else 1.0) + 1e-12)",
+            f"if {' and '.join(f'fz{i} - fy{i} - dot{i} <= bound' for i in range(m))}:",
+            f"    return z, L, trial, {_lists('fz{}', m)}",
+            "L *= eta",
+            "core.ell = L / mu",
+        ]
+    )
+    body = (
+        [f"{point}= y"]
+        + at("y", src.fused, "fy", True)
+        + [f"g{i}_{j} = {src.grads[i][j]}" for i in range(m) for j in range(n)]
+        + [f"G = [{rows}]", "if x != y:", f"    {point}= x"]
+        + _indent(at("x", src.forward, "fx", False))
+        + ["else:"]
+        + [f"    fx{i} = fy{i}" for i in range(m)]
+        + ["L = cfg.L0", "eta = cfg.eta", "ell = L / mu"]
+        + core
+        + [f"lam0 = [1.0 / {m}] * {m}", "for trial in range(1, MAX_BACKTRACKS + 2):"]
+        + _indent(trial)
+        + ["raise _diverged(p, L)"]
+    )
+    return ["def step(p, x, y, mu, cfg):"] + _indent(body)
+
+
+def _assigned(lines: list[str]) -> set[str]:
+    """The names that source lines assign."""
+    nodes = ast.walk(ast.parse("\n".join(lines)))
+    return {v.id for v in nodes if isinstance(v, ast.Name) and isinstance(v.ctx, ast.Store)}
+
+
+def _compiled_step(p: ProblemSpec):
+    """p's step, compiled from ``_step_lines`` on its first use and kept on
+    the spec.  The tree lines, the core build and the step's own lines
+    assign disjoint names, none of them a name the step reads from its
+    namespace; that is checked here, before the lines are spliced."""
+    try:
+        return p._step
+    except AttributeError:
+        pass
+    src, core = p._kernel.source, _core_lines(p.m, p.n)
+    ns = {
+        **_KERNEL_GLOBALS,
+        **src.consts,
+        "solver": sys.modules[__name__],
+        "_Core": _Core,
+        "_Fault": _Fault,
+        "_diverged": _diverged,
+        "InvalidInputError": InvalidInputError,
+        "DEFAULT_TOL": DEFAULT_TOL,
+        "MAX_BACKTRACKS": MAX_BACKTRACKS,
+    }
+    own = _step_lines(p.m, p.n, replace(src, forward=["pass"], fused=["pass"]), ["pass"])  # nothing spliced
+    names = [_assigned(src.forward + src.fused), _assigned(core), _assigned(own)]
+    union = set().union(*names)
+    assert sum(map(len, names)) == len(union) and union.isdisjoint(ns), f"{p.name}: spliced lines share names"
+    code = compile("\n".join(_step_lines(p.m, p.n, src, core)), f"<sapgm step {p.name}>", "exec")
+    exec(code, ns)
+    object.__setattr__(p, "_step", ns["step"])  # the spec is frozen; _step is not a field
+    return p._step
+
+
+def _compile_run(p: ProblemSpec) -> None:
+    """Compile now, unless they are compiled, the kernels that solving p runs:
+    its step and the subproblem kernel the step calls.  A pool forked
+    afterwards inherits them."""
+    _compiled_step(p)
+    _compile_kernels(p)
 
 
 def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -> RunResult:

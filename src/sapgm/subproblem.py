@@ -24,9 +24,11 @@ these sizes a NumPy call costs more than its arithmetic; only the ascent's
 curvature bound takes a matrix norm, once per solve.
 
 For the same reason the core build, the prox step and the m = 2 solve are
-compiled, as the objective trees are.  The core kernel of a shape (m, n)
+compiled, as the objective trees are.  The core build of a shape (m, n)
 forms g(x), the offsets and the finiteness check of G and c as one
-straight-line sum.  One emitter (_prox_lines) writes the prox step as
+straight-line sum; its lines (_core_lines) are compiled here for
+solve_subproblem and spliced into each problem's backtracking step by the
+solver.  One emitter (_prox_lines) writes the prox step as
 straight-line source for a shape (m, n), with the soft threshold, z, z - y,
 g(z), ||z - y||^2, the dots <g_i, z - y>, the brackets, the dual value and
 quad each formed in a fixed order.  _Core.inner is that source compiled for
@@ -199,7 +201,7 @@ def _prox_lines(m: int, n: int) -> list[str]:
     lines = []
     for j in range(n):
         v = " + ".join([f"l0 * g0_{j}"] + [f"g{i}_{j} * l{i}" for i in range(1, m)])
-        lines += [f"u = y{j} - ({v}) / ell", f"z{j} = {_soft('u')}", f"w{j} = z{j} - y{j}"]
+        lines += [f"q = y{j} - ({v}) / ell", f"z{j} = {_soft('q')}", f"w{j} = z{j} - y{j}"]
     lines.append(f"gz = ({' + '.join(f'abs(z{j})' for j in range(n))}) / {n}")
     lines.append(f"sq = {' + '.join(f'w{j} * w{j}' for j in range(n))}")
     for i in range(m):
@@ -230,12 +232,12 @@ def _h_lines(n: int, t: str, h: str) -> list[str]:
     """h(t) = <d, z(t) - y> + c_0 - c_1 at the weight expression t, bound to h.
 
     z_j(t) = soft(a_j - t s_j), with a_j = y_j - g1_j / ell, d_j = g0_j -
-    g1_j and s_j = d_j / ell; the sum starts from 0.0 and runs over j in
-    order, and dc = c0 - c1 is added last.
+    g1_j and s_j = d_j / ell, named ha{j}, d{j} and hs{j}; the sum starts
+    from 0.0 and runs over j in order, and dc = c0 - c1 is added last.
     """
     lines = []
     for j in range(n):
-        lines += [f"u = a{j} - {t} * s{j}", f"r{j} = {_soft('u')}"]
+        lines += [f"q = ha{j} - {t} * hs{j}", f"r{j} = {_soft('q')}"]
     return lines + [f"{h} = 0.0 + {' + '.join(f'(r{j} - y{j}) * d{j}' for j in range(n))} + dc"]
 
 
@@ -267,14 +269,14 @@ def _pair_source(n: int) -> list[str]:
     """
     coords = []
     for j in range(n):
-        coords += [f"d{j} = g0_{j} - g1_{j}", f"a{j} = y{j} - g1_{j} / ell", f"s{j} = d{j} / ell"]
-    names = ", ".join([f"{v}{j}" for j in range(n) for v in "asyd"] + ["dc", "tau", "ntau"])
+        coords += [f"d{j} = g0_{j} - g1_{j}", f"ha{j} = y{j} - g1_{j} / ell", f"hs{j} = d{j} / ell"]
+    names = ", ".join([f"{v}{j}" for j in range(n) for v in ("ha", "hs", "y", "d")] + ["dc", "tau", "ntau"])
     kinks = []
     for j in range(n):
         kinks.append(f"if d{j}:")
         for sign in "-+":
             kinks += [
-                f"    k = (a{j} {sign} thr) * ell / d{j}",
+                f"    k = (ha{j} {sign} thr) * ell / d{j}",
                 "    if ti < k < tj:",
                 f"        hk = h(k, {names})",
                 "        if hk > 0.0:",
@@ -320,32 +322,45 @@ def _pair_source(n: int) -> list[str]:
     return h + ["def kernel(core, lam0):"] + [f"    {line}" for line in body]
 
 
-def _core_source(shape: tuple[int, int]) -> list[str]:
-    """``kernel(p, x, y, evals_y, evals_x, ell)``: ``_core_from_evals`` for m
-    components over R^n.
+def _core_lines(m: int, n: int) -> list[str]:
+    """The core build for m components over R^n, as source lines over names.
 
-    It unpacks the values, the Jacobian rows and x, forms g(x) as
-    (0.0 + |x_0| + ...) / n and c_i = fy_i - (fx_i + g(x)), and checks G and
-    c with one sum of 0 * v, which is 0 for a finite v and nan for inf or
-    nan.  The core keeps y and G as they are given.
+    They read the values fy{i} at y and fx{i} at x, the Jacobian entries
+    g{i}_{j} and its rows G, the float lists x and y, ell and the problem p.
+    They unpack x into xg{j}, form g(x) as gx = (0.0 + |x_0| + ...) / n and
+    c{i} = fy_i - (fx_i + g(x)), check G and c with one sum of 0 * v, which
+    is 0 for a finite v and nan for inf or nan, and bind the core, which
+    keeps y and G as they are given, to ``core``.  They bind no other name.
     """
-    m, n = shape
-    rows = "".join("(" + "".join(f"g{i}_{j}, " for j in range(n)) + "), " for i in range(m))
     zeros = [f"0.0 * c{i}" for i in range(m)] + [f"0.0 * g{i}_{j}" for i in range(m) for j in range(n)]
-    body = (
+    return (
         [
-            "(" + "".join(f"fy{i}, " for i in range(m)) + "), G = evals_y",
-            rows + "= G",
-            "(" + "".join(f"fx{i}, " for i in range(m)) + "), _ = evals_x",
-            "".join(f"x{j}, " for j in range(n)) + "= x",
-            f"gx = (0.0 + {' + '.join(f'abs(x{j})' for j in range(n))}) / {n}",
+            "".join(f"xg{j}, " for j in range(n)) + "= x",
+            f"gx = (0.0 + {' + '.join(f'abs(xg{j})' for j in range(n))}) / {n}",
         ]
         + [f"c{i} = fy{i} - (fx{i} + gx)" for i in range(m)]
         + [
             f"if 0.0 + {' + '.join(zeros)} != 0.0:",
             '    raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {y} are not finite")',
-            f"return _Core(y, G, {_lists('c{}', m)}, ell)",
+            f"core = _Core(y, G, {_lists('c{}', m)}, ell)",
         ]
+    )
+
+
+def _core_source(shape: tuple[int, int]) -> list[str]:
+    """``kernel(p, x, y, evals_y, evals_x, ell)``: ``_core_from_evals`` for m
+    components over R^n, which unpacks the values and the Jacobian rows into
+    the names ``_core_lines`` reads and returns the core they build."""
+    m, n = shape
+    rows = "".join("(" + "".join(f"g{i}_{j}, " for j in range(n)) + "), " for i in range(m))
+    body = (
+        [
+            "(" + "".join(f"fy{i}, " for i in range(m)) + "), G = evals_y",
+            rows + "= G",
+            "(" + "".join(f"fx{i}, " for i in range(m)) + "), _ = evals_x",
+        ]
+        + _core_lines(m, n)
+        + ["return core"]
     )
     return ["def kernel(p, x, y, evals_y, evals_x, ell):"] + [f"    {line}" for line in body]
 
@@ -371,10 +386,10 @@ _CORE_KERNELS = _Kernels(_core_source)  # (m, n) -> the core build
 
 
 def _compile_kernels(p: ProblemSpec) -> None:
-    """Compile now, unless they are compiled, the kernels that solving p
-    runs: its core build and its m = 2 solve or its prox step.  A pool forked
-    afterwards inherits them."""
-    _CORE_KERNELS[p.m, p.n]
+    """Compile now, unless it is compiled, the kernel through which solving p
+    reaches this module: its m = 2 solve or its prox step.  (A run builds
+    its cores in the solver's step, from ``_core_lines``.)  A pool forked
+    afterwards inherits it."""
     if p.m == 2:
         _PAIR_KERNELS[p.n]
     else:

@@ -13,8 +13,10 @@ the float loops they were before sapgm.subproblem compiled them, kept to pin
 the compiled kernels' bits.  solve_pair_full_scan is the float kink search
 that evaluates h at every kink, kept to pin the bits of the one that
 evaluates it only inside the bracket.  core_from_evals_loop_reference is
-the core build as loops, kept to pin the compiled build's bits, and
-called_atom_kernel compiles trees with each smoothing atom as one call of
+the core build as loops, kept to pin the compiled build's bits;
+backtrack_step_loop_reference is the backtracking step as the layered loop
+it was before each problem's step was compiled, kept to pin the compiled
+step's bits and errors; and called_atom_kernel compiles trees with each smoothing atom as one call of
 its scalar rule, as the kernels did before the atoms' arithmetic was
 written out.  g is (1/n) ||x||_1 throughout, as in sapgm.  The session
 fixture benchmark_run runs the pinned grid once, for every test that reads
@@ -30,8 +32,8 @@ import numpy as np
 import pytest
 
 from sapgm.bench import BenchConfig, run_benchmark
-from sapgm.errors import InvalidInputError
-from sapgm.problems import GKind, ProblemSpec, _g, eval_true
+from sapgm.errors import DivergingLipschitzError, InvalidInputError
+from sapgm.problems import GKind, ProblemSpec, _g, _point, eval_smooth, eval_true
 from sapgm.smoothing import (
     Abs,
     Affine,
@@ -50,7 +52,8 @@ from sapgm.smoothing import (
     smooth_max_list,
     smooth_plus,
 )
-from sapgm.subproblem import _Core
+from sapgm.solver import MAX_BACKTRACKS
+from sapgm.subproblem import DEFAULT_TOL, _Core, _core_from_evals, _solve_core
 
 
 @pytest.fixture(scope="session")
@@ -406,6 +409,38 @@ def core_from_evals_loop_reference(p, x, y, evals_y, evals_x, ell):
     if s != 0.0:
         raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.y} are not finite")
     return core
+
+
+def backtrack_step_loop_reference(p, x, y, mu, cfg):
+    """sapgm.solver.backtrack_step as the layered loop it was before each
+    problem's step was compiled: the step and the errors the compiled step
+    must reproduce."""
+    y = _point(p, y)
+    evals_y = eval_smooth(p, y, mu)
+    x = _point(p, x)
+    evals_x = evals_y if x == y else eval_smooth(p, x, mu, jac=False)
+    L_trial = cfg.L0
+    core = _core_from_evals(p, x, y, evals_y, evals_x, L_trial / mu)
+    vals_y = evals_y[0]
+    m = len(vals_y)
+    lam0 = [1.0 / m] * m
+    for trial in range(1, MAX_BACKTRACKS + 2):
+        z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL)
+        vals_z, _ = eval_smooth(p, z, mu, jac=False)
+        # f_i(z) - f_i(y) - <grad f_i(y), z - y> <= (ell / 2) ||z - y||^2 for every i;
+        # dots and quad are the prox step's <grad f_i(y), z - y> and (ell / 2) ||z - y||^2
+        bound = quad + (1e-9 * max(1.0, quad) + 1e-12)
+        for fz, fy, dot in zip(vals_z, vals_y, dots):
+            if not fz - fy - dot <= bound:  # so that a nan trial fails
+                break
+        else:
+            return z, L_trial, trial, vals_z
+        L_trial *= cfg.eta
+        core.ell = L_trial / mu
+    raise DivergingLipschitzError(
+        f"{p.name}: descent test still failing after {MAX_BACKTRACKS} inflations "
+        f"(L reached {L_trial:.3g}); surrogate gradients are suspect"
+    )
 
 
 # each smoothing atom's rule as one call of its scalar rule, as the kernels

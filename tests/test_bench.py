@@ -98,14 +98,20 @@ def test_the_pool_has_no_more_workers_than_runs(tmp_path, pool_sizes, runs, solv
 
 
 def test_the_pool_forks_after_the_subproblem_kernels_are_compiled(tmp_path, monkeypatch):
-    # forked workers inherit the kernels, so no worker compiles them on every pass
+    # forked workers inherit each problem's step and pair kernel, so no worker
+    # compiles them on every pass; a run builds its cores in its step, so the
+    # core build kernel is not compiled for it
     for name, source in [("_PAIR_KERNELS", "_pair_source"), ("_CORE_KERNELS", "_core_source")]:
         monkeypatch.setattr(subproblem, name, subproblem._Kernels(getattr(subproblem, source)))
+    names = ("JOS1", "BK1")
+    for name in names:  # steps an earlier test compiled come back afterwards
+        monkeypatch.delitem(get_problem(name).__dict__, "_step", raising=False)
     compiled = []
 
     class SnapshotPool:
         def __init__(self, processes):
-            compiled.append((sorted(subproblem._PAIR_KERNELS), sorted(subproblem._CORE_KERNELS)))
+            steps = sorted(name for name in names if "_step" in get_problem(name).__dict__)
+            compiled.append((sorted(subproblem._PAIR_KERNELS), sorted(subproblem._CORE_KERNELS), steps))
 
         def __enter__(self):
             return self
@@ -117,8 +123,8 @@ def test_the_pool_forks_after_the_subproblem_kernels_are_compiled(tmp_path, monk
             return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", SnapshotPool)
-    run_benchmark(BenchConfig(problems=("JOS1",), runs=2, base_seed=5, solver="both", parallel=2, out_dir=tmp_path))
-    assert compiled == [([2], [(2, 2)])]
+    run_benchmark(BenchConfig(problems=names, runs=2, base_seed=5, solver="both", parallel=2, out_dir=tmp_path))
+    assert compiled == [([2], [], ["BK1", "JOS1"])]
 
 
 def test_each_start_is_drawn_once_in_the_calling_process(tmp_path, monkeypatch):

@@ -1,13 +1,22 @@
+import ast
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import build_problem
+import sapgm
+from conftest import backtrack_step_loop_reference, build_problem
+from sapgm import solver
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from sapgm.problems import _point, eval_smooth, get_problem, registry, sample_start
-from sapgm.smoothing import Affine, Exp, Scale, Square, Sum
-from sapgm.subproblem import DEFAULT_TOL, _core_from_evals, _solve_core
+from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum
+from sapgm.subproblem import DEFAULT_TOL, _core_from_evals, _core_lines, _solve_core
 from sapgm.solver import (
     SolverConfig,
     backtrack_step,
@@ -72,6 +81,13 @@ def test_mu_schedule_values():
 def test_mu_schedule_rejects_what_solver_config_rejects(args, message):
     with pytest.raises(InvalidParameterError, match=message):
         mu_schedule(*args)
+
+
+@pytest.mark.parametrize("k", [10**400, 10**5000, 10**200], ids=["k=1e400", "k=1e5000", "k=1e200"])
+def test_mu_schedule_names_a_k_too_large_for_a_float(k):
+    # a bare OverflowError: (k + 1) ** sigma is no float, or overflows one
+    with pytest.raises(InvalidParameterError, match=r"k must be small enough that \(k \+ 1\) \*\* sigma is a float"):
+        mu_schedule(k, 1.0, 1.9)
 
 
 def test_momentum_first_step():
@@ -238,46 +254,99 @@ def signed_zero_problem():
     return build_problem("signed_zero", [f1, f2], [-1.0, -1.0], [1.0, 1.0])
 
 
-@pytest.mark.parametrize("p", registry() + [signed_zero_problem()], ids=lambda p: p.name)
-def test_a_step_whose_x_equals_y_evaluates_f_there_once(p, monkeypatch):
+@pytest.fixture
+def spied(monkeypatch):
+    """The eval_smooth calls (their jac) and the _solve_core calls that the
+    solver makes through its module globals."""
     import sapgm.solver
 
-    calls = []
-    inner = sapgm.solver.eval_smooth
+    calls, solves = [], []
+    evaluate, solve_core = sapgm.solver.eval_smooth, sapgm.solver._solve_core
 
     def counted(p, x, mu, jac=True):
         calls.append(jac)
-        return inner(p, x, mu, jac)
+        return evaluate(p, x, mu, jac)
 
+    def counted_solve(*args):
+        solves.append(args[0])
+        return solve_core(*args)
+
+    monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
+    monkeypatch.setattr(sapgm.solver, "_solve_core", counted_solve)
+    return calls, solves
+
+
+@pytest.mark.parametrize("p", registry() + [signed_zero_problem()], ids=lambda p: p.name)
+def test_a_step_whose_x_equals_y_evaluates_f_there_once(p, spied):
+    # bit for bit the step that evaluates f at x and at y in separate calls;
+    # the step evaluates f inline (see the next test), so the spies see no
+    # eval_smooth call and one subproblem solve per trial
+    calls, solves = spied
     cfg = SolverConfig()
     if p.name == "signed_zero":
         assert eval_smooth(p, [-0.0, 0.5], 1.0)[0][0].hex() != eval_smooth(p, [0.0, 0.5], 1.0)[0][0].hex()
     for x in (sample_start(p, 0).tolist(), [-0.0, 0.5], [0.0, -0.0]):
         flipped = [0.0 if v == 0.0 else v for v in x]  # -0.0 becomes 0.0
-        for y in (
-            x,
-            list(x),
-            flipped,
-            np.array(x),
-            [np.float64(v) for v in x],
-        ):
+        # a y that differs from x in one coordinate still evaluates f at x
+        for y in (x, list(x), flipped, np.array(x), [np.float64(v) for v in x], [x[0] + 1e-3, x[1]]):
             for mu in (1.0, 0.05):
                 expected = bits(backtrack_two_evaluations(p, x, y, mu, cfg))
-                monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
                 calls.clear()
+                solves.clear()
                 got = bits(backtrack_step(p, x, y, mu, cfg))
-                monkeypatch.undo()
                 assert got == expected, (x, y, mu)
-                # one call at y with the Jacobian, then one per trial
-                assert calls == [True] + [False] * got[2]
-        # a y that differs from x in one coordinate still evaluates f at x
-        y = [x[0] + 1e-3, x[1]]
-        monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
-        calls.clear()
-        got = bits(backtrack_step(p, x, y, 0.05, cfg))
-        monkeypatch.undo()
-        assert got == bits(backtrack_two_evaluations(p, x, y, 0.05, cfg))
-        assert calls == [True, False] + [False] * got[2]
+                assert calls == [] and len(solves) == got[2]
+
+
+def _block(node, lines):
+    """Whether the statements of node are those of the source lines."""
+    return [ast.dump(s) for s in node] == [ast.dump(s) for s in ast.parse("\n".join(lines)).body]
+
+
+@pytest.mark.parametrize("p", registry() + [signed_zero_problem()], ids=lambda p: p.name)
+def test_the_step_evaluates_f_at_y_once_and_at_x_only_when_x_differs(p):
+    # the value-and-Jacobian lines appear once, at y; the forward lines once
+    # under `if x != y:` and once in the trial loop, at z
+    src = p._kernel.source
+    (step,) = ast.parse("\n".join(solver._step_lines(p.m, p.n, src, _core_lines(p.m, p.n)))).body
+    fused = [node for node in ast.walk(step) if isinstance(node, ast.Try) and _block(node.body, src.fused)]
+    forward = [node for node in ast.walk(step) if isinstance(node, ast.Try) and _block(node.body, src.forward)]
+    assert len(fused) == 1 and fused[0] in step.body
+    (differs,) = [node for node in step.body if isinstance(node, ast.If) and ast.unparse(node.test) == "x != y"]
+    (loop,) = [node for node in step.body if isinstance(node, ast.For)]
+    assert len(forward) == 2 and forward[0] in differs.body and forward[1] in loop.body
+    assert not [node for node in ast.walk(differs.orelse[0]) if isinstance(node, ast.Try)]
+
+
+def test_the_spliced_lines_assign_disjoint_names():
+    # the step's check holds for every problem, and would catch a tree line
+    # that assigns a name of the core build
+    for p in registry() + [signed_zero_problem()]:
+        src, core = p._kernel.source, _core_lines(p.m, p.n)
+        tree = solver._assigned(src.forward + src.fused)
+        assert tree.isdisjoint(solver._assigned(core))
+    clash = dataclasses.replace(get_problem("JOS1"))  # a spec with a kernel of its own
+    clash._kernel.source.forward.append("gx = 0.0")
+    with pytest.raises(AssertionError, match="spliced lines share names"):
+        solver._compiled_step(clash)
+
+
+def test_a_step_is_compiled_on_first_use_and_not_at_import_or_registry_build():
+    code = (
+        "import sapgm\n"
+        "from sapgm.problems import registry\n"
+        "specs = registry()\n"
+        "print(sum('_step' in p.__dict__ for p in specs))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sapgm.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "0"
+    p = distinct_quadratics()
+    assert "_step" not in p.__dict__
+    backtrack_step(p, [0.5, 0.5], [0.5, 0.5], 1.0, SolverConfig())
+    step = p.__dict__["_step"]
+    solve(p, [0.5, 0.5])
+    assert p.__dict__["_step"] is step  # kept on the spec
 
 
 def test_backtrack_diverging_lipschitz_guard():
@@ -288,6 +357,105 @@ def test_backtrack_diverging_lipschitz_guard():
     x0 = np.array([1.0, 0.0])
     with pytest.raises(DivergingLipschitzError):
         backtrack_step(p, x0, x0, 1.0, SolverConfig())
+
+
+def three_objectives():
+    trees = [
+        Scale(0.5, Sum([Square(Affine([1.0, 0.0])), Square(Affine([0.0, 1.0]))])),
+        Scale(0.5, Sum([Square(Affine([1.0, 0.0], -2.0)), Square(Affine([0.0, 1.0], -2.0))])),
+        Abs(Affine([1.0, -1.0], 0.5)),
+    ]
+    return build_problem("three", trees, [-2.0, -2.0], [2.0, 2.0])
+
+
+# problems for the parity property, each with points where its step is of
+# interest besides the drawn starts; every problem also gets the shared points
+_PARITY = {
+    **{p.name: (p, []) for p in registry()},
+    "signed_zero": (signed_zero_problem(), []),
+    "three": (three_objectives(), []),
+    # exp(50 x1) overflows at (15, 0); at (14.19, 0) it is finite and its derivative is not
+    "steep_exp": (
+        build_problem("steep_exp", [Exp(Affine([50.0, 0.0])), Square(Affine([0.0, 1.0]))], [-1.0, -1.0], [1.0, 1.0]),
+        [[15.0, 0.0], [14.19, 0.0]],
+    ),
+    # from (0, 0) at mu = 1 the first trial lands at x1 = 949.5, where exp(50 x1) overflows
+    "overflow_at_trial": (
+        build_problem(
+            "overflow_at_trial",
+            [Sum([Exp(Affine([50.0, 0.0])), Affine([-1e3, 0.0])]), Affine([-1e3, 0.0])],
+            [-1.0, -1.0],
+            [1.0, 1.0],
+            cert_pad=0.0,
+        ),
+        [[0.0, 0.0]],
+    ),
+    # g_1 - g_2 overflows, so the dual weight and every trial z are nan
+    "nonfinite_trial": (
+        build_problem(
+            "nonfinite_trial", [Scale(1e308, Affine([1.0, 0.0])), Scale(-1e308, Affine([1.0, 0.0]))], [-1.0, -1.0], [1.0, 1.0]
+        ),
+        [[0.5, 0.0]],
+    ),
+    # no admissible L within 60 doublings of L0 at (1, 0) and mu = 1
+    "steep": (build_problem("steep", [Exp(Affine([50.0, 0.0]))] * 2, [-2.0, -2.0], [2.0, 2.0], cert_pad=0.0), [[1.0, 0.0]]),
+}
+# -0.0 in each place, and a point where Square gives inf without overflowing
+_SHARED_POINTS = [[-0.0, 0.5], [0.0, -0.0], [1e200, 0.0]]
+_BAD_POINTS = [[math.nan, 1.0], [math.inf, 0.0], [0.0, -math.inf], [[1.0, 2.0], [3.0]], "ab", [1.0, "a"], [1.0, 2.0, 3.0]]
+_FORMS = [list, np.array, lambda v: [np.float64(a) for a in v]]
+
+
+@st.composite
+def step_arguments(draw):
+    """(problem name, x, y, mu): x and y as lists, arrays or lists of NumPy
+    scalars, y at times x itself, x with -0.0 made 0.0, or a point that is no
+    finite point of R^2; mu admissible or not."""
+    name = draw(st.sampled_from(sorted(_PARITY)))
+    p, points = _PARITY[name]
+    point = st.one_of(
+        st.integers(0, 30).map(lambda seed: sample_start(p, seed).tolist()), st.sampled_from(points + _SHARED_POINTS)
+    )
+    x = draw(point)
+    y = draw(st.one_of(st.just(x), st.just([0.0 if v == 0.0 else v for v in x]), point))
+    same = y is x
+    x = draw(st.sampled_from(_FORMS))(x)
+    y = x if same and draw(st.booleans()) else draw(st.sampled_from(_FORMS))(y)
+    bad = draw(st.sampled_from([None] * 6 + ["x", "y", "both"]))
+    if bad in ("x", "both"):
+        x = draw(st.sampled_from(_BAD_POINTS))
+    if bad in ("y", "both"):
+        y = draw(st.sampled_from(_BAD_POINTS))
+    mu = draw(st.sampled_from([1.0, 0.05, 1e-6] * 3 + [0.0, -1.0, math.nan, math.inf]))
+    return name, x, y, mu
+
+
+def outcome(step, p, x, y, mu):
+    """The step's bits, or the type and message of its error."""
+    try:
+        return bits(step(p, x, y, mu, SolverConfig()))
+    except Exception as e:  # every error is compared, whatever its type
+        return type(e), str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(args=step_arguments())
+@example(args=("signed_zero", [-0.0, 0.5], [0.0, 0.5], 1.0))
+@example(args=("three", [0.3, -0.2], [0.3, -0.2], 0.05))
+@example(args=("three", [0.3, -0.2], [0.4, -0.2], 1e-6))
+@example(args=("steep_exp", [0.0, 0.0], [15.0, 0.0], 1.0))
+@example(args=("steep_exp", [14.19, 0.0], [14.19, 0.0], 1.0))
+@example(args=("steep_exp", [15.0, 0.0], [0.0, 0.0], 0.05))
+@example(args=("steep_exp", "ab", [15.0, 0.0], 1.0))
+@example(args=("overflow_at_trial", [0.0, 0.0], [0.0, 0.0], 1.0))
+@example(args=("nonfinite_trial", [0.5, 0.0], [0.5, 0.0], 1.0))
+@example(args=("steep", [1.0, 0.0], [1.0, 0.0], 1.0))
+@example(args=("JOS1", [1.0, 0.0], [[1.0, 2.0], [3.0]], 0.05))
+@example(args=("JOS1", [1.0, math.nan], [1.0, 0.0], math.nan))
+def test_the_compiled_step_gives_the_loop_bits_and_errors(args):
+    name, x, y, mu = args
+    p = _PARITY[name][0]
+    assert outcome(backtrack_step, p, x, y, mu) == outcome(backtrack_step_loop_reference, p, x, y, mu)
 
 
 # --------------------------------------------------------------------- solve
@@ -312,6 +480,8 @@ def test_config_validation():
         dict(mu0=math.nan),
         dict(sigma=math.nan),
         dict(eps=math.nan),
+        # accepted, and every run then stopped at k = 1
+        dict(eps=math.inf),
         dict(L0=math.nan),
         dict(L0=math.inf),
         dict(eta=math.nan),
@@ -325,6 +495,10 @@ def test_config_validation():
     ):
         with pytest.raises(InvalidParameterError):
             SolverConfig(**bad)
+    with pytest.raises(InvalidParameterError, match="eps must be finite and nonnegative, got inf"):
+        SolverConfig(eps=math.inf)
+    # bench rate runs with the stopping rule off
+    assert SolverConfig(eps=0.0).eps == 0.0
 
 
 _NONFINITE_STARTS = ([math.nan, 1.0], [math.inf, 1.0], [0.0, -math.inf])
@@ -371,40 +545,36 @@ def test_nonfinite_jacobian_raises_the_typed_error_at_its_point():
 
 
 @pytest.mark.parametrize("record_trace", [False, True])
-def test_fevals_count_every_smooth_evaluation_but_the_bound(record_trace, monkeypatch):
+def test_fevals_count_every_smooth_evaluation_but_the_bound(record_trace, monkeypatch, spied):
     # fevals counts the method's oracle values, 2 + trials per iteration: f
     # and its Jacobian at y, f at x and f at each trial.  One uncounted
-    # evaluation at x0 sets the boundedness bound, and a step whose x equals
-    # y reads f(x) from the evaluation at y; every other eval_smooth call of
-    # a run is one feval
+    # eval_smooth call at x0 sets the boundedness bound; the steps evaluate
+    # f inline, one subproblem solve per trial, and a step whose x equals y
+    # reads f(x) from its evaluation at y
     import sapgm.solver
 
-    calls = 0
-    inner = sapgm.solver.eval_smooth
+    calls, solves = spied
     step = sapgm.solver.backtrack_step
     steps = []  # (x == y, trials) per backtracking step
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return inner(*args, **kwargs)
 
     def recorded(p, x, y, mu, cfg):
         out = step(p, x, y, mu, cfg)
         steps.append((list(x) == list(y), out[2]))
         return out
 
-    monkeypatch.setattr(sapgm.solver, "eval_smooth", counted)
     monkeypatch.setattr(sapgm.solver, "backtrack_step", recorded)
     cfg = SolverConfig(record_trace=record_trace)
     for p in registry():
         for run in (solve, solve_baseline):
             for seed in range(3):
-                calls, steps = 0, []
+                calls.clear()
+                solves.clear()
+                steps = []
                 res = run(p, sample_start(p, seed), cfg)
                 at_y = sum(same for same, _ in steps)
                 assert res.fevals == sum(2 + trials for _, trials in steps), (p.name, run.__name__, seed)
-                assert calls == res.fevals + 1 - at_y, (p.name, run.__name__, seed)
+                assert calls == [False], (p.name, run.__name__, seed)
+                assert len(solves) == sum(trials for _, trials in steps), (p.name, run.__name__, seed)
                 # theta = 0 on every baseline step, and on SAPGM's steps k = 0 and 1
                 assert at_y == res.iterations if run is solve_baseline else at_y >= min(2, res.iterations)
 
