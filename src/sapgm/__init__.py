@@ -7,6 +7,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     UnsupportedAtomError,
+    WorkerExitError,
 )
 from .metrics import FrontPoint, RateFit, fit_rate, merit_against_values, nondominated_filter
 from .problems import (
@@ -51,6 +52,7 @@ __all__ = [
     "InvalidInputError",
     "InvalidParameterError",
     "UnsupportedAtomError",
+    "WorkerExitError",
     "FrontPoint",
     "RateFit",
     "fit_rate",

@@ -10,11 +10,13 @@ Artifacts written by `run_benchmark` under the output directory:
 * ``manifest.json``       full parameter record
 
 Every start is drawn once, in the calling process, before any run: run i
-of every solver starts from ``sample_start(p, base_seed + i)``.  Pool workers
-only solve, and the pool has no more workers than there are runs.  Rows are
-sorted by (problem, solver, seed) before writing, so output is deterministic
-regardless of worker scheduling; only the wall-time column varies between
-executions.
+of every solver starts from ``sample_start(p, base_seed + i)``.  A parallel
+run deals the runs into interleaved shares, no more than there are runs: the
+calling process solves the first share, and each other share is solved in a
+child forked for it, which only solves and sends its rows back over a pipe.
+Rows are sorted by (problem, solver, seed) before writing, so output is
+deterministic regardless of scheduling; only the wall-time column varies
+between executions.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError, _check_int
+from .errors import InsufficientDataError, InvalidParameterError, WorkerExitError, _check_int
 from .metrics import FrontPoint, fit_rate, merit_against_values, nondominated_filter
 from .problems import ProblemSpec, eval_true, get_problem, registry, sample_start
 from .solver import SolverConfig, _compile_run, solve, solve_baseline
@@ -79,6 +81,14 @@ class BenchConfig:  # the `bench` flags take their defaults from these
         _check_int(self.runs, "runs", 1)
         _check_int(self.base_seed, "base_seed", 0)  # NumPy seeds are nonnegative
         _check_int(self.parallel, "parallel", 1)
+        if self.parallel > 1:
+            import multiprocessing  # only a parallel run needs it; it adds to every `import sapgm`
+
+            # the children inherit the compiled kernels only when forked
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise InvalidParameterError(
+                    f"parallel = {self.parallel} needs the 'fork' start method, which this platform lacks"
+                )
         if self.solver not in (*SOLVERS, BOTH):
             raise InvalidParameterError(f"unknown solver {self.solver!r}")
 
@@ -152,14 +162,69 @@ def _execute(problem: str, solver: str, seed: int, x0: list[float], cfg: SolverC
     }
 
 
+def _send_share(conn, tasks: list) -> None:
+    """A forked child's side of _run_shares: sends the rows of its tasks, or
+    the error that stopped them, once over conn."""
+    with conn:
+        try:
+            rows = [_execute(*t) for t in tasks]
+        except Exception as exc:  # raised again in the calling process
+            rows = exc
+        conn.send(rows)
+
+
+def _run_shares(tasks: list, workers: int) -> list[dict]:
+    """The rows of tasks, solved in `workers` interleaved shares tasks[w::workers].
+
+    Share 0 runs here; each other share runs in a child forked for it, which
+    sends its rows back over a one-way pipe.  The first error of a share, in
+    share order, is raised here, with the children still running stopped; a
+    child that exits without sending raises WorkerExitError.  Every child is
+    joined before this returns or raises.
+    """
+    import multiprocessing  # only a parallel run needs it; it adds to every `import sapgm`
+
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for w in range(1, workers):
+            conn, sent = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_share, args=(sent, tasks[w::workers]))
+            child.start()
+            sent.close()  # the child holds the only write end, so conn reads EOF once it exits
+            children.append((child, conn))
+        rows = [_execute(*t) for t in tasks[::workers]]
+        for child, conn in children:
+            try:
+                share = conn.recv()
+            except EOFError:
+                child.join()
+                raise WorkerExitError(
+                    f"a benchmark process exited with code {child.exitcode} before sending its runs"
+                ) from None
+            if isinstance(share, Exception):
+                raise share
+            rows += share
+    except BaseException:
+        for child, _ in children:
+            child.terminate()  # its rows are no longer wanted
+        raise
+    finally:
+        for child, conn in children:
+            conn.close()
+            child.join()
+    return rows
+
+
 def run_benchmark(cfg: BenchConfig) -> Path:
     """Execute the full benchmark grid and write all artifacts.
 
     Run i of every solver starts from seed base_seed + i.  Each start is drawn
-    once, here, before any run, and both solvers share it; the runs then go
-    to a pool of min(parallel, runs in the grid) workers, or run here when
-    that is 1.  Before a pool forks, each problem's step and subproblem
-    kernel are compiled here, so that no worker compiles them again.
+    once, here, before any run, and both solvers share it.  The runs are then
+    solved by min(parallel, runs in the grid) processes: this one, and one
+    forked child per further share (see _run_shares).  Before the children
+    fork, each problem's step and subproblem kernel are compiled here, so
+    that no child compiles them again.  No child outlives the call.
     Returns the artifact directory.
     """
     out = Path(cfg.out_dir)
@@ -177,12 +242,9 @@ def run_benchmark(cfg: BenchConfig) -> Path:
     ]
     workers = min(cfg.parallel, len(tasks))
     if workers > 1:
-        import multiprocessing  # only the pool needs it; it adds to every `import sapgm`
-
-        for prob in problems:  # compiled here, so that forked workers inherit them
+        for prob in problems:  # compiled here, so that the forked children inherit them
             _compile_run(get_problem(prob))
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.starmap(_execute, tasks, chunksize=8)
+        rows = _run_shares(tasks, workers)
     else:
         rows = [_execute(*t) for t in tasks]
     rows.sort(key=itemgetter("problem", "solver", "seed"))

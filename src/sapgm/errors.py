@@ -24,6 +24,10 @@ class InsufficientDataError(ValueError):
     """Not enough usable data points for a fit."""
 
 
+class WorkerExitError(RuntimeError):
+    """A process of a parallel benchmark exited without sending its runs."""
+
+
 def _check_int(value, name: str, least: int) -> None:
     """InvalidParameterError unless value is an integer >= least: one that
     operator.index takes, other than a bool."""

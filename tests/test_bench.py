@@ -5,7 +5,9 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,10 +25,10 @@ from sapgm.bench import (
     slugify,
 )
 from sapgm.cli import RATE_PARAMS, build_parser, main
-from sapgm.errors import InvalidParameterError
+from sapgm.errors import DivergingLipschitzError, InvalidParameterError, WorkerExitError
 from sapgm.metrics import FrontPoint, nondominated_filter
 from sapgm.problems import eval_true, get_problem, sample_start
-from sapgm.solver import SolverConfig
+from sapgm.solver import SolverConfig, solve
 
 
 def _drop_time(path):
@@ -49,56 +51,66 @@ def test_cli_run_deterministic(tmp_path):
     assert _drop_time(a / "runs.csv") == _drop_time(b / "runs.csv")
 
 
-def test_parallel_pool_gives_the_serial_runs_csv(tmp_path):
-    # 3 workers on 24 runs in chunks of 8 also gives workers uneven shares
-    for workers in ("1", "2", "3"):
-        rc = main(["run", "--runs", "2", "--seed", "3", "--parallel", workers, "--out", str(tmp_path / workers)])
-        assert rc == 0
-    serial = _drop_time(tmp_path / "1" / "runs.csv")
+def test_parallel_shares_give_the_serial_runs_csv(tmp_path):
+    # 3 processes on 24 runs, and 5 on 12, give the shares uneven sizes
+    for runs, workers in (("2", "1"), ("2", "2"), ("2", "3"), ("1", "5")):
+        out = tmp_path / f"{runs}x{workers}"
+        assert main(["run", "--runs", runs, "--seed", "3", "--parallel", workers, "--out", str(out)]) == 0
+    serial = _drop_time(tmp_path / "2x1" / "runs.csv")
     assert len(serial) == 1 + 6 * 2 * 2  # header + problems x solvers x runs
-    assert serial == _drop_time(tmp_path / "2" / "runs.csv")
-    assert serial == _drop_time(tmp_path / "3" / "runs.csv")
+    assert serial == _drop_time(tmp_path / "2x2" / "runs.csv")
+    assert serial == _drop_time(tmp_path / "2x3" / "runs.csv")
+    # one run per problem and solver gives the serial grid's rows of seed 3
+    assert _drop_time(tmp_path / "1x5" / "runs.csv") == [row for row in serial if row[2] in ("seed", "3")]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The sizes of the pools run_benchmark asks for; their tasks run here,
-    so no process is started."""
-    sizes = []
+def forks(monkeypatch):
+    """The children run_benchmark forks, as they start, and the ones it joins;
+    the hooks in `on_start` run in the calling process as each child starts."""
+    fork = multiprocessing.get_context("fork")
+    seen = SimpleNamespace(started=[], joined=[], on_start=[])
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class Recorded(fork.Process):
+        def start(self):
+            for hook in seen.on_start:
+                hook()
+            seen.started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
+        def join(self, timeout=None):
+            super().join(timeout)
+            seen.joined.append(self)
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(fork, "Process", Recorded)
+    return seen
 
-        def starmap(self, fn, tasks, chunksize=1):
-            return [fn(*t) for t in tasks]
 
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    return sizes
+def _none_left(forks) -> bool:
+    """Every child was joined, and none is running."""
+    return all(c in forks.joined for c in forks.started) and multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
-    "runs, solver, sizes",
-    [(1, "sapgm", []), (3, "sapgm", [3]), (3, "both", [6]), (5, "both", [8])],
+    "runs, solver, forked",
+    [(1, "sapgm", 0), (3, "sapgm", 2), (3, "both", 5), (5, "both", 7)],
 )
-def test_the_pool_has_no_more_workers_than_runs(tmp_path, pool_sizes, runs, solver, sizes):
-    # one run goes without a pool; the manifest keeps the --parallel asked for
+def test_no_more_processes_solve_than_runs(tmp_path, forks, runs, solver, forked):
+    # the calling process solves a share too, so min(parallel, runs) - 1
+    # children are forked, none for one run; the manifest keeps the
+    # --parallel asked for
     out = tmp_path / "r"
     argv = ["run", "--problems", "JOS1", "--runs", str(runs), "--solver", solver, "--parallel", "8"]
     assert main(argv + ["--out", str(out)]) == 0
-    assert pool_sizes == sizes
+    assert len(forks.started) == forked
     assert json.loads((out / "manifest.json").read_text())["parallel"] == 8
     assert len(_drop_time(out / "runs.csv")) == 1 + runs * len(SOLVERS if solver == "both" else [solver])
+    assert _none_left(forks)
 
 
-def test_the_pool_forks_after_the_subproblem_kernels_are_compiled(tmp_path, monkeypatch):
-    # forked workers inherit each problem's step and pair kernel, so no worker
+def test_the_shares_fork_after_the_subproblem_kernels_are_compiled(tmp_path, monkeypatch, forks):
+    # forked children inherit each problem's step and pair kernel, so no child
     # compiles them on every pass; a run builds its cores in its step, so the
     # core build kernel is not compiled for it
     for name, source in [("_PAIR_KERNELS", "_pair_source"), ("_CORE_KERNELS", "_core_source")]:
@@ -108,23 +120,78 @@ def test_the_pool_forks_after_the_subproblem_kernels_are_compiled(tmp_path, monk
         monkeypatch.delitem(get_problem(name).__dict__, "_step", raising=False)
     compiled = []
 
-    class SnapshotPool:
-        def __init__(self, processes):
+    def snapshot():
+        if not compiled:  # when the first child starts
             steps = sorted(name for name in names if "_step" in get_problem(name).__dict__)
             compiled.append((sorted(subproblem._PAIR_KERNELS), sorted(subproblem._CORE_KERNELS), steps))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, tasks, chunksize=1):
-            return [fn(*t) for t in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SnapshotPool)
+    forks.on_start.append(snapshot)
     run_benchmark(BenchConfig(problems=names, runs=2, base_seed=5, solver="both", parallel=2, out_dir=tmp_path))
+    assert len(forks.started) == 1
     assert compiled == [([2], [], ["BK1", "JOS1"])]
+
+
+@pytest.fixture
+def deadline():
+    """A test that waits on children fails after 60 s rather than hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad_seed", [5, 6])  # in the calling process's share, and in the child's
+def test_an_error_in_any_share_reaches_the_caller_as_a_serial_run_raises_it(
+    tmp_path, monkeypatch, forks, deadline, bad_seed
+):
+    bad = sample_start(get_problem("JOS1"), bad_seed).tolist()
+
+    def failing(p, x0, cfg):
+        if x0 == bad:
+            raise DivergingLipschitzError(f"{p.name}: the Lipschitz estimate diverged from {x0}")
+        return solve(p, x0, cfg)
+
+    monkeypatch.setattr(bench, "solve", failing)  # the forked children inherit it
+    grid = dict(problems=("JOS1",), runs=8, base_seed=5, solver="sapgm")
+    raised = []
+    for parallel in (1, 2):
+        with pytest.raises(DivergingLipschitzError) as exc:
+            run_benchmark(BenchConfig(**grid, parallel=parallel, out_dir=tmp_path / str(parallel)))
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[1] == raised[0]
+    assert len(forks.started) == 1 and _none_left(forks)
+
+
+@pytest.mark.parametrize("parallel", [2, 3])
+def test_a_child_that_exits_without_sending_raises_its_exit_code(tmp_path, monkeypatch, forks, deadline, parallel):
+    pid = os.getpid()
+
+    def exiting(p, x0, cfg):
+        if os.getpid() != pid:
+            os._exit(3)
+        return solve(p, x0, cfg)
+
+    monkeypatch.setattr(bench, "solve", exiting)
+    with pytest.raises(WorkerExitError, match="exited with code 3 "):
+        run_benchmark(BenchConfig(problems=("JOS1",), runs=4, solver="sapgm", parallel=parallel, out_dir=tmp_path))
+    assert len(forks.started) == parallel - 1 and _none_left(forks)
+
+
+def test_a_parallel_run_needs_the_fork_start_method(tmp_path, monkeypatch):
+    # only forked children inherit the compiled kernels; Python 3.14 makes
+    # forkserver the default on Linux, and some platforms have no fork
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    with pytest.raises(InvalidParameterError, match="'fork' start method"):
+        BenchConfig(parallel=2)
+    out = tmp_path / "parallel"
+    assert main(["run", "--problems", "JOS1", "--runs", "2", "--parallel", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["run", "--problems", "JOS1", "--runs", "2", "--out", str(tmp_path / "serial")]) == 0
 
 
 def test_each_start_is_drawn_once_in_the_calling_process(tmp_path, monkeypatch):

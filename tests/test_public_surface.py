@@ -18,7 +18,7 @@ MODULES = ["sapgm"] + [f"sapgm.{m}" for m in ("bench", "metrics", "problems", "s
 SURFACE = {
     # errors
     "DivergingLipschitzError", "InsufficientDataError", "InvalidInputError", "InvalidParameterError",
-    "UnsupportedAtomError",
+    "UnsupportedAtomError", "WorkerExitError",
     # metrics
     "FrontPoint", "RateFit", "fit_rate", "merit_against_values", "nondominated_filter",
     # problems
