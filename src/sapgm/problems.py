@@ -5,15 +5,16 @@ with two smooth(ed) components plus a shared nonsmooth term
 g(x) = (1/n) * ||x||_1.  Each objective is F_i(x) = f_i(x) + g(x).
 
 Problem specs are immutable and shareable; the solver counts function
-evaluations itself, so nothing is tallied on the spec.  Each spec compiles
-its m trees once, when it is built, into one problem kernel: ``eval_smooth``
-and ``eval_true`` each make one checked call to it per evaluation.
+evaluations itself, so nothing is tallied on the spec.  A problem is its
+components: ``eval_smooth`` and ``eval_true`` check the point once and then
+call each component's ``SmoothSurrogate`` in order, and the first component
+that overflows or is not finite is named at once.  The solver's step runs
+the same trees' lines inline (``solver._step_lines``).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,8 +36,6 @@ from .smoothing import (
     Square,
     Sum,
     _as_point,
-    _compile_source,
-    _tree_source,
     compose_surrogate,
 )
 
@@ -49,26 +48,6 @@ __all__ = [
     "eval_smooth",
     "sample_start",
 ]
-
-
-class _ProblemKernel(SmoothSurrogate):
-    """The m trees of a problem compiled into one kernel (see ``_compile``):
-    ``eval`` gives the m values and the m gradient rows as float lists, and
-    ``true_eval`` the m exact values.  ``source`` keeps the lines it was
-    compiled from, which the solver splices into the problem's backtracking
-    step.
-
-    It is a subclass, not a sibling, so that it inherits ``eval`` and
-    ``true_eval`` with their checks: perfbench's tracer rebinds
-    ``SmoothSurrogate.eval`` and ``SmoothSurrogate.true_eval`` on the class,
-    and an instance of a subclass finds the rebound method at call time, so
-    each problem evaluation stays a ``smoothing.eval`` span.  It certifies
-    nothing: the box and the constants stay with the components.
-    """
-
-    def __init__(self, exprs: Sequence[Expr]):
-        self.source = _tree_source(exprs)
-        self.n, self._value, self._value_grad = _compile_source(self.source)
 
 
 class GKind(enum.Enum):
@@ -102,8 +81,6 @@ class ProblemSpec:
         for s in self.smooth_parts:
             if s.n != self.n:
                 raise InvalidInputError("surrogate dimension does not match problem")
-        # not a field, so ==, repr and the fields stay those of the spec
-        object.__setattr__(self, "_kernel", _ProblemKernel([s.expr for s in self.smooth_parts]))
 
     @property
     def lip_bound(self) -> float:
@@ -130,51 +107,26 @@ def _not_finite(p: ProblemSpec, x: list[float], i: int, what: str) -> InvalidInp
     return InvalidInputError(f"{p.name}: component {i + 1} at x = {x} {what}")
 
 
-def _fault(p: ProblemSpec, x: Sequence[float], value, g: float = 0.0) -> InvalidInputError:
-    """The error naming the first component whose ``value(s, x) + g`` overflows
-    or is not finite, at x as a float list.
-
-    The problem kernel ran into such a component; it runs each component's
-    operations in the component's order, so evaluating the components one by
-    one, in order, meets the same fault first.
-    """
-    x = _point(p, x)
-    for i, s in enumerate(p.smooth_parts):
-        try:
-            v = value(s, x) + g
-        except OverflowError as e:
-            err = _not_finite(p, x, i, "overflows")
-            err.__cause__ = e
-            return err
-        if not math.isfinite(v):
-            return _not_finite(p, x, i, f"is {v}")
-    raise AssertionError(f"{p.name}: the problem kernel faulted at x = {x}, but no component does")
-
-
 def eval_true(p: ProblemSpec, x: Sequence[float]) -> np.ndarray:
     """Exact nonsmooth objective vector (F_1(x), ..., F_m(x)).
 
-    Raises InvalidInputError when x is not a finite point of R^n or a
-    component overflows or is not finite.  ``_point`` checks the point, and
-    one ``true_eval`` call on the problem kernel, whose check of that float
-    list is one sum, gives the m exact values; one pass checks them plus g.
-    Only on an error path do the components run one by one, to name the
-    first at fault.
+    Raises InvalidInputError when x is not a finite point of R^n, and then
+    naming the first component whose value plus g overflows or is not
+    finite.  ``_point`` checks the point once; each component's
+    ``true_eval`` runs in order, and none runs after the first at fault.
     """
     x = _point(p, x)
     g = _g(p, x)
-    try:
-        values = p._kernel.true_eval(x)
-    except OverflowError:
-        pass
-    else:
-        values = [v + g for v in values]
-        for v in values:
-            if v - v != 0.0:  # v - v is nan for inf and nan
-                break
-        else:
-            return np.array(values)
-    raise _fault(p, x, lambda s, x: s.true_eval(x), g)
+    values = []
+    for i, s in enumerate(p.smooth_parts):
+        try:
+            v = s.true_eval(x) + g
+        except OverflowError as e:
+            raise _not_finite(p, x, i, "overflows") from e
+        if v - v != 0.0:  # v - v is nan for inf and nan
+            raise _not_finite(p, x, i, f"is {v}")
+        values.append(v)
+    return np.array(values)
 
 
 def eval_smooth(
@@ -186,26 +138,24 @@ def eval_smooth(
     n floats; with ``jac`` false the Jacobian is not formed and None is
     returned in its place.  Raises InvalidInputError naming the problem when
     x is not a finite point of R^n, then InvalidParameterError unless mu is
-    finite and positive, and InvalidInputError naming the problem and x when
-    a component value overflows or is not finite.  One
-    ``SmoothSurrogate.eval`` call on the problem kernel checks the point and
-    mu, in that order, and runs all m components; one pass checks the m
-    values.  Only on an error path does ``_point`` run, to name x as a float
-    list, and the components run one by one to name the first at fault.
+    finite and positive, and InvalidInputError naming the problem, x and the
+    first component whose value overflows or is not finite.  ``_point``
+    checks the point once; each component's ``SmoothSurrogate.eval`` runs in
+    order (the first checks mu), and none runs after the first at fault.
     """
-    try:
-        values, rows = p._kernel.eval(x, mu, jac)
-    except InvalidInputError as e:  # x is not a finite point of R^n
-        raise InvalidInputError(f"{p.name}: {e}") from None
-    except OverflowError:
-        pass
-    else:
-        for v in values:
-            if v - v != 0.0:  # v - v is nan for inf and nan
-                break
-        else:
-            return values, rows
-    raise _fault(p, x, lambda s, x: s.eval(x, mu, jac)[0])
+    x = _point(p, x)
+    values, rows = [], [] if jac else None
+    for i, s in enumerate(p.smooth_parts):
+        try:
+            v, row = s.eval(x, mu, jac)
+        except OverflowError as e:
+            raise _not_finite(p, x, i, "overflows") from e
+        if v - v != 0.0:  # v - v is nan for inf and nan
+            raise _not_finite(p, x, i, f"is {v}")
+        values.append(v)
+        if jac:
+            rows.append(row)
+    return values, rows
 
 
 def sample_start(p: ProblemSpec, seed: int) -> np.ndarray:

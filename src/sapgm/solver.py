@@ -31,16 +31,20 @@ The boundedness diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}),
 which backtrack_step already computed.
 
 Step 2 is one compiled function per problem (``_step_lines``), emitted on
-the step's first use and kept on the spec: the problem's tree lines at y,
-at x (only when x != y) and at each trial z, and the core build of
+the step's first use and kept on the spec: the lines that
+``smoothing._tree_source`` emits for the problem's m trees, at y, at x (only
+when x != y) and at each trial z, and the core build of
 ``subproblem._core_lines``, in the order and arithmetic of the layered
 calls they replace, with the same finiteness checks.  Between those lines a
 call costs more than the arithmetic it wraps.  Two seams stay calls, since
 perfbench's tracer rebinds them and ``tests/test_trace_points.py`` reads
 them: ``backtrack_step``, which _run calls through this module's globals,
 and ``_solve_core``, which the step looks up in this module at each trial.
-The step does not call eval_smooth; on a fault it hands back the point, and
-backtrack_step calls eval_smooth there for the error's type and message.
+The step does not call eval_smooth; on a fault in an evaluation it hands
+back the point, and backtrack_step calls eval_smooth there for the error's
+type and message.  A trial point that is not finite comes from the
+subproblem, not from a caller, so the step raises an error naming the
+subproblem at y.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 
 from .errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError, _check_int
 from .problems import ProblemSpec, _g, _point, eval_smooth, eval_true
-from .smoothing import _KERNEL_GLOBALS, _TreeSource
+from .smoothing import _KERNEL_GLOBALS, _tree_source, _TreeSource
 # each step calls _solve_core as an attribute of this module, which a tracer can rebind
 from .subproblem import DEFAULT_TOL, _compile_kernels, _Core, _core_lines, _lists, _solve_core
 
@@ -209,9 +213,11 @@ def backtrack_step(
 
     Errors keep the order, type and message of the evaluations the step
     stands for: a bad y, a mu that is not finite and positive, a fault at y,
-    a bad x, a fault at x, a Jacobian or offset that is not finite, a fault
-    at a trial, and DivergingLipschitzError.  The step reports a fault by
-    the point, and eval_smooth there raises its error.
+    a bad x, a fault at x, a Jacobian or offset that is not finite, a trial
+    point that is not finite (InvalidInputError naming the subproblem at y),
+    a fault at a trial, and DivergingLipschitzError.  The step reports a
+    fault in an evaluation by the point, and eval_smooth there raises its
+    error.
     """
     y = _point(p, y)
     if not 0.0 < mu < math.inf:
@@ -268,7 +274,8 @@ def _step_lines(m: int, n: int, src: _TreeSource, core: list[str]) -> list[str]:
       DivergingLipschitzError.
 
     An evaluation that overflows or gives a value that is not finite
-    (v - v != 0.0), and a z that is not finite, raise _Fault with the point.
+    (v - v != 0.0) raises _Fault with the point; a z that is not finite
+    raises InvalidInputError naming the subproblem at y.
     """
     point = "".join(f"x{k}, " for k in range(n))
 
@@ -290,7 +297,7 @@ def _step_lines(m: int, n: int, src: _TreeSource, core: list[str]) -> list[str]:
             "z, _, _, _, _, dots, quad, _ = solver._solve_core(core, lam0, DEFAULT_TOL)",
             f"{point}= z",
             f"if {' + '.join(f'(x{k} - x{k})' for k in range(n))} != 0.0:",
-            "    raise _Fault(z, False)",
+            '    raise InvalidInputError(f"{p.name}: the subproblem at y = {y} gives the trial point z = {z}, which is not finite")',
         ]
         + at("z", src.forward, "fz", False)
         + [
@@ -334,7 +341,7 @@ def _compiled_step(p: ProblemSpec):
         return p._step
     except AttributeError:
         pass
-    src, core = p._kernel.source, _core_lines(p.m, p.n)
+    src, core = _tree_source([s.expr for s in p.smooth_parts]), _core_lines(p.m, p.n)
     ns = {
         **_KERNEL_GLOBALS,
         **src.consts,

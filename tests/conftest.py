@@ -16,11 +16,12 @@ evaluates it only inside the bracket.  core_from_evals_loop_reference is
 the core build as loops, kept to pin the compiled build's bits;
 backtrack_step_loop_reference is the backtracking step as the layered loop
 it was before each problem's step was compiled, kept to pin the compiled
-step's bits and errors; and called_atom_kernel compiles trees with each smoothing atom as one call of
-its scalar rule, as the kernels did before the atoms' arithmetic was
-written out.  g is (1/n) ||x||_1 throughout, as in sapgm.  The session
-fixture benchmark_run runs the pinned grid once, for every test that reads
-its artifacts.
+step's bits and errors; called_atom_kernel compiles a tree with each
+smoothing atom as one call of its scalar rule, as the kernels did before
+the atoms' arithmetic was written out; and spliced_kernel compiles several
+trees' lines together, as a problem's step splices them.  g is
+(1/n) ||x||_1 throughout, as in sapgm.  The session fixture benchmark_run
+runs the pinned grid once, for every test that reads its artifacts.
 """
 from __future__ import annotations
 
@@ -45,7 +46,9 @@ from sapgm.smoothing import (
     Scale,
     Square,
     Sum,
+    _KERNEL_GLOBALS,
     _compile,
+    _tree_source,
     compose_surrogate,
     smooth_abs,
     smooth_max2,
@@ -426,6 +429,8 @@ def backtrack_step_loop_reference(p, x, y, mu, cfg):
     lam0 = [1.0 / m] * m
     for trial in range(1, MAX_BACKTRACKS + 2):
         z, _, _, _, _, dots, quad, _ = _solve_core(core, lam0, DEFAULT_TOL)
+        if not all(map(math.isfinite, z)):
+            raise InvalidInputError(f"{p.name}: the subproblem at y = {y} gives the trial point z = {z}, which is not finite")
         vals_z, _ = eval_smooth(p, z, mu, jac=False)
         # f_i(z) - f_i(y) - <grad f_i(y), z - y> <= (ell / 2) ||z - y||^2 for every i;
         # dots and quad are the prox step's <grad f_i(y), z - y> and (ell / 2) ||z - y||^2
@@ -459,13 +464,33 @@ _CALLED_ATOM_RULES = {
 }
 
 
-def called_atom_kernel(exprs):
-    """The trees compiled with each smoothing atom as one call of its scalar
+def called_atom_kernel(expr):
+    """The tree compiled with each smoothing atom as one call of its scalar
     rule: (n, value, value_grad), as sapgm.smoothing._compile gives them."""
     with pytest.MonkeyPatch.context() as mp:
         for cls, rule in _CALLED_ATOM_RULES.items():
             mp.setattr(cls, "code", rule)
-        return _compile(exprs)
+        return _compile(expr)
+
+
+def spliced_kernel(exprs):
+    """The lines _tree_source emits for several trees, compiled together as a
+    problem's backtracking step splices them: (value, value_grad), where
+    value(x, mu) gives the m values and value_grad(x, mu) the m values and
+    the m gradient rows, as lists."""
+    src = _tree_source(exprs)
+    unpack = "".join(f"x{k}, " for k in range(src.n)) + "= x"
+    values = f"[{', '.join(src.values)}]"
+    rows = "[" + ", ".join(f"[{', '.join(row)}]" for row in src.grads) + "]"
+    code = "\n".join(
+        ["def value(x, mu):"]
+        + [f"    {line}" for line in [unpack] + src.forward + [f"return {values}"]]
+        + ["def value_grad(x, mu):"]
+        + [f"    {line}" for line in [unpack] + src.fused + [f"return {values}, {rows}"]]
+    )
+    ns = {**_KERNEL_GLOBALS, **src.consts}
+    exec(code, ns)
+    return ns["value"], ns["value_grad"]
 
 
 def bits(value):
@@ -475,21 +500,18 @@ def bits(value):
     return value.hex() if isinstance(value, float) else value
 
 
-def assert_kernel_matches_components(kernel, parts, x, mu):
-    """A problem kernel gives, bit for bit, what its components' one-tree
-    kernels give at (x, mu): the values and gradient rows, the values alone,
-    and the exact values at mu = 0."""
-
-    def hexes(values):
-        return [v.hex() for v in values]
-
+def assert_kernel_matches_components(exprs, parts, x, mu):
+    """The trees' lines compiled together (spliced_kernel) give, bit for bit,
+    what their components' one-tree kernels give at (x, mu): the values and
+    gradient rows, the values alone, and the exact values at mu = 0."""
+    value, value_grad = spliced_kernel(exprs)
+    x = np.asarray(x, float).tolist()
     ones = [s.eval(x, mu) for s in parts]
-    values, rows = kernel.eval(x, mu)
-    assert hexes(values) == hexes(v for v, _ in ones)
-    assert [hexes(r) for r in rows] == [hexes(g) for _, g in ones]
-    values, none = kernel.eval(x, mu, jac=False)
-    assert none is None and hexes(values) == hexes(s.eval(x, mu, jac=False)[0] for s in parts)
-    assert hexes(kernel.true_eval(x)) == hexes(s.true_eval(x) for s in parts)
+    values, rows = value_grad(x, mu)
+    assert bits(values) == bits([v for v, _ in ones])
+    assert bits(rows) == bits([g for _, g in ones])
+    assert bits(value(x, mu)) == bits([s.eval(x, mu, jac=False)[0] for s in parts])
+    assert bits(value(x, 0.0)) == bits([s.true_eval(x) for s in parts])
 
 
 def build_problem(name, exprs, lower, upper, cert_pad=5.0):

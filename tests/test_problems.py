@@ -1,11 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import assert_kernel_matches_components, build_problem
+import sapgm
+from conftest import build_problem
 from sapgm.errors import InvalidInputError, InvalidParameterError
 from sapgm.problems import (
     GKind,
@@ -16,6 +20,7 @@ from sapgm.problems import (
     registry,
     sample_start,
 )
+from sapgm.solver import SolverConfig, backtrack_step
 from sapgm.smoothing import (
     Abs,
     Affine,
@@ -317,53 +322,45 @@ def test_the_first_component_at_fault_is_named(exprs, what):
         assert _raised(call) == (InvalidInputError, f"cancel: {what}")
 
 
-# ------------------------------------------------------------ problem kernel
+def test_no_component_is_evaluated_after_the_first_at_fault(monkeypatch):
+    # each evaluator calls the components in order and raises at the first
+    # that overflows or is not finite; a spy on the class records each call
+    calls = []
+
+    def spied(name):
+        method = getattr(SmoothSurrogate, name)
+        return lambda self, *args: calls.append(self) or method(self, *args)
+
+    for name in ("eval", "true_eval"):
+        monkeypatch.setattr(SmoothSurrogate, name, spied(name))
+    x = [1e200, 0.0]
+    for exprs, at_fault in (
+        ([_NAN, _FINE, _FINE], 0),
+        ([_FINE, _OVERFLOW, _NAN], 1),
+        ([_FINE, _FINE, _OVERFLOW], 2),
+    ):
+        p = build_problem("cancel", exprs, [-1.0, -1.0], [1.0, 1.0])
+        for call in (lambda: eval_true(p, x), lambda: eval_smooth(p, x, 0.5), lambda: eval_smooth(p, x, 0.5, jac=False)):
+            calls.clear()
+            assert _raised(call)[1].startswith(f"cancel: component {at_fault + 1} at x = ")
+            assert calls == list(p.smooth_parts[: at_fault + 1])
 
 
-def _wide_problem(rng):
-    """n = 16, m = 3, built like perfbench's wide_m3: a max of two 4-term
-    maxes, a sum of Abs and a sum of Plus over 8 affine pieces, each plus a
-    quadratic."""
-    n = 16
-    lo, hi = np.full(n, -2.0), np.full(n, 2.0)
-    exprs = []
-    for i in range(3):
-        pieces = [Affine(rng.normal(size=n) / 4.0, rng.normal()) for _ in range(8)]
-        nonsmooth = [
-            Max2(MaxList(pieces[:4]), MaxList(pieces[4:])),
-            Sum([Abs(a) for a in pieces]),
-            Sum([Plus(a) for a in pieces]),
-        ][i]
-        center = rng.uniform(-1.0, 1.0, size=n)
-        quad = Scale(0.5, Sum([Square(Affine(np.eye(n)[j], -center[j])) for j in range(n)]))
-        exprs.append(Sum([nonsmooth, quad]))
-    parts = tuple(compose_surrogate(e, (lo, hi)) for e in exprs)
-    return ProblemSpec("wide", n, 3, parts, GKind.SCALED_L1, lo, hi)
-
-
-def test_the_problem_kernel_matches_its_components_bit_for_bit():
-    rng = np.random.default_rng(21)
-    for p in registry() + [_wide_problem(rng)]:
-        for seed in range(20):
-            x = sample_start(p, seed) * 1.5  # beyond the start box too
-            for mu in (1.0, 0.05, 1e-8):
-                assert_kernel_matches_components(p._kernel, p.smooth_parts, x, mu)
-
-
-def test_the_problem_kernel_is_no_field_of_the_spec():
+def test_the_compiled_step_is_no_field_of_the_spec():
     p = get_problem("JOS1")
+    backtrack_step(p, [0.5, 0.5], [0.5, 0.5], 0.5, SolverConfig())
     assert [f.name for f in fields(p)] == ["name", "n", "m", "smooth_parts", "g_kind", "lower", "upper"]
-    assert "_kernel" not in repr(p)
+    assert "_step" in p.__dict__ and "_step" not in repr(p)
 
 
-def test_each_evaluation_is_one_surrogate_call(monkeypatch):
+def test_each_evaluation_calls_each_component_once_in_order(monkeypatch):
     # SmoothSurrogate.eval and true_eval are rebound on the class, as
-    # perfbench's tracer does, and the problem kernel finds the rebound ones
+    # perfbench's tracer does, and every component finds the rebound ones
     calls = []
 
     def counted(name):
         method = getattr(SmoothSurrogate, name)
-        return lambda self, *args: calls.append(name) or method(self, *args)
+        return lambda self, *args: calls.append((name, self)) or method(self, *args)
 
     for name in ("eval", "true_eval"):
         monkeypatch.setattr(SmoothSurrogate, name, counted(name))
@@ -375,7 +372,28 @@ def test_each_evaluation_is_one_surrogate_call(monkeypatch):
         ):
             calls.clear()
             evaluate()
-            assert calls == [name]
+            assert calls == [(name, s) for s in p.smooth_parts]
+
+
+def test_the_registry_compiles_one_kernel_per_component_and_none_per_problem():
+    # in a fresh process, every compile() of generated source that building
+    # the registry makes is a component's one-tree kernel
+    code = (
+        "import builtins, collections\n"
+        "import sapgm.problems\n"
+        "names = collections.Counter()\n"
+        "compile_ = builtins.compile\n"
+        "def counted(source, filename, *args, **kwargs):\n"
+        "    names[filename] += 1\n"
+        "    return compile_(source, filename, *args, **kwargs)\n"
+        "builtins.compile = counted\n"
+        "specs = sapgm.problems.registry()\n"
+        "builtins.compile = compile_\n"
+        "print(dict(names), sum(p.m for p in specs))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sapgm.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["{'<sapgm", "kernel>':", "12}", "12"]
 
 
 def test_sample_start_deterministic_and_in_box():

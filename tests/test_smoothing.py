@@ -31,7 +31,7 @@ from sapgm.smoothing import (
     smooth_plus,
     verify_surrogate,
 )
-from sapgm.problems import _ProblemKernel, eval_smooth, get_problem, registry, sample_start
+from sapgm.problems import eval_smooth, get_problem, registry, sample_start
 
 finite = st.floats(-50.0, 50.0, allow_nan=False)
 mus = st.floats(1e-6, 1.0, allow_nan=False)
@@ -445,6 +445,29 @@ def test_compose_rejects_a_certification_that_overflows(build, expr, what):
             build(expr, ([-20.0, -20.0], [20.0, 20.0]))
 
 
+def _scale_chain(depth):
+    tree = Affine([1.0, 0.0])
+    for _ in range(depth):
+        tree = Scale(1.0, tree)
+    return tree
+
+
+@constructors
+@pytest.mark.parametrize(
+    "make, where",
+    [
+        # a bare RecursionError from compile(): the Sum's one line nests 2,998 additions
+        pytest.param(lambda: Sum([Affine([1.0, 0.0]) for _ in range(2999)]), "during compilation", id="wide-sum"),
+        # a bare RecursionError from the walk of the tree
+        pytest.param(lambda: _scale_chain(900), "", id="deep-chain"),
+    ],
+)
+def test_compose_rejects_a_tree_too_large_to_compile(build, make, where):
+    match = rf"^expression tree too large to compile \(maximum recursion depth exceeded.*{where}"
+    with pytest.raises(InvalidInputError, match=match):
+        build(make(), ([-1.0, -1.0], [1.0, 1.0]))
+
+
 def test_compose_accepts_power_or_exp_of_an_exact_argument():
     for expr in (
         Square(Sum([Affine([1.0, 0.0]), Affine([0.0, 2.0], 1.0)])),
@@ -697,14 +720,15 @@ def test_kernel_matches_the_reference_evaluator_on_random_trees(case):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_trees_compiled_together_match_their_one_tree_kernels(data):
-    # two or three random trees in one kernel keep each tree's operations
-    # and their order, so each value and gradient row keeps its bits
+    # two or three random trees' lines compiled together, as a problem's
+    # step splices them, keep each tree's operations and their order, so
+    # each value and gradient row keeps its one-tree kernel's bits
     n = data.draw(st.integers(1, 3))
     trees = [data.draw(convex_trees(n, data.draw(st.integers(0, 3)))) for _ in range(data.draw(st.integers(2, 3)))]
     box = (-TREE_BOX * np.ones(n), TREE_BOX * np.ones(n))
     x = np.array(data.draw(st.lists(st.floats(-TREE_BOX, TREE_BOX), min_size=n, max_size=n)))
     parts = [compose_surrogate(t, box) for t in trees]
-    assert_kernel_matches_components(_ProblemKernel(trees), parts, x, data.draw(tree_mus))
+    assert_kernel_matches_components(trees, parts, x, data.draw(tree_mus))
 
 
 @settings(max_examples=200, deadline=None)
@@ -771,7 +795,7 @@ def test_one_atom_kernel_gives_its_scalar_rule_bits(data):
     mu = data.draw(atom_mus)
     leaves = [Affine(row) for row in np.eye(k)]
     node = atom(leaves) if atom is MaxList else atom(*leaves)
-    _, value, value_grad = smoothing._compile([node])  # the bare kernels take any floats
+    _, value, value_grad = smoothing._compile(node)  # the bare kernels take any floats
     # each leaf line is x_j + 0.0, and each gradient entry the partial times 1.0
     v, partials = scalar_rule(atom, [xj + 0.0 for xj in x], mu)
     assert bits(value(x, mu)) == bits(v)
@@ -785,33 +809,37 @@ def _walk(expr):
 
 
 def test_registry_kernels_reach_a_scalar_rule_only_at_mu_zero(monkeypatch):
-    # with every scalar rule refusing, eval still gives the bits of kernels
-    # that call the rules, and only true_eval reaches one
+    # with every scalar rule refusing, each component's kernel still gives
+    # the bits of a kernel that calls the rules at mu > 0, and only at
+    # mu = 0 does a component with an atom reach one
     class Reached(Exception):
         pass
 
     def refuse(*args):
         raise Reached
 
+    parts = [s for p in registry() for s in p.smooth_parts]
     with monkeypatch.context() as mp:
         for name in ("smooth_abs", "smooth_plus", "smooth_max2", "smooth_max_list"):
             mp.setitem(smoothing._KERNEL_GLOBALS, name, refuse)
-        kernels = [_ProblemKernel([s.expr for s in p.smooth_parts]) for p in registry()]
+        kernels = {s: smoothing._compile(s.expr) for s in parts}
     rng = np.random.default_rng(5)
     with_atoms = []
-    for p, kernel in zip(registry(), kernels):
-        _, called_value, called_value_grad = called_atom_kernel([s.expr for s in p.smooth_parts])
-        atoms = any(isinstance(node, (Abs, Plus, Max2, MaxList)) for s in p.smooth_parts for node in _walk(s.expr))
-        with_atoms += [p.name] if atoms else []
+    for p in registry():
         points = [sample_start(p, seed).tolist() for seed in range(5)]
         points += [rng.uniform(p.lower - 5.0, p.upper + 5.0).tolist() for _ in range(5)]
-        for x in points:
-            for mu in (1.0, 1e-2, 1e-4, 1e-8):
-                assert bits(kernel.eval(x, mu)) == bits(called_value_grad(x, mu))
-                assert bits(kernel.eval(x, mu, jac=False)[0]) == bits(called_value(x, mu))
-            if atoms:
-                with pytest.raises(Reached):
-                    kernel.true_eval(x)
-            else:
-                assert bits(kernel.true_eval(x)) == bits(called_value(x, 0.0))
+        for s in p.smooth_parts:
+            _, value, value_grad = kernels[s]
+            _, called_value, called_value_grad = called_atom_kernel(s.expr)
+            atoms = any(isinstance(node, (Abs, Plus, Max2, MaxList)) for node in _walk(s.expr))
+            with_atoms += [p.name] if atoms and p.name not in with_atoms else []
+            for x in points:
+                for mu in (1.0, 1e-2, 1e-4, 1e-8):
+                    assert bits(value_grad(x, mu)) == bits(called_value_grad(x, mu))
+                    assert bits(value(x, mu)) == bits(called_value(x, mu))
+                if atoms:
+                    with pytest.raises(Reached):
+                        value(x, 0.0)
+                else:
+                    assert bits(value(x, 0.0)) == bits(called_value(x, 0.0))
     assert with_atoms == ["CB3&LQ", "CB3&MF1", "CR&MF2"]

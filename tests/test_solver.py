@@ -15,7 +15,7 @@ from conftest import backtrack_step_loop_reference, build_problem
 from sapgm import solver
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from sapgm.problems import _point, eval_smooth, get_problem, registry, sample_start
-from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum
+from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum, _tree_source
 from sapgm.subproblem import DEFAULT_TOL, _core_from_evals, _core_lines, _solve_core
 from sapgm.solver import (
     SolverConfig,
@@ -307,7 +307,7 @@ def _block(node, lines):
 def test_the_step_evaluates_f_at_y_once_and_at_x_only_when_x_differs(p):
     # the value-and-Jacobian lines appear once, at y; the forward lines once
     # under `if x != y:` and once in the trial loop, at z
-    src = p._kernel.source
+    src = _tree_source([s.expr for s in p.smooth_parts])
     (step,) = ast.parse("\n".join(solver._step_lines(p.m, p.n, src, _core_lines(p.m, p.n)))).body
     fused = [node for node in ast.walk(step) if isinstance(node, ast.Try) and _block(node.body, src.fused)]
     forward = [node for node in ast.walk(step) if isinstance(node, ast.Try) and _block(node.body, src.forward)]
@@ -318,15 +318,20 @@ def test_the_step_evaluates_f_at_y_once_and_at_x_only_when_x_differs(p):
     assert not [node for node in ast.walk(differs.orelse[0]) if isinstance(node, ast.Try)]
 
 
-def test_the_spliced_lines_assign_disjoint_names():
+def test_the_spliced_lines_assign_disjoint_names(monkeypatch):
     # the step's check holds for every problem, and would catch a tree line
     # that assigns a name of the core build
     for p in registry() + [signed_zero_problem()]:
-        src, core = p._kernel.source, _core_lines(p.m, p.n)
+        src, core = _tree_source([s.expr for s in p.smooth_parts]), _core_lines(p.m, p.n)
         tree = solver._assigned(src.forward + src.fused)
         assert tree.isdisjoint(solver._assigned(core))
-    clash = dataclasses.replace(get_problem("JOS1"))  # a spec with a kernel of its own
-    clash._kernel.source.forward.append("gx = 0.0")
+
+    def clashing(exprs):
+        src = _tree_source(exprs)
+        return dataclasses.replace(src, forward=src.forward + ["gx = 0.0"])
+
+    monkeypatch.setattr(solver, "_tree_source", clashing)
+    clash = dataclasses.replace(get_problem("JOS1"))  # a spec with no step compiled yet
     with pytest.raises(AssertionError, match="spliced lines share names"):
         solver._compiled_step(clash)
 
@@ -542,6 +547,18 @@ def test_nonfinite_jacobian_raises_the_typed_error_at_its_point():
         for run in (solve, solve_baseline):
             with pytest.raises(InvalidInputError, match=r"steep_exp: Jacobian .* y = \[14\.19, 0\.0\]"):
                 run(p, x0)
+
+
+def test_a_trial_point_that_is_not_finite_names_the_subproblem_at_y():
+    # g_1 - g_2 = 2e308 overflows, so the dual weight and the trial z are nan;
+    # the error named z as if a caller had passed it ("expected a finite point")
+    trees = [Scale(1e308, Affine([1.0, 0.0])), Scale(-1e308, Affine([1.0, 0.0]))]
+    p = build_problem("nonfinite_trial", trees, [-1.0, -1.0], [1.0, 1.0])
+    message = "nonfinite_trial: the subproblem at y = [0.5, 0.0] gives the trial point z = [nan, nan], which is not finite"
+    for run in (solve, solve_baseline):
+        with pytest.raises(InvalidInputError) as info:
+            run(p, np.array([0.5, 0.0]))
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("record_trace", [False, True])
