@@ -10,10 +10,12 @@ Artifacts written by `run_benchmark` under the output directory:
 * ``manifest.json``       full parameter record
 
 Every start is drawn once, in the calling process, before any run: run i
-of every solver starts from ``sample_start(p, base_seed + i)``.  A parallel
-run deals the runs into interleaved shares, no more than there are runs: the
-calling process solves the first share, and each other share is solved in a
-child forked for it, which only solves and sends its rows back over a pipe.
+of every solver starts from ``sample_start(p, base_seed + i)``.  The runs
+are dealt into ``parallel`` interleaved shares, no more than there are runs:
+the calling process solves the first share, which is every run of a serial
+grid, and each other share is solved in a child forked for it, which only
+solves and sends its rows back over a pipe.  Each process compiles a
+problem's kernels on their first use.
 Rows are sorted by (problem, solver, seed) before writing, so output is
 deterministic regardless of scheduling; only the wall-time column varies
 between executions.
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParameterError, WorkerExitError, _check_int
 from .metrics import FrontPoint, fit_rate, merit_against_values, nondominated_filter
 from .problems import ProblemSpec, eval_true, get_problem, registry, sample_start
-from .solver import SolverConfig, _compile_run, solve, solve_baseline
+from .solver import SolverConfig, solve, solve_baseline
 
 __all__ = [
     "BenchConfig",
@@ -84,7 +86,8 @@ class BenchConfig:  # the `bench` flags take their defaults from these
         if self.parallel > 1:
             import multiprocessing  # only a parallel run needs it; it adds to every `import sapgm`
 
-            # the children inherit the compiled kernels only when forked
+            # _run_shares forks its children, which inherit the drawn starts,
+            # the registry and any rebound bench.solve
             if "fork" not in multiprocessing.get_all_start_methods():
                 raise InvalidParameterError(
                     f"parallel = {self.parallel} needs the 'fork' start method, which this platform lacks"
@@ -177,17 +180,17 @@ def _run_shares(tasks: list, workers: int) -> list[dict]:
     """The rows of tasks, solved in `workers` interleaved shares tasks[w::workers].
 
     Share 0 runs here; each other share runs in a child forked for it, which
-    sends its rows back over a one-way pipe.  The first error of a share, in
-    share order, is raised here, with the children still running stopped; a
-    child that exits without sending raises WorkerExitError.  Every child is
-    joined before this returns or raises.
+    sends its rows back over a one-way pipe, so one worker forks nothing.  The
+    first error of a share, in share order, is raised here, with the children
+    still running stopped; a child that exits without sending raises
+    WorkerExitError.  Every child is joined before this returns or raises.
     """
-    import multiprocessing  # only a parallel run needs it; it adds to every `import sapgm`
-
-    fork = multiprocessing.get_context("fork")
     children = []
     try:
         for w in range(1, workers):
+            import multiprocessing  # only a fork needs it; it adds to every `import sapgm`
+
+            fork = multiprocessing.get_context("fork")
             conn, sent = fork.Pipe(duplex=False)
             child = fork.Process(target=_send_share, args=(sent, tasks[w::workers]))
             child.start()
@@ -222,9 +225,8 @@ def run_benchmark(cfg: BenchConfig) -> Path:
     Run i of every solver starts from seed base_seed + i.  Each start is drawn
     once, here, before any run, and both solvers share it.  The runs are then
     solved by min(parallel, runs in the grid) processes: this one, and one
-    forked child per further share (see _run_shares).  Before the children
-    fork, each problem's step and subproblem kernel are compiled here, so
-    that no child compiles them again.  No child outlives the call.
+    forked child per further share (see _run_shares).  Each process compiles
+    a problem's kernels on their first use.  No child outlives the call.
     Returns the artifact directory.
     """
     out = Path(cfg.out_dir)
@@ -240,13 +242,7 @@ def run_benchmark(cfg: BenchConfig) -> Path:
         for solver in solvers
         for seed, x0 in zip(seeds, starts[prob])
     ]
-    workers = min(cfg.parallel, len(tasks))
-    if workers > 1:
-        for prob in problems:  # compiled here, so that the forked children inherit them
-            _compile_run(get_problem(prob))
-        rows = _run_shares(tasks, workers)
-    else:
-        rows = [_execute(*t) for t in tasks]
+    rows = _run_shares(tasks, min(cfg.parallel, len(tasks)))
     rows.sort(key=itemgetter("problem", "solver", "seed"))
     groups = {key: list(grp) for key, grp in groupby(rows, key=itemgetter("problem", "solver"))}
 
@@ -328,15 +324,16 @@ def run_rate_experiment(problem: str, sigmas: Sequence[float], cfg: BenchConfig)
     """Merit decay vs sigma: runs of RATE_ITERS iterations with the stopping rule off.
 
     Writes one (k, merit) series CSV per sigma plus fitted log-log slopes.
+    A sigma that SolverConfig rejects raises its InvalidParameterError
+    before any run.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not sigmas:
         logger.warning("rate experiment: empty sigma list, nothing to do")
         return out
-    for s in sigmas:
-        if not 0.0 < s < 2.0:
-            raise InvalidParameterError(f"sigma must lie in (0, 2), got {s}")
+    # eps = 0 disables the stopping rule: each run uses all RATE_ITERS iterations
+    configs = [replace(cfg.params, sigma=s, eps=0.0, max_iter=RATE_ITERS, record_trace=True) for s in sigmas]
 
     p = get_problem(problem)
     ref = reference_front(p, cfg)
@@ -345,9 +342,7 @@ def run_rate_experiment(problem: str, sigmas: Sequence[float], cfg: BenchConfig)
     k_lo, k_hi = RATE_FIT_RANGE
     slopes = {}
     series_files = []
-    for s in sigmas:
-        # eps = 0 disables the stopping rule: the run uses all RATE_ITERS iterations
-        sc = replace(cfg.params, sigma=s, eps=0.0, max_iter=RATE_ITERS, record_trace=True)
+    for s, sc in zip(sigmas, configs):
         run = solve(p, x0, sc)
         series = merit_series_for_run(p, run.trace, ref)
         fname = f"rate_{slug}_sigma{s:g}.csv"

@@ -64,7 +64,7 @@ from .errors import DivergingLipschitzError, InvalidInputError, InvalidParameter
 from .problems import ProblemSpec, _g, _point, eval_smooth, eval_true
 from .smoothing import _KERNEL_GLOBALS, _tree_source, _TreeSource
 # each step calls _solve_core as an attribute of this module, which a tracer can rebind
-from .subproblem import DEFAULT_TOL, _compile_kernels, _Core, _core_lines, _lists, _solve_core
+from .subproblem import DEFAULT_TOL, _Core, _core_lines, _lists, _solve_core
 
 __all__ = [
     "SolverConfig",
@@ -361,14 +361,6 @@ def _compiled_step(p: ProblemSpec):
     exec(code, ns)
     object.__setattr__(p, "_step", ns["step"])  # the spec is frozen; _step is not a field
     return p._step
-
-
-def _compile_run(p: ProblemSpec) -> None:
-    """Compile now, unless they are compiled, the kernels that solving p runs:
-    its step and the subproblem kernel the step calls.  A pool forked
-    afterwards inherits them."""
-    _compiled_step(p)
-    _compile_kernels(p)
 
 
 def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -> RunResult:

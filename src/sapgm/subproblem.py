@@ -23,12 +23,12 @@ step and the certificates run on the float lists a core is given, since at
 these sizes a NumPy call costs more than its arithmetic; only the ascent's
 curvature bound takes a matrix norm, once per solve.
 
-For the same reason the core build, the prox step and the m = 2 solve are
-compiled, as the objective trees are.  The core build of a shape (m, n)
-forms g(x), the offsets and the finiteness check of G and c as one
-straight-line sum; its lines (_core_lines) are compiled here for
-solve_subproblem and spliced into each problem's backtracking step by the
-solver.  One emitter (_prox_lines) writes the prox step as
+For the same reason the prox step and the m = 2 solve are compiled, as
+the objective trees are.  The core build of a shape (m, n) forms g(x), the
+offsets and the finiteness check of G and c as one straight-line sum; the
+solver splices its lines (_core_lines) into each problem's backtracking
+step, and solve_subproblem builds its core with the same arithmetic as a
+loop (_core_from_evals).  One emitter (_prox_lines) writes the prox step as
 straight-line source for a shape (m, n), with the soft threshold, z, z - y,
 g(z), ||z - y||^2, the dots <g_i, z - y>, the brackets, the dual value and
 quad each formed in a fixed order.  _Core.inner is that source compiled for
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .problems import ProblemSpec, _point, eval_smooth
+from .problems import ProblemSpec, _g, _point, eval_smooth
 
 __all__ = [
     "SubproblemInput",
@@ -347,24 +347,6 @@ def _core_lines(m: int, n: int) -> list[str]:
     )
 
 
-def _core_source(shape: tuple[int, int]) -> list[str]:
-    """``kernel(p, x, y, evals_y, evals_x, ell)``: ``_core_from_evals`` for m
-    components over R^n, which unpacks the values and the Jacobian rows into
-    the names ``_core_lines`` reads and returns the core they build."""
-    m, n = shape
-    rows = "".join("(" + "".join(f"g{i}_{j}, " for j in range(n)) + "), " for i in range(m))
-    body = (
-        [
-            "(" + "".join(f"fy{i}, " for i in range(m)) + "), G = evals_y",
-            rows + "= G",
-            "(" + "".join(f"fx{i}, " for i in range(m)) + "), _ = evals_x",
-        ]
-        + _core_lines(m, n)
-        + ["return core"]
-    )
-    return ["def kernel(p, x, y, evals_y, evals_x, ell):"] + [f"    {line}" for line in body]
-
-
 class _Kernels(dict):
     """Compiled kernels by shape: the first lookup of a shape emits its source
     with ``source(shape)``, compiles it and keeps the function."""
@@ -374,7 +356,7 @@ class _Kernels(dict):
         self.source = source
 
     def __missing__(self, shape):
-        ns = {"isfinite": math.isfinite, "nan": math.nan, "_Core": _Core, "InvalidInputError": InvalidInputError}
+        ns = {"isfinite": math.isfinite, "nan": math.nan}
         exec(compile("\n".join(self.source(shape)), f"<sapgm subproblem kernel {shape}>", "exec"), ns)
         kernel = self[shape] = ns["kernel"]
         return kernel
@@ -382,18 +364,6 @@ class _Kernels(dict):
 
 _PAIR_KERNELS = _Kernels(_pair_source)  # n -> the m = 2 solve
 _INNER_KERNELS = _Kernels(_inner_source)  # (m, n) -> the prox step
-_CORE_KERNELS = _Kernels(_core_source)  # (m, n) -> the core build
-
-
-def _compile_kernels(p: ProblemSpec) -> None:
-    """Compile now, unless it is compiled, the kernel through which solving p
-    reaches this module: its m = 2 solve or its prox step.  (A run builds
-    its cores in the solver's step, from ``_core_lines``.)  A pool forked
-    afterwards inherits it."""
-    if p.m == 2:
-        _PAIR_KERNELS[p.n]
-    else:
-        _INNER_KERNELS[p.m, p.n]
 
 
 def _proj_simplex(w: list) -> list:
@@ -462,11 +432,25 @@ def _core_from_evals(p: ProblemSpec, x, y, evals_y, evals_x, ell: float) -> _Cor
     """Core at expansion point y from eval_smooth's float lists at y and at x.
 
     x and y must be float lists that _point returned, so z is one too.
-    Forms the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a Jacobian G or
-    offsets c that are not finite raise InvalidInputError.  The work is one
-    call of the kernel compiled for p's shape (m, n); see ``_core_source``.
+    Forms g(x) and the offsets c_i = f_i(y, mu) - (f_i(x, mu) + g(x)); a
+    Jacobian G or offsets c that are not finite raise InvalidInputError.  A
+    run builds its cores in its step, from ``_core_lines``, whose arithmetic
+    this is.
     """
-    return _CORE_KERNELS[p.m, p.n](p, x, y, evals_y, evals_x, ell)
+    vals_y, G = evals_y
+    vals_x, _ = evals_x
+    gx = _g(p, x)
+    c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
+    # 0 * v is 0 for a finite v and nan for inf or nan, so one sum finds either
+    s = 0.0
+    for v in c:
+        s += 0.0 * v
+    for row in G:
+        for v in row:
+            s += 0.0 * v
+    if s != 0.0:
+        raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {y} are not finite")
+    return _Core(y, G, c, ell)
 
 
 def _build_core(inp: SubproblemInput) -> _Core:

@@ -12,16 +12,16 @@ solve_pair_loop_reference are the prox step and the m = 2 kink search as
 the float loops they were before sapgm.subproblem compiled them, kept to pin
 the compiled kernels' bits.  solve_pair_full_scan is the float kink search
 that evaluates h at every kink, kept to pin the bits of the one that
-evaluates it only inside the bracket.  core_from_evals_loop_reference is
-the core build as loops, kept to pin the compiled build's bits;
-backtrack_step_loop_reference is the backtracking step as the layered loop
-it was before each problem's step was compiled, kept to pin the compiled
-step's bits and errors; called_atom_kernel compiles a tree with each
-smoothing atom as one call of its scalar rule, as the kernels did before
-the atoms' arithmetic was written out; and spliced_kernel compiles several
-trees' lines together, as a problem's step splices them.  g is
-(1/n) ||x||_1 throughout, as in sapgm.  The session fixture benchmark_run
-runs the pinned grid once, for every test that reads its artifacts.
+evaluates it only inside the bracket.  backtrack_step_loop_reference is
+the backtracking step as the layered loop it was before each problem's
+step was compiled, kept to pin the compiled step's bits and errors;
+called_atom_kernel compiles a tree with each smoothing atom as one call of
+its scalar rule, as the kernels did before the atoms' arithmetic was
+written out; spliced_kernel compiles several trees' lines together, and
+spliced_core_build the core build's lines, as a problem's step splices
+them.  g is (1/n) ||x||_1 throughout, as in sapgm.  The session fixture
+benchmark_run runs the pinned grid once, for every test that reads its
+artifacts.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import pytest
 
 from sapgm.bench import BenchConfig, run_benchmark
 from sapgm.errors import DivergingLipschitzError, InvalidInputError
-from sapgm.problems import GKind, ProblemSpec, _g, _point, eval_smooth, eval_true
+from sapgm.problems import GKind, ProblemSpec, _point, eval_smooth, eval_true
 from sapgm.smoothing import (
     Abs,
     Affine,
@@ -56,7 +56,7 @@ from sapgm.smoothing import (
     smooth_plus,
 )
 from sapgm.solver import MAX_BACKTRACKS
-from sapgm.subproblem import DEFAULT_TOL, _Core, _core_from_evals, _solve_core
+from sapgm.subproblem import DEFAULT_TOL, _Core, _core_from_evals, _core_lines, _solve_core
 
 
 @pytest.fixture(scope="session")
@@ -394,26 +394,6 @@ def solve_pair_full_scan(core, lam0):
     return lam, 1, core.inner(lam)
 
 
-def core_from_evals_loop_reference(p, x, y, evals_y, evals_x, ell):
-    """sapgm.subproblem._core_from_evals as the loops it was before it was
-    compiled: the core and the error its compiled build must reproduce."""
-    vals_y, G = evals_y
-    vals_x, _ = evals_x
-    gx = _g(p, x)
-    c = [fy - (fx + gx) for fy, fx in zip(vals_y, vals_x)]
-    core = _Core(y, G, c, ell)
-    # 0 * v is 0 for a finite v and nan for inf or nan, so one sum finds either
-    s = 0.0
-    for v in c:
-        s += 0.0 * v
-    for row in core.G:
-        for v in row:
-            s += 0.0 * v
-    if s != 0.0:
-        raise InvalidInputError(f"{p.name}: Jacobian or offsets at y = {core.y} are not finite")
-    return core
-
-
 def backtrack_step_loop_reference(p, x, y, mu, cfg):
     """sapgm.solver.backtrack_step as the layered loop it was before each
     problem's step was compiled: the step and the errors the compiled step
@@ -491,6 +471,24 @@ def spliced_kernel(exprs):
     ns = {**_KERNEL_GLOBALS, **src.consts}
     exec(code, ns)
     return ns["value"], ns["value_grad"]
+
+
+def spliced_core_build(m, n):
+    """The core build's lines (_core_lines) for m components over R^n,
+    compiled as a problem's step splices them: build(p, x, y, evals_y,
+    evals_x, ell) unpacks the values and the Jacobian rows into the names the
+    lines read and returns the core they bind."""
+    rows = "".join("(" + "".join(f"g{i}_{j}, " for j in range(n)) + "), " for i in range(m))
+    body = [
+        "(" + "".join(f"fy{i}, " for i in range(m)) + "), G = evals_y",
+        rows + "= G",
+        "(" + "".join(f"fx{i}, " for i in range(m)) + "), _ = evals_x",
+        *_core_lines(m, n),
+        "return core",
+    ]
+    ns = {"_Core": _Core, "InvalidInputError": InvalidInputError}
+    exec("\n".join(["def build(p, x, y, evals_y, evals_x, ell):"] + [f"    {line}" for line in body]), ns)
+    return ns["build"]
 
 
 def bits(value):

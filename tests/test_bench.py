@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -109,26 +111,43 @@ def test_no_more_processes_solve_than_runs(tmp_path, forks, runs, solver, forked
     assert _none_left(forks)
 
 
-def test_the_shares_fork_after_the_subproblem_kernels_are_compiled(tmp_path, monkeypatch, forks):
-    # forked children inherit each problem's step and pair kernel, so no child
-    # compiles them on every pass; a run builds its cores in its step, so the
-    # core build kernel is not compiled for it
-    for name, source in [("_PAIR_KERNELS", "_pair_source"), ("_CORE_KERNELS", "_core_source")]:
-        monkeypatch.setattr(subproblem, name, subproblem._Kernels(getattr(subproblem, source)))
+def test_children_that_compile_on_first_use_give_the_serial_rows(tmp_path, monkeypatch, forks):
+    # nothing is compiled before the fork: the child compiles the pair kernel
+    # and the steps of its share itself, as the calling process does for its own
+    monkeypatch.setattr(subproblem, "_PAIR_KERNELS", subproblem._Kernels(subproblem._pair_source))
     names = ("JOS1", "BK1")
     for name in names:  # steps an earlier test compiled come back afterwards
         monkeypatch.delitem(get_problem(name).__dict__, "_step", raising=False)
     compiled = []
 
     def snapshot():
-        if not compiled:  # when the first child starts
-            steps = sorted(name for name in names if "_step" in get_problem(name).__dict__)
-            compiled.append((sorted(subproblem._PAIR_KERNELS), sorted(subproblem._CORE_KERNELS), steps))
+        steps = sorted(name for name in names if "_step" in get_problem(name).__dict__)
+        compiled.append((sorted(subproblem._PAIR_KERNELS), steps))
 
     forks.on_start.append(snapshot)
-    run_benchmark(BenchConfig(problems=names, runs=2, base_seed=5, solver="both", parallel=2, out_dir=tmp_path))
-    assert len(forks.started) == 1
-    assert compiled == [([2], [], ["BK1", "JOS1"])]
+    argv = ["run", "--problems", ",".join(names), "--runs", "2", "--seed", "5", "--solver", "both"]
+    assert main(argv + ["--parallel", "2", "--out", str(tmp_path / "parallel")]) == 0
+    assert compiled == [([], [])]
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    serial = _drop_time(tmp_path / "serial" / "runs.csv")
+    assert len(serial) == 1 + 2 * 2 * 2  # header + problems x solvers x runs
+    assert _drop_time(tmp_path / "parallel" / "runs.csv") == serial
+    assert len(forks.started) == 1 and _none_left(forks)
+
+
+def test_a_serial_run_does_not_import_multiprocessing(tmp_path):
+    # a serial grid goes through _run_shares too, which imports multiprocessing
+    # only to fork; in a fresh process, since the test session has imported it
+    code = (
+        "import sys\n"
+        "from sapgm.bench import BenchConfig, run_benchmark\n"
+        f"run_benchmark(BenchConfig(problems=['JOS1'], runs=1, out_dir={str(tmp_path)!r}))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bench.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+    assert len(_drop_time(tmp_path / "runs.csv")) == 1 + len(SOLVERS)
 
 
 @pytest.fixture
@@ -183,8 +202,9 @@ def test_a_child_that_exits_without_sending_raises_its_exit_code(tmp_path, monke
 
 
 def test_a_parallel_run_needs_the_fork_start_method(tmp_path, monkeypatch):
-    # only forked children inherit the compiled kernels; Python 3.14 makes
-    # forkserver the default on Linux, and some platforms have no fork
+    # the shares' children are forked, inheriting the drawn starts, the
+    # registry and any rebound bench.solve; Python 3.14 makes forkserver the
+    # default on Linux, and some platforms have no fork
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
     with pytest.raises(InvalidParameterError, match="'fork' start method"):
         BenchConfig(parallel=2)
@@ -402,6 +422,17 @@ def test_rate_experiment_outputs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == RATE_ITERS
     assert set(rows[0]) == {"k", "merit"}
+
+
+@pytest.mark.parametrize("sigma, shown", [("a", "'a'"), (None, "None"), (2.0, "2.0"), (0, "0")])
+def test_rate_checks_every_sigma_before_solving(tmp_path, monkeypatch, sigma, shown):
+    # each sigma is checked as SolverConfig checks it, one that is no number
+    # included, before the reference front is solved
+    solved = []
+    monkeypatch.setattr(bench, "solve", lambda *args: solved.append(args))
+    with pytest.raises(InvalidParameterError, match=rf"^sigma must lie in \(0, 2\), got {shown}$"):
+        run_rate_experiment("JOS1", [0.5, sigma], BenchConfig(out_dir=tmp_path))
+    assert solved == []
 
 
 def test_rate_empty_sigma_list_is_noop(tmp_path, caplog):

@@ -11,7 +11,6 @@ from conftest import (
     build_problem,
     complementarity_reference,
     core_arrays,
-    core_from_evals_loop_reference,
     grid_argmin_2d,
     inner_loop_reference,
     inner_reference,
@@ -21,6 +20,7 @@ from conftest import (
     solve_pair_full_scan,
     solve_pair_loop_reference,
     solve_pair_reference,
+    spliced_core_build,
     subproblem_objective,
 )
 from sapgm import subproblem
@@ -743,12 +743,11 @@ def test_each_shape_compiles_one_kernel(monkeypatch):
     monkeypatch.setattr(subproblem, "exec", counting_exec, raising=False)
     monkeypatch.setattr(subproblem, "_PAIR_KERNELS", subproblem._Kernels(subproblem._pair_source))
     monkeypatch.setattr(subproblem, "_INNER_KERNELS", subproblem._Kernels(subproblem._inner_source))
-    monkeypatch.setattr(subproblem, "_CORE_KERNELS", subproblem._Kernels(subproblem._core_source))
     rng = np.random.default_rng(7)
     cores_by_n = {
         n: _Core(rng.normal(size=n).tolist(), rng.normal(size=(2, n)).tolist(), [0.1, -0.1], 2.0) for n in (2, 5)
     }
-    kernels, core_kernels = {}, {}
+    kernels = {}
     for call in range(1000):
         n = (2, 5)[call % 2]
         core = cores_by_n[n]
@@ -756,11 +755,9 @@ def test_each_shape_compiles_one_kernel(monkeypatch):
         _core_from_evals(p, core.y, core.y, ([0.0, 0.0], core.G), ([0.0, 0.0], None), 2.0)
         _solve_core(core, LAM_HALF, DEFAULT_TOL)
         kernels.setdefault(n, subproblem._PAIR_KERNELS[n])
-        core_kernels.setdefault(n, subproblem._CORE_KERNELS[2, n])
-        assert subproblem._PAIR_KERNELS[n] is kernels[n] and subproblem._CORE_KERNELS[2, n] is core_kernels[n]
+        assert subproblem._PAIR_KERNELS[n] is kernels[n]
     assert sorted(subproblem._PAIR_KERNELS) == [2, 5] and not subproblem._INNER_KERNELS
-    assert sorted(subproblem._CORE_KERNELS) == [(2, 2), (2, 5)]
-    assert len(compiled) == 4
+    assert len(compiled) == 2  # the core build compiles nothing
 
 
 def test_the_pair_kernel_makes_no_function_per_call():
@@ -800,7 +797,9 @@ def built(build, args):
 @settings(max_examples=500, deadline=None)
 @given(args=core_evals())
 def test_compiled_core_build_gives_the_loop_bits(args):
-    assert built(_core_from_evals, args) == built(core_from_evals_loop_reference, args)
+    # the core build each step splices, compiled, against solve_subproblem's loop
+    p = args[0]
+    assert built(spliced_core_build(p.m, p.n), args) == built(_core_from_evals, args)
 
 
 # solve_subproblem at x = (0.4, 0.7), y = (0.5, 0.6), mu = 0.25, ell = 8 with every
