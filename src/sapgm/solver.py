@@ -30,16 +30,21 @@ comparison per objective.
 The boundedness diagnostic reads the accepted trial's f(x_{k+1}, mu_{k+1}),
 which backtrack_step already computed.
 
-Step 2 is one compiled function per problem (``_step_lines``), emitted on
-the step's first use and kept on the spec: the lines that
+Each problem's run is two functions compiled together on the first use of
+either and kept on the spec: the loop (``_run_lines``), which writes out
+steps 1, 3 and 4, the tally, the boundedness value and warning and the trace
+record, and step 2 (``_step_lines``): the lines that
 ``smoothing._tree_source`` emits for the problem's m trees, at y, at x (only
 when x != y) and at each trial z, and the core build of
-``subproblem._core_lines``, in the order and arithmetic of the layered
-calls they replace, with the same finiteness checks.  Between those lines a
-call costs more than the arithmetic it wraps.  Two seams stay calls, since
-perfbench's tracer rebinds them and ``tests/test_trace_points.py`` reads
-them: ``backtrack_step``, which _run calls through this module's globals,
-and ``_solve_core``, which the step looks up in this module at each trial.
+``subproblem._core_lines``.  Both keep the order and arithmetic of the
+layered calls they replace, with the same finiteness checks; between those
+lines a call costs more than the arithmetic it wraps.  _run keeps what runs
+once per run: the point check of x0, the bound's evaluation, the timing and
+the result.  Two seams stay calls, since perfbench's tracer rebinds them and
+``tests/test_trace_points.py`` reads them: ``backtrack_step``, which the loop
+looks up in this module at each iteration, and ``_solve_core``, which the
+step looks up in this module at each trial.  The loop calls
+``momentum_update`` only when its finiteness test fails, for the error.
 The step does not call eval_smooth; on a fault in an evaluation it hands
 back the point, and backtrack_step calls eval_smooth there for the error's
 type and message.  A trial point that is not finite comes from the
@@ -156,9 +161,10 @@ def mu_schedule(k: int, mu0: float, sigma: float) -> float:
 
     InvalidParameterError unless k is an integer >= 0 (as ``_check_int``
     defines it) and mu0 and sigma obey SolverConfig's rules, (0, 1] and
-    (0, 2).  The loop calls this once per iteration, so a Python int k and
-    admissible numbers pass one chained test; the checks that name the fault
-    run only when it fails.
+    (0, 2).  A Python int k and admissible numbers pass one chained test;
+    the checks that name the fault run only when it fails.  The run loop
+    writes the same expression out (``_run_lines``), on a config whose mu0
+    and sigma SolverConfig has checked.
     """
     try:
         if type(k) is int and k >= 0 and 0.0 < mu0 <= 1.0 and 0.0 < sigma < 2.0:
@@ -228,11 +234,16 @@ def backtrack_step(
         eval_smooth(p, y, mu)  # a fault at y comes first
         raise
     try:
-        return _compiled_step(p)(p, x, y, mu, cfg)
+        return _compiled(p)[0](p, x, y, mu, cfg)
     except _Fault as fault:
         point, jac = fault.args
     eval_smooth(p, point, mu, jac)
     raise AssertionError(f"{p.name}: the step faulted at {point}, but eval_smooth does not")
+
+
+# the run loop calls the step through this module, where a tracer can rebind it;
+# the name is taken at import, before any rebinding
+_STEP_CALL = "solver." + backtrack_step.__name__
 
 
 class _Fault(Exception):
@@ -275,7 +286,9 @@ def _step_lines(m: int, n: int, src: _TreeSource, core: list[str]) -> list[str]:
 
     An evaluation that overflows or gives a value that is not finite
     (v - v != 0.0) raises _Fault with the point; a z that is not finite
-    raises InvalidInputError naming the subproblem at y.
+    raises InvalidInputError naming the subproblem at y.  ``_compiled``
+    compiles the step with the run loop of ``_run_lines``, which reaches it
+    through backtrack_step.
     """
     point = "".join(f"x{k}, " for k in range(n))
 
@@ -332,13 +345,88 @@ def _assigned(lines: list[str]) -> set[str]:
     return {v.id for v in nodes if isinstance(v, ast.Name) and isinstance(v.ctx, ast.Store)}
 
 
-def _compiled_step(p: ProblemSpec):
-    """p's step, compiled from ``_step_lines`` on its first use and kept on
-    the spec.  The tree lines, the core build and the step's own lines
-    assign disjoint names, none of them a name the step reads from its
+def _run_lines(m: int, n: int) -> list[str]:
+    """``run(p, x, cfg, accelerated, bound_limit, trace)``: _run's loop from
+    the point x (a float list that has passed the point check) for m
+    objectives over R^n, as source lines.  It returns the last x, the
+    iteration count, the fevals and the status.
+
+    Per iteration k it writes out, in the arithmetic of the calls they
+    replace:
+
+    - mu_schedule: mu_next = mu0 / (k + 1) ** sigma;
+    - the step, ``backtrack_step`` looked up in this module at each
+      iteration (so a rebound ``solver.backtrack_step`` sees every step),
+      and the tally fevals += 2 + trials;
+    - step_norm = dist(x, z), since ``math.dist`` is not a root of a sum to
+      the bit;
+    - momentum_update's ratio, t_next and finiteness test, calling
+      momentum_update itself only when the test fails, for its error; theta
+      is 0.0 for the baseline;
+    - the boundedness value max_i f_i(z) + g(z), with ``max`` written as the
+      builtin picks and g as _g sums, (0.0 + |z0| + ...) / n, then the
+      one-shot warning and the TraceRecord;
+    - y = z + theta (z - x) per coordinate, and the stopping test.
+    """
+    zs, xs, fs = [f"z{j}" for j in range(n)], [f"a{j}" for j in range(n)], [f"f{i}" for i in range(m)]
+    top = ["top = f0"] + [line for f in fs[1:] for line in (f"if {f} > top:", f"    top = {f}")]
+    g = "(0.0" + "".join(f" + abs({z})" for z in zs) + f") / {n}"
+    iteration = (
+        [
+            "mu_next = mu0 / (k + 1) ** sigma",
+            f"z, L_next, trials, vals = {_STEP_CALL}(p, x, y, mu_next, cfg)",
+            "fevals += 2 + trials",
+            "step_norm = dist(x, z)",
+            "try:",
+            "    ratio = (mu * L_next) / (mu_next * L)",
+            "    t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * ratio * t * t))",
+            "except (ZeroDivisionError, ValueError):  # ValueError: the root of a negative number",
+            "    t_next = nan",
+            "if not (t_next < inf and mu > 0.0 < mu_next and L > 0.0 < L_next):",
+            "    momentum_update(t, mu, mu_next, L, L_next)  # raises the error of this step",
+            "theta = (t - 1.0) / t_next if accelerated else 0.0",
+            "".join(f"{f}, " for f in fs) + "= vals",
+        ]
+        + top
+        + [
+            "".join(f"{z}, " for z in zs) + "= z",
+            f"smooth_max = top + {g}",
+            "if smooth_max > bound_limit and not warned:",
+            '    logger.warning("%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d", '
+            "p.name, smooth_max, bound_limit, k)",
+            "    warned = True",
+            "if trace is not None:",
+            "    trace.append(TraceRecord(k, array(z), mu_next, L_next, t_next, theta, step_norm, smooth_max))",
+            "".join(f"{a}, " for a in xs) + "= x",
+            "y = [" + ", ".join(f"{z} + theta * ({z} - {a})" for z, a in zip(zs, xs)) + "]",
+            "x, t, mu, L = z, t_next, mu_next, L_next",
+            "if step_norm < eps and mu < eps:",
+            '    return x, k + 1, fevals, "Converged"',
+        ]
+    )
+    body = (
+        [
+            "mu0, sigma, eps = cfg.mu0, cfg.sigma, cfg.eps",
+            "y = x",
+            "t, mu, L = 1.0, mu0, cfg.L0",
+            "fevals = 0",
+            "warned = False",
+            "for k in range(cfg.max_iter):",
+        ]
+        + _indent(iteration)
+        + ['return x, cfg.max_iter, fevals, "MaxIter"']
+    )
+    return ["def run(p, x, cfg, accelerated, bound_limit, trace):"] + _indent(body)
+
+
+def _compiled(p: ProblemSpec):
+    """p's step (``_step_lines``) and run loop (``_run_lines``), compiled
+    together on the first use of either and kept on the spec as _step and
+    _loop.  The tree lines, the core build and the step's own lines assign
+    disjoint names, and neither function assigns a name it reads from the
     namespace; that is checked here, before the lines are spliced."""
     try:
-        return p._step
+        return p._step, p._loop
     except AttributeError:
         pass
     src, core = _tree_source([s.expr for s in p.smooth_parts]), _core_lines(p.m, p.n)
@@ -352,60 +440,37 @@ def _compiled_step(p: ProblemSpec):
         "InvalidInputError": InvalidInputError,
         "DEFAULT_TOL": DEFAULT_TOL,
         "MAX_BACKTRACKS": MAX_BACKTRACKS,
+        "array": np.array,
+        "dist": math.dist,
+        "inf": math.inf,
+        "nan": math.nan,
+        "sqrt": math.sqrt,
+        "logger": logger,
+        "momentum_update": momentum_update,
+        "TraceRecord": TraceRecord,
     }
+    run = _run_lines(p.m, p.n)
     own = _step_lines(p.m, p.n, replace(src, forward=["pass"], fused=["pass"]), ["pass"])  # nothing spliced
     names = [_assigned(src.forward + src.fused), _assigned(core), _assigned(own)]
     union = set().union(*names)
     assert sum(map(len, names)) == len(union) and union.isdisjoint(ns), f"{p.name}: spliced lines share names"
-    code = compile("\n".join(_step_lines(p.m, p.n, src, core)), f"<sapgm step {p.name}>", "exec")
+    assert _assigned(run).isdisjoint(ns), f"{p.name}: the run loop assigns a name of its namespace"
+    code = compile("\n".join(_step_lines(p.m, p.n, src, core) + run), f"<sapgm step and run {p.name}>", "exec")
     exec(code, ns)
-    object.__setattr__(p, "_step", ns["step"])  # the spec is frozen; _step is not a field
-    return p._step
+    # the spec is frozen; _step and _loop are not fields
+    object.__setattr__(p, "_step", ns["step"])
+    object.__setattr__(p, "_loop", ns["run"])
+    return p._step, p._loop
 
 
 def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -> RunResult:
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
-    x = y = _point(p, x0)
+    x = _point(p, x0)
     vals0, _ = eval_smooth(p, x, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
     bound_ref = max(vals0) + _g(p, x)
     bound_limit = _BOUND_FACTOR * max(abs(bound_ref), 1.0) + _BOUND_OFFSET
-    warned = False
-
-    t, mu, L = 1.0, cfg.mu0, cfg.L0
-    fevals = 0
     start = time.perf_counter()
-    status = "MaxIter"
-    iterations = cfg.max_iter
-    for k in range(cfg.max_iter):
-        mu_next = mu_schedule(k, cfg.mu0, cfg.sigma)
-        x_next, L_next, trials, vals_next = backtrack_step(p, x, y, mu_next, cfg)
-        fevals += 2 + trials
-        step = math.dist(x, x_next)
-
-        t_next, theta_next = momentum_update(t, mu, mu_next, L, L_next)
-        if not accelerated:
-            theta_next = 0.0
-
-        smooth_max = max(vals_next) + _g(p, x_next)
-        if smooth_max > bound_limit and not warned:
-            logger.warning(
-                "%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d",
-                p.name,
-                smooth_max,
-                bound_limit,
-                k,
-            )
-            warned = True
-        if trace is not None:
-            trace.append(TraceRecord(k, np.array(x_next), mu_next, L_next, t_next, theta_next, step, smooth_max))
-
-        y = [a + theta_next * (a - b) for a, b in zip(x_next, x)]
-        x, t, mu, L = x_next, t_next, mu_next, L_next
-        if step < cfg.eps and mu < cfg.eps:
-            status = "Converged"
-            iterations = k + 1
-            break
-
+    x, iterations, fevals, status = _compiled(p)[1](p, x, cfg, accelerated, bound_limit, trace)
     wall = time.perf_counter() - start
     return RunResult(np.array(x), eval_true(p, x), iterations, fevals, wall, status, trace)
 

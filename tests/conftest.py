@@ -14,7 +14,11 @@ the compiled kernels' bits.  solve_pair_full_scan is the float kink search
 that evaluates h at every kink, kept to pin the bits of the one that
 evaluates it only inside the bracket.  backtrack_step_loop_reference is
 the backtracking step as the layered loop it was before each problem's
-step was compiled, kept to pin the compiled step's bits and errors;
+step was compiled, kept to pin the compiled step's bits and errors, and
+run_loop_reference the run as the Python loop it was before each problem's
+run loop was compiled, kept to pin that loop's bits, errors and warning;
+nondominated_mask_loop_reference is the nondominated mask as the per-row
+loop it was before the rows were compared in blocks;
 called_atom_kernel compiles a tree with each smoothing atom as one call of
 its scalar rule, as the kernels did before the atoms' arithmetic was
 written out; spliced_kernel compiles several trees' lines together, and
@@ -33,8 +37,10 @@ import numpy as np
 import pytest
 
 from sapgm.bench import BenchConfig, run_benchmark
+from sapgm.metrics import DOMINANCE_SLACK
 from sapgm.errors import DivergingLipschitzError, InvalidInputError
-from sapgm.problems import GKind, ProblemSpec, _point, eval_smooth, eval_true
+from sapgm import solver
+from sapgm.problems import GKind, ProblemSpec, _g, _point, eval_smooth, eval_true
 from sapgm.smoothing import (
     Abs,
     Affine,
@@ -55,7 +61,7 @@ from sapgm.smoothing import (
     smooth_max_list,
     smooth_plus,
 )
-from sapgm.solver import MAX_BACKTRACKS
+from sapgm.solver import MAX_BACKTRACKS, RunResult, TraceRecord
 from sapgm.subproblem import DEFAULT_TOL, _Core, _core_from_evals, _core_lines, _solve_core
 
 
@@ -426,6 +432,75 @@ def backtrack_step_loop_reference(p, x, y, mu, cfg):
         f"{p.name}: descent test still failing after {MAX_BACKTRACKS} inflations "
         f"(L reached {L_trial:.3g}); surrogate gradients are suspect"
     )
+
+
+def run_loop_reference(p, x0, cfg, accelerated):
+    """sapgm.solver._run as the Python loop it was before each problem's run
+    loop was compiled: the run and the errors and warning the compiled loop
+    must reproduce.  Only two seams are shared with the compiled loop:
+    solver.backtrack_step, which both look up at each iteration, and
+    solver._BOUND_OFFSET, read in the bound here and in _run.  The compiled
+    loop writes mu_schedule out and binds momentum_update and logger when it
+    is compiled, so rebinding solver.mu_schedule, solver.momentum_update or
+    solver.logger reaches this loop and not that one."""
+    trace = [] if cfg.record_trace else None
+    x = y = _point(p, x0)
+    vals0, _ = solver.eval_smooth(p, x, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
+    bound_ref = max(vals0) + _g(p, x)
+    bound_limit = solver._BOUND_FACTOR * max(abs(bound_ref), 1.0) + solver._BOUND_OFFSET
+    warned = False
+
+    t, mu, L = 1.0, cfg.mu0, cfg.L0
+    fevals = 0
+    start = time.perf_counter()
+    status = "MaxIter"
+    iterations = cfg.max_iter
+    for k in range(cfg.max_iter):
+        mu_next = solver.mu_schedule(k, cfg.mu0, cfg.sigma)
+        x_next, L_next, trials, vals_next = solver.backtrack_step(p, x, y, mu_next, cfg)
+        fevals += 2 + trials
+        step = math.dist(x, x_next)
+
+        t_next, theta_next = solver.momentum_update(t, mu, mu_next, L, L_next)
+        if not accelerated:
+            theta_next = 0.0
+
+        smooth_max = max(vals_next) + _g(p, x_next)
+        if smooth_max > bound_limit and not warned:
+            solver.logger.warning(
+                "%s: smoothed objective %.3g exceeded boundedness diagnostic %.3g at k=%d",
+                p.name,
+                smooth_max,
+                bound_limit,
+                k,
+            )
+            warned = True
+        if trace is not None:
+            trace.append(TraceRecord(k, np.array(x_next), mu_next, L_next, t_next, theta_next, step, smooth_max))
+
+        y = [a + theta_next * (a - b) for a, b in zip(x_next, x)]
+        x, t, mu, L = x_next, t_next, mu_next, L_next
+        if step < cfg.eps and mu < cfg.eps:
+            status = "Converged"
+            iterations = k + 1
+            break
+
+    wall = time.perf_counter() - start
+    return RunResult(np.array(x), solver.eval_true(p, x), iterations, fevals, wall, status, trace)
+
+
+def nondominated_mask_loop_reference(F):
+    """sapgm.metrics.nondominated_mask on rows of finite floats, as the loop
+    of one pair of NumPy reductions per row that it was before the rows were
+    compared in blocks."""
+    F = np.asarray(F, dtype=float)
+    keep = np.ones(F.shape[0], dtype=bool)
+    for i in range(F.shape[0]):
+        le = np.all(F <= F[i] + DOMINANCE_SLACK, axis=1)
+        lt = np.any(F < F[i] - DOMINANCE_SLACK, axis=1)
+        if np.any(le & lt):
+            keep[i] = False
+    return keep
 
 
 # each smoothing atom's rule as one call of its scalar rule, as the kernels

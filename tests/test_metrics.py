@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import exact_merit
+from conftest import exact_merit, nondominated_mask_loop_reference
+from sapgm import metrics
 from sapgm.errors import InsufficientDataError, InvalidInputError, InvalidParameterError
 from sapgm.metrics import (
+    DOMINANCE_SLACK,
     FrontPoint,
     fit_rate,
     merit_against_values,
@@ -151,6 +155,47 @@ def test_filter_matches_bruteforce():
             if j != i
         )
         assert mask[i] == (not dominated)
+
+
+@st.composite
+def objective_rows(draw):
+    """0 to 300 rows of m = 1 to 3 values: copies of a few base rows, each
+    with one entry moved by 0, +-DOMINANCE_SLACK or twice it, so that rows
+    repeat and comparisons tie exactly at the slack."""
+    m = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -2.0, 3.5, 1e6]), st.floats(-100.0, 100.0))
+    base = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=12))
+    shift = st.sampled_from([0.0, DOMINANCE_SLACK, -DOMINANCE_SLACK, 2 * DOMINANCE_SLACK])
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(0, m - 1), shift), max_size=300))
+    rows = []
+    for i, j, d in picks:
+        row = list(base[i])
+        row[j] += d
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), m)
+
+
+# 300 rows, past one block, on a lattice whose second entries tie at the slack
+_LATTICE = np.array([[i % 7, (i * 3) % 5 + (i % 3 - 1) * DOMINANCE_SLACK] for i in range(300)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(F=objective_rows())
+@example(F=_LATTICE)
+def test_blocked_mask_is_the_row_loop(F):
+    mask = nondominated_mask(F)
+    assert mask.dtype == bool and mask.shape == (len(F),)
+    assert mask.tolist() == nondominated_mask_loop_reference(F).tolist()
+
+
+@pytest.mark.parametrize("cells", [1, 50, 2_000])
+def test_a_mask_in_smaller_blocks_is_the_row_loop(monkeypatch, cells):
+    # _MASK_CELLS caps the rows per block at cells // (N * m): 1, 1 and 3 rows here
+    monkeypatch.setattr(metrics, "_MASK_CELLS", cells)
+    rng = np.random.default_rng(11)
+    for F in (_LATTICE, rng.integers(0, 4, size=(101, 3)).astype(float)):
+        assert nondominated_mask(F).tolist() == nondominated_mask_loop_reference(F).tolist()
+    assert nondominated_mask(np.zeros((0, 2))).tolist() == []
 
 
 def test_filter_idempotent_and_order_preserving():

@@ -350,7 +350,8 @@ def test_the_compiled_step_is_no_field_of_the_spec():
     p = get_problem("JOS1")
     backtrack_step(p, [0.5, 0.5], [0.5, 0.5], 0.5, SolverConfig())
     assert [f.name for f in fields(p)] == ["name", "n", "m", "smooth_parts", "g_kind", "lower", "upper"]
-    assert "_step" in p.__dict__ and "_step" not in repr(p)
+    assert "_step" in p.__dict__ and "_loop" in p.__dict__
+    assert "_step" not in repr(p) and "_loop" not in repr(p)
 
 
 def test_each_evaluation_calls_each_component_once_in_order(monkeypatch):

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sapgm
-from conftest import backtrack_step_loop_reference, build_problem
+from conftest import backtrack_step_loop_reference, build_problem, run_loop_reference
 from sapgm import solver
 from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError
 from sapgm.problems import _point, eval_smooth, get_problem, registry, sample_start
-from sapgm.smoothing import Abs, Affine, Exp, Scale, Square, Sum, _tree_source
+from sapgm.smoothing import Abs, Affine, Exp, Max2, MaxList, Plus, Scale, Square, Sum, _tree_source
 from sapgm.subproblem import DEFAULT_TOL, _core_from_evals, _core_lines, _solve_core
 from sapgm.solver import (
     SolverConfig,
@@ -333,7 +333,12 @@ def test_the_spliced_lines_assign_disjoint_names(monkeypatch):
     monkeypatch.setattr(solver, "_tree_source", clashing)
     clash = dataclasses.replace(get_problem("JOS1"))  # a spec with no step compiled yet
     with pytest.raises(AssertionError, match="spliced lines share names"):
-        solver._compiled_step(clash)
+        solver._compiled(clash)
+    monkeypatch.undo()
+    # nor may the run loop assign a name it reads from the namespace
+    monkeypatch.setattr(solver, "_run_lines", lambda m, n: ["def run():", "    dist = 0.0"])
+    with pytest.raises(AssertionError, match="the run loop assigns a name of its namespace"):
+        solver._compiled(clash)
 
 
 def test_a_step_is_compiled_on_first_use_and_not_at_import_or_registry_build():
@@ -341,7 +346,7 @@ def test_a_step_is_compiled_on_first_use_and_not_at_import_or_registry_build():
         "import sapgm\n"
         "from sapgm.problems import registry\n"
         "specs = registry()\n"
-        "print(sum('_step' in p.__dict__ for p in specs))\n"
+        "print(sum('_step' in p.__dict__ or '_loop' in p.__dict__ for p in specs))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sapgm.__file__))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -349,9 +354,10 @@ def test_a_step_is_compiled_on_first_use_and_not_at_import_or_registry_build():
     p = distinct_quadratics()
     assert "_step" not in p.__dict__
     backtrack_step(p, [0.5, 0.5], [0.5, 0.5], 1.0, SolverConfig())
-    step = p.__dict__["_step"]
+    step, loop = p.__dict__["_step"], p.__dict__["_loop"]  # compiled together
     solve(p, [0.5, 0.5])
-    assert p.__dict__["_step"] is step  # kept on the spec
+    solve_baseline(p, [0.5, 0.5])
+    assert p.__dict__["_step"] is step and p.__dict__["_loop"] is loop  # kept on the spec
 
 
 def test_backtrack_diverging_lipschitz_guard():
@@ -608,6 +614,99 @@ def test_boundedness_warning_fires_once_from_the_accepted_values(record_trace, m
     assert rec.getMessage().endswith("exceeded boundedness diagnostic -1e+300 at k=0")
     if record_trace:
         assert rec.getMessage().startswith(f"CB3&LQ: smoothed objective {res.trace[0].smooth_max:.3g} ")
+
+
+def three_over_sixteen():
+    """m = 3 objectives over R^16: a max of two maxima, a sum of Abs and a sum
+    of Plus over four random affine pieces each, plus 0.5 ||x - c_i||^2."""
+    rng = np.random.default_rng(16)
+    n, eye = 16, np.eye(16)
+    trees = []
+    for i in range(3):
+        pieces = [Affine(rng.normal(size=n) / 4.0, rng.normal()) for _ in range(4)]
+        nonsmooth = [
+            Max2(MaxList(pieces[:2]), MaxList(pieces[2:])),
+            Sum([Abs(a) for a in pieces]),
+            Sum([Plus(a) for a in pieces]),
+        ][i]
+        center = rng.uniform(-1.0, 1.0, size=n)
+        quad = Scale(0.5, Sum([Square(Affine(eye[j], -center[j])) for j in range(n)]))
+        trees.append(Sum([nonsmooth, quad]))
+    return build_problem("three_over_sixteen", trees, [-2.0] * n, [2.0] * n)
+
+
+def run_bits(res):
+    """A run's status, counts, final x and F as float.hex, and every field of
+    every trace record, with floats as float.hex and arrays as lists of them."""
+
+    def hexed(v):
+        if isinstance(v, np.ndarray):
+            return [a.hex() for a in v.tolist()]
+        return v.hex() if isinstance(v, float) else v
+
+    trace = None
+    if res.trace is not None:
+        trace = [[(f.name, hexed(getattr(rec, f.name))) for f in dataclasses.fields(rec)] for rec in res.trace]
+    return res.status, res.iterations, res.fevals, hexed(res.final_x), hexed(res.final_F), trace
+
+
+# the pinned settings, traced, stopped by max_iter, and with the stopping rule off
+_RUN_CONFIGS = [
+    SolverConfig(),
+    SolverConfig(record_trace=True),
+    SolverConfig(max_iter=5, record_trace=True),
+    SolverConfig(eps=0.0, max_iter=120),
+]
+
+
+@pytest.mark.parametrize("p", registry() + [three_over_sixteen()], ids=lambda p: p.name)
+@pytest.mark.parametrize("run", [solve, solve_baseline], ids=lambda run: run.__name__)
+def test_the_compiled_run_loop_gives_the_reference_loops_bits(p, run):
+    statuses = set()
+    for seed in range(8):
+        x0 = sample_start(p, seed)
+        for cfg in _RUN_CONFIGS:
+            got = run_bits(run(p, x0, cfg))
+            assert got == run_bits(run_loop_reference(p, x0, cfg, run is solve)), (seed, cfg)
+            statuses.add(got[0])
+    assert statuses == {"Converged", "MaxIter"}
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("run", [solve, solve_baseline], ids=lambda run: run.__name__)
+def test_a_step_with_no_finite_momentum_raises_the_reference_loops_error(L, run, monkeypatch):
+    # an accepted L that is nan, infinite, zero or negative gives no finite
+    # momentum step: the compiled loop raises momentum_update's error, whose
+    # message names the arguments, as the loop that called it each iteration did
+    step = solver.backtrack_step
+
+    def bad_L(*args):
+        z, _, trials, vals = step(*args)
+        return z, L, trials, vals
+
+    monkeypatch.setattr(solver, "backtrack_step", bad_L)
+    p = get_problem("SP1")
+    x0 = sample_start(p, 0)
+    with pytest.raises(InvalidParameterError) as expected:
+        run_loop_reference(p, x0, SolverConfig(), run is solve)
+    with pytest.raises(InvalidParameterError) as got:
+        run(p, x0)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"no finite momentum step from t_k=1.0, mu_k=1.0, mu_next=1.0, L_k=1.0, L_next={L}")
+
+
+@pytest.mark.parametrize("run", [solve, solve_baseline], ids=lambda run: run.__name__)
+def test_the_boundedness_warning_is_the_reference_loops(run, monkeypatch, caplog):
+    monkeypatch.setattr(solver, "_BOUND_OFFSET", -1e300)  # every iterate breaches the bound
+    p = get_problem("CR&MF2")
+    x0 = sample_start(p, 4)
+    logged = []
+    for call in (lambda: run(p, x0), lambda: run_loop_reference(p, x0, SolverConfig(), run is solve)):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="sapgm.solver"):
+            call()
+        logged.append([(rec.name, rec.levelname, rec.getMessage()) for rec in caplog.records])
+    assert logged[0] == logged[1] and len(logged[0]) == 1
 
 
 def test_fixed_point_start_converges_at_mu_gate():
