@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError, WorkerExitError, _check_int
+from .errors import InsufficientDataError, InvalidInputError, InvalidParameterError, WorkerExitError, _check_int
 from .metrics import FrontPoint, fit_rate, merit_against_values, nondominated_filter
 from .problems import ProblemSpec, eval_true, get_problem, registry, sample_start
 from .solver import SolverConfig, solve, solve_baseline
@@ -410,12 +410,12 @@ def _ticks(lo: float, hi: float) -> list[float]:
 def emit_svg_scatter(
     fronts: dict[str, Sequence[FrontPoint]], path: str | Path, title: str = ""
 ) -> Path:
-    """Standalone SVG scatter of fronts in objective space, one color per solver.
-
-    Only the first two objectives are drawn; a note is added when more exist.
-    """
+    """Standalone SVG scatter of two-objective fronts in objective space, one
+    color per solver; InvalidInputError for a point with another count."""
     path = Path(path)
     pts = [(solver, pt) for solver, front in fronts.items() for pt in front]
+    if counts := [len(pt.F) for _, pt in pts if len(pt.F) != 2]:
+        raise InvalidInputError(f"a front point needs 2 objective values, got {counts[0]}")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
@@ -430,7 +430,6 @@ def emit_svg_scatter(
         path.write_text("\n".join(parts) + "\n")
         return path
 
-    n_obj = len(pts[0][1].F)
     x_lo, x_hi = _span([float(pt.F[0]) for _, pt in pts])
     y_lo, y_hi = _span([float(pt.F[1]) for _, pt in pts])
     # halves keep a width near the float range finite; with no overflow the
@@ -461,11 +460,6 @@ def emit_svg_scatter(
         f'<text x="18" y="{_SVG_H / 2}" text-anchor="middle" font-size="12" '
         f'transform="rotate(-90 18 {_SVG_H / 2})">F2</text>'
     )
-    if n_obj > 2:
-        parts.append(
-            f'<text x="{_SVG_W - _MARGIN}" y="40" text-anchor="end" font-size="11">'
-            f"projection of first two of {n_obj} objectives</text>"
-        )
 
     for idx, (solver, front) in enumerate(fronts.items()):
         color = SOLVER_COLORS.get(solver, "#7f7f7f")

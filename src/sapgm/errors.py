@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-raises one."""
+"""Exception types shared across the package, the integer check that raises
+one, and the positivity test that other checks share."""
 
 import operator
 
@@ -37,3 +37,11 @@ def _check_int(value, name: str, least: int) -> None:
         ok = False
     if not ok:
         raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _positive(value) -> bool:
+    """Whether value > 0: False for nan and for a value that is no number."""
+    try:
+        return value > 0.0
+    except TypeError:
+        return False

@@ -26,10 +26,9 @@ __all__ = [
 ]
 
 DOMINANCE_SLACK = 1e-9
-# nondominated_mask compares a block of rows with all N rows of F at once:
-# at most _MASK_BLOCK rows, and at most _MASK_CELLS booleans (rows x N x m)
-# in each comparison's array, so that memory stays bounded as N grows
-_MASK_BLOCK = 256
+# nondominated_mask compares a block of rows with all N rows of F at once,
+# with at most _MASK_CELLS booleans (rows x N x m) in each comparison's
+# array, so that memory stays bounded as N grows
 _MASK_CELLS = 1 << 20
 
 
@@ -75,8 +74,7 @@ def nondominated_mask(F: np.ndarray) -> np.ndarray:
     finite numbers, or an empty sequence, which gives an empty mask;
     InvalidInputError otherwise, since a nan row dominates no row and no row
     dominates it.  A block of rows is compared with every row in one
-    broadcast: up to _MASK_BLOCK rows, and fewer when N is so large that a
-    comparison would hold more than _MASK_CELLS booleans.
+    broadcast, as many rows as keep a comparison within _MASK_CELLS booleans.
     """
     try:
         F = np.asarray(F, dtype=float)
@@ -90,7 +88,7 @@ def nondominated_mask(F: np.ndarray) -> np.ndarray:
         i = int(np.flatnonzero(~np.isfinite(F).all(axis=1))[0])
         raise InvalidInputError(f"F must be finite, got row {i} = {F[i].tolist()}")
     keep = np.empty(F.shape[0], dtype=bool)
-    block = max(1, min(_MASK_BLOCK, _MASK_CELLS // max(F.size, 1)))
+    block = max(1, _MASK_CELLS // max(F.size, 1))
     for lo in range(0, F.shape[0], block):
         rows = F[lo : lo + block, None, :]  # each row p of the block against every row q
         le = np.all(F <= rows + DOMINANCE_SLACK, axis=2)

@@ -82,10 +82,6 @@ class ProblemSpec:
             if s.n != self.n:
                 raise InvalidInputError("surrogate dimension does not match problem")
 
-    @property
-    def lip_bound(self) -> float:
-        return max(s.constants.lip_factor for s in self.smooth_parts)
-
 
 def _point(p: ProblemSpec, x: Sequence[float]) -> list[float]:
     """x as a list of p.n finite floats; InvalidInputError naming the problem otherwise."""

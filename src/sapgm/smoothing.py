@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError, _check_int
+from .errors import InvalidInputError, InvalidParameterError, UnsupportedAtomError, _check_int, _positive
 
 __all__ = [
     "SmoothingConstants",
@@ -630,7 +630,7 @@ class SmoothSurrogate:
         InvalidParameterError unless mu is finite and positive.
         """
         x = _as_point(x, self.n)
-        if not 0.0 < mu < math.inf:
+        if not (_positive(mu) and mu < math.inf):
             raise InvalidParameterError(f"mu must be finite and positive, got {mu}")
         return self._value_grad(x, mu) if jac else (self._value(x, mu), None)
 

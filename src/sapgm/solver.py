@@ -161,16 +161,9 @@ def mu_schedule(k: int, mu0: float, sigma: float) -> float:
 
     InvalidParameterError unless k is an integer >= 0 (as ``_check_int``
     defines it) and mu0 and sigma obey SolverConfig's rules, (0, 1] and
-    (0, 2).  A Python int k and admissible numbers pass one chained test;
-    the checks that name the fault run only when it fails.  The run loop
-    writes the same expression out (``_run_lines``), on a config whose mu0
-    and sigma SolverConfig has checked.
+    (0, 2).  The run loop writes the same expression out (``_run_lines``),
+    on a config whose mu0 and sigma SolverConfig has checked.
     """
-    try:
-        if type(k) is int and k >= 0 and 0.0 < mu0 <= 1.0 and 0.0 < sigma < 2.0:
-            return mu0 / (k + 1) ** sigma
-    except (TypeError, OverflowError):  # a mu0 or sigma that is no number, or a k too large
-        pass
     _check_int(k, "k", 0)
     _check_rule("mu0", mu0)
     _check_rule("sigma", sigma)
@@ -191,7 +184,7 @@ def momentum_update(
     try:
         ratio = (mu_k * L_next) / (mu_next * L_k)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * ratio * t_k * t_k))
-    except (ZeroDivisionError, ValueError):  # ValueError: the root of a negative number
+    except (ZeroDivisionError, ValueError, TypeError):  # ValueError: the root of a negative number; TypeError: no number
         t_next = math.nan
     # t_next fails for nan as well; a negative mu or L can still give a finite step
     if not (t_next < math.inf and mu_k > 0.0 < mu_next and L_k > 0.0 < L_next):
@@ -226,8 +219,11 @@ def backtrack_step(
     error.
     """
     y = _point(p, y)
-    if not 0.0 < mu < math.inf:
-        eval_smooth(p, y, mu)  # raises the error of a mu that is not finite and positive
+    try:
+        if not 0.0 < mu < math.inf:
+            eval_smooth(p, y, mu)  # raises the error of a mu that is not finite and positive
+    except TypeError:  # a mu that is no number
+        eval_smooth(p, y, mu)  # raises that error too
     try:
         x = _point(p, x)
     except InvalidInputError:
@@ -463,7 +459,11 @@ def _compiled(p: ProblemSpec):
     return p._step, p._loop
 
 
-def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -> RunResult:
+def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig | None, accelerated: bool) -> RunResult:
+    if cfg is None:
+        cfg = SolverConfig()
+    elif not isinstance(cfg, SolverConfig):
+        raise InvalidParameterError(f"cfg must be a SolverConfig or None, got {cfg!r}")
     trace: list[TraceRecord] | None = [] if cfg.record_trace else None
     x = _point(p, x0)
     vals0, _ = eval_smooth(p, x, cfg.mu0, jac=False)  # sets the bound; not counted as a feval
@@ -476,11 +476,11 @@ def _run(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig, accelerated: bool) -
 
 
 def solve(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig | None = None) -> RunResult:
-    """Run the accelerated method from x0."""
-    return _run(p, x0, cfg or SolverConfig(), accelerated=True)
+    """Run the accelerated method from x0 under cfg; None runs SolverConfig()."""
+    return _run(p, x0, cfg, accelerated=True)
 
 
 def solve_baseline(p: ProblemSpec, x0: np.ndarray, cfg: SolverConfig | None = None) -> RunResult:
     """Run the same loop without extrapolation (theta = 0 throughout)."""
-    return _run(p, x0, cfg or SolverConfig(), accelerated=False)
+    return _run(p, x0, cfg, accelerated=False)
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, _positive
 from .problems import ProblemSpec, _g, _point, eval_smooth
 
 __all__ = [
@@ -78,11 +78,10 @@ class SubproblemInput:
     problem: ProblemSpec
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0.0 < self.mu < math.inf:
-            raise InvalidParameterError("mu must be finite and positive")
-        if not 0.0 < self.ell < math.inf:
-            raise InvalidParameterError("ell must be finite and positive")
+        for field in ("mu", "ell"):
+            value = getattr(self, field)
+            if not (_positive(value) and value < math.inf):  # nan and a value that is no number fail
+                raise InvalidParameterError(f"{field} must be finite and positive")
 
 
 @dataclass
@@ -468,7 +467,7 @@ def solve_subproblem(inp: SubproblemInput, tol: float = DEFAULT_TOL) -> Subprobl
     (m != 2) the last iterate is returned with converged=False; the caller
     decides.
     """
-    if not tol > 0.0:
+    if not _positive(tol):
         raise InvalidParameterError("tol must be positive")
     m = inp.problem.m
     core = _build_core(inp)

@@ -27,7 +27,7 @@ from sapgm.bench import (
     slugify,
 )
 from sapgm.cli import RATE_PARAMS, build_parser, main
-from sapgm.errors import DivergingLipschitzError, InvalidParameterError, WorkerExitError
+from sapgm.errors import DivergingLipschitzError, InvalidInputError, InvalidParameterError, WorkerExitError
 from sapgm.metrics import FrontPoint, nondominated_filter
 from sapgm.problems import eval_true, get_problem, sample_start
 from sapgm.solver import SolverConfig, solve
@@ -365,6 +365,16 @@ def test_svg_escapes_the_title_and_the_solver_labels(tmp_path):
     empty = tmp_path / "amp_empty.svg"
     emit_svg_scatter({"sapgm": []}, empty, title="CB3&LQ")
     assert ET.parse(empty).getroot().find("{http://www.w3.org/2000/svg}text").text == "CB3&LQ"
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_svg_rejects_a_front_point_without_two_objectives(tmp_path, m):
+    # m = 3 drew a projection of the first two objectives; m = 1 raised a bare IndexError
+    fronts = {"sapgm": [FrontPoint(np.zeros(2), np.zeros(2))], "baseline": [FrontPoint(np.zeros(2), np.zeros(m))]}
+    path = tmp_path / "front.svg"
+    with pytest.raises(InvalidInputError, match=f"a front point needs 2 objective values, got {m}"):
+        emit_svg_scatter(fronts, path, title="bad")
+    assert not path.exists()
 
 
 def test_svg_empty_front(tmp_path):

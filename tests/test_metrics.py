@@ -175,7 +175,7 @@ def objective_rows(draw):
     return np.array(rows, dtype=float).reshape(len(rows), m)
 
 
-# 300 rows, past one block, on a lattice whose second entries tie at the slack
+# 300 rows on a lattice whose second entries tie at the slack
 _LATTICE = np.array([[i % 7, (i * 3) % 5 + (i % 3 - 1) * DOMINANCE_SLACK] for i in range(300)])
 
 

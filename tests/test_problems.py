@@ -218,7 +218,7 @@ _BAD_POINTS = [
     pytest.param([math.nan, 0.0], "expected a finite point, got [nan, 0.0]", id="nan"),
     pytest.param([0.0, 1.0, 2.0], "expected a point of dimension 2, got shape (3,)", id="length"),
 ]
-_BAD_MUS = [0.0, -1.0, math.nan, math.inf]
+_BAD_MUS = [0.0, -1.0, math.nan, math.inf, "a"]  # "a" raised a bare TypeError
 
 
 def _raised(call):

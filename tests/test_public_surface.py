@@ -4,7 +4,6 @@ package exports has a caller outside the tests."""
 import ast
 import importlib
 import inspect
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -85,28 +84,35 @@ def test_front_points_are_built_from_their_values():
 
 
 def _uses(path: Path) -> set[str]:
-    """The NAME tokens of a source file, apart from those on its import
-    lines and a def or class name on its own line."""
-    tree = ast.parse(path.read_text())
-    import_lines = {
-        line
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
-    defined = {
-        (node.lineno, node.name)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    with tokenize.open(path) as f:
-        return {
-            tok.string
-            for tok in tokenize.generate_tokens(f.readline)
-            if tok.type == tokenize.NAME
-            and tok.start[0] not in import_lines
-            and (tok.start[0], tok.string) not in defined
-        }
+    """The names a source file's AST uses: Name ids, attribute names, keyword
+    and parameter names, inside an f-string's braces too.  An import and the
+    name a def or class binds are no use, since neither is a node of these."""
+    uses = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            uses.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            uses.add(node.attr)
+        elif isinstance(node, (ast.keyword, ast.arg)) and node.arg is not None:  # None: a ** argument
+            uses.add(node.arg)
+    return uses
+
+
+def test_uses_reads_f_strings_and_skips_imports_and_definitions(tmp_path):
+    # Python 3.11 tokenizes an f-string as one STRING token, so its names were no NAME tokens
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import only_imported\n"
+        "from pkg import also_imported as alias\n"
+        "def only_defined(param):\n"
+        "    return f'{in_braces.attr}'\n"
+        "class OnlyDefined:\n"
+        "    pass\n"
+        "call(key=1, **kwargs)\n"
+    )
+    uses = _uses(path)
+    assert {"in_braces", "attr", "param", "call", "key", "kwargs"} <= uses
+    assert uses.isdisjoint({"only_imported", "also_imported", "alias", "pkg", "only_defined", "OnlyDefined"})
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():

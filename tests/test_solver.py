@@ -113,6 +113,8 @@ def test_momentum_first_step():
         pytest.param((0.1, 1.0, -1.0, 1.0, 1.0), id="mu_next=-1"),
         pytest.param((1.0, -1.0, -1.0, 1.0, 1.0), id="both-mu=-1"),
         pytest.param((1.0, 1.0, 1.0, -1.0, -1.0), id="both-L=-1"),
+        # a bare TypeError
+        pytest.param(("a", 1.0, 1.0, 1.0, 1.0), id="t_k=str"),
     ],
 )
 def test_momentum_rejects_arguments_that_give_no_finite_step(args):
@@ -747,7 +749,23 @@ def test_run_invariants_along_traces():
             rhs = a.mu * a.t * a.t / a.L
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         for rec in tr:
-            assert cfg.L0 <= rec.L <= cfg.eta * p.lip_bound
+            assert cfg.L0 <= rec.L <= cfg.eta * max(s.constants.lip_factor for s in p.smooth_parts)
+
+
+@pytest.mark.parametrize("run", [solve, solve_baseline])
+@pytest.mark.parametrize("cfg", [{}, 0, {"max_iter": 5}], ids=["empty-dict", "zero", "dict"])
+def test_a_config_that_is_no_solver_config_is_rejected(run, cfg):
+    # {} and 0 ran the defaults; a dict with keys raised a bare AttributeError
+    p = get_problem("JOS1")
+    with pytest.raises(InvalidParameterError, match="cfg must be a SolverConfig or None, got "):
+        run(p, np.array([1.0, 2.0]), cfg)
+
+
+def test_backtrack_step_rejects_a_mu_that_is_no_number():
+    # a bare TypeError from the comparison with 0.0
+    p = get_problem("JOS1")
+    with pytest.raises(InvalidParameterError, match="mu must be finite and positive, got a"):
+        backtrack_step(p, [0.5, 0.5], [0.5, 0.5], "a", SolverConfig())
 
 
 def test_baseline_theta_zero_and_shared_first_iterate():

@@ -191,13 +191,21 @@ def test_nonfinite_jacobian_or_offsets_rejected_when_the_core_is_built():
 
 
 @pytest.mark.parametrize("field", ["mu", "ell"])
-@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0, "a"])  # "a" raised a bare TypeError
 def test_input_rejects_a_mu_or_ell_outside_the_positive_reals(field, value):
     y = np.array([0.5, 0.5])
     args = dict(x=y, y=y, mu=0.5, ell=2.0, problem=get_problem("JOS1"))
     args[field] = value
     with pytest.raises(InvalidParameterError, match=f"{field} must be finite and positive"):
         SubproblemInput(**args)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, "a"])  # "a" raised a bare TypeError
+def test_solve_subproblem_rejects_a_tol_that_is_not_positive(tol):
+    y = np.array([0.5, 0.5])
+    inp = SubproblemInput(x=y, y=y, mu=0.5, ell=2.0, problem=get_problem("JOS1"))
+    with pytest.raises(InvalidParameterError, match="tol must be positive"):
+        solve_subproblem(inp, tol=tol)
 
 
 def test_identical_objectives_symmetric_lambda():
